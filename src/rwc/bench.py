@@ -175,35 +175,17 @@ def write_csv(path, records):
             f.write(r.csv_row() + "\n")
 
 
-def read_csv(path):
-    rows = []
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().strip()
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header {header!r}")
-        for ln in f:
-            rule, k, alg, ms, states, arcs, dfa_arcs, tmo = \
-                ln.strip().split(",")
-            rows.append(BenchRecord(
-                rule, int(k), alg, float(ms),
-                int(states) if states else None,
-                int(arcs) if arcs else None,
-                int(dfa_arcs) if dfa_arcs else None,
-                tmo == "1"))
-    return rows
-
-
 def affine_fit(xs, ys):
-    """Least-squares y ~ a*x + b; returns (a, b, r_squared)."""
-    import numpy as np
-
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    design = np.vstack([x, np.ones_like(x)]).T
-    coef, residual, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    ss_tot = float(((y - y.mean()) ** 2).sum())
+    """Least-squares y ~ a*x + b; returns (a, b, r_squared). R² is 1.0
+    when every y is the same."""
+    n = len(xs)
+    mx = sum(xs) / n
+    my = sum(ys) / n
+    sxx = sum((x - mx) ** 2 for x in xs)
+    a = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
+    b = my - a * mx
+    ss_tot = sum((y - my) ** 2 for y in ys)
     if ss_tot == 0.0:
-        return float(coef[0]), float(coef[1]), 1.0
-    ss_res = float(residual[0]) if len(residual) else float(
-        ((design @ coef - y) ** 2).sum())
-    return float(coef[0]), float(coef[1]), 1.0 - ss_res / ss_tot
+        return a, b, 1.0
+    ss_res = sum((y - (a * x + b)) ** 2 for x, y in zip(xs, ys))
+    return a, b, 1.0 - ss_res / ss_tot

@@ -2,6 +2,10 @@
 determinization, completion, complementation, intersection, subtraction,
 DFA minimization, and label-encoded transducer compaction.
 
+Epsilon closures come from the core machinery: determinization takes its
+subsets from ``fsm._eps_closures``, and compaction removes arcs that are
+epsilon on both tapes with ``fsm.remove_epsilon``.
+
 The working alphabet for completion and complementation is always an
 explicit parameter (a sequence of label ids), never inferred from the
 machine's arcs: the marker constructions operate over extended alphabets
@@ -72,9 +76,6 @@ class Dfa:
     def arcs(self):
         return self.aut.arcs
 
-    def step(self, state, label):
-        return self.delta.get((state, label))
-
     def accepts(self, labels):
         q = self.aut.initial
         for l in labels:
@@ -91,25 +92,6 @@ def as_dfa(m):
     return m if isinstance(m, Dfa) else Dfa(m)
 
 
-def _eps_closure_sets(a):
-    eps_from = [[] for _ in range(a.num_states)]
-    for s, l, _, d in a.arcs:
-        if l == EPS:
-            eps_from[s].append(d)
-    closures = []
-    for s in range(a.num_states):
-        seen = {s}
-        stack = [s]
-        while stack:
-            q = stack.pop()
-            for r in eps_from[q]:
-                if r not in seen:
-                    seen.add(r)
-                    stack.append(r)
-        closures.append(frozenset(seen))
-    return closures
-
-
 def determinize(a, counter=None, deadline=None):
     """Subset construction. Language preserved, result deterministic and
     accessible; no minimization. States come out in BFS discovery order and
@@ -118,12 +100,16 @@ def determinize(a, counter=None, deadline=None):
         raise ValueError("determinize expects an unweighted acceptor")
     if counter is not None:
         counter.determinizations += 1
-    closures = _eps_closure_sets(a)
     finals_in = set(a.finals)
+    eps_from = [[] for _ in range(a.num_states)]
     sym_from = [[] for _ in range(a.num_states)]
-    for s, l, _, d in a.arcs:
-        if l != EPS:
+    for s, l, w, d in a.arcs:
+        if l == EPS:
+            eps_from[s].append((w, d))
+        else:
             sym_from[s].append((l, d))
+    closures = [frozenset(c) for c in fsm._eps_closures(a.num_states,
+                                                        eps_from)]
 
     start = closures[a.initial]
     ids = {start: 0}
@@ -310,39 +296,12 @@ def minimize(d, deadline=None):
     return Dfa(fsm.trim(Automaton(len(order), 0, finals, arcs)))
 
 
-def _fold_pure_epsilon(t):
-    """Fold arcs that are epsilon on both tapes into their neighbours
-    (weighted closure), leaving a machine whose every arc moves a tape."""
-    if not any(i == EPS and o == EPS for _, i, o, _, _ in t.arcs):
-        return t
-    eps_from = [[] for _ in range(t.num_states)]
-    real_from = [[] for _ in range(t.num_states)]
-    for s, i, o, w, d in t.arcs:
-        if i == EPS and o == EPS:
-            eps_from[s].append((w, d))
-        else:
-            real_from[s].append((i, o, w, d))
-    closures = fsm._eps_closures(t.num_states, eps_from)
-    arcs = []
-    finals = {}
-    for s in range(t.num_states):
-        for q, dcost in closures[s].items():
-            for i, o, w, d in real_from[q]:
-                arcs.append((s, i, o, dcost + w, d))
-            if q in t.finals:
-                fw = dcost + t.finals[q]
-                if fw < finals.get(s, fsm.INF):
-                    finals[s] = fw
-    return Transducer(t.num_states, t.initial, finals, arcs,
-                      weighted=t.weighted or any(w != 0 for w in finals.values()))
-
-
 def compact_transducer(t, counter=None, deadline=None):
     """Shrink a transducer without changing its relation or weights: each
     (in, out, weight) triple becomes a synthetic label, the machine is
     determinized and minimized as an acceptor, then decoded."""
     t = fsm.trim(t)
-    t = _fold_pure_epsilon(t)
+    t = fsm.remove_epsilon(t)
     t = fsm.trim(t)
     # Nonzero final weights would be lost by the unweighted encoding; move
     # them onto entry arcs of a fresh super-final state first.

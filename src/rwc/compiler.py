@@ -40,7 +40,6 @@ class CompileStats:
 @dataclass
 class CompiledRule:
     transducer: Transducer
-    source: object
     stats: CompileStats
 
 
@@ -79,10 +78,14 @@ def build_f(phi, alphabet, counter=None, deadline=None):
     return fsm.reverse(tau)
 
 
-def build_replace(phi, psi_wfsa, alphabet, pad_out=EPS):
-    """The replacement transducer: a base state copying Σ, deleting RB and
-    passing LB2; LB1 opens a mandatory phi x psi block whose states ignore
-    all three markers, exiting back to base on the span-closing RB."""
+def build_replace(phi, psi_wfsa, alphabet, pad_out=EPS, open_label=None,
+                  pass_label=None, close_label=None):
+    """The replacement transducer: a base state copying Σ, deleting the
+    close label and passing the pass label; the open label opens a
+    mandatory phi x psi block whose states delete all three labels,
+    exiting back to base on the span-closing close label. Open, pass and
+    close (all or none) default to LB1, LB2 and RB; the KK baseline passes
+    its brackets, and a `pad_out` for phi symbols psi leaves unmatched."""
     if nullable(phi):
         raise PhiNullableError("phi accepts the empty string")
     psi_t = fsm.trim(psi_wfsa)
@@ -90,21 +93,23 @@ def build_replace(phi, psi_wfsa, alphabet, pad_out=EPS):
         raise PsiEmptyError("psi denotes the empty language")
     phi_aut = compile_regex(phi, alphabet)
     cp = fsm.cross_product(phi_aut, psi_wfsa, pad_out=pad_out)
-    rb, lb1, lb2 = alphabet.rb, alphabet.lb1, alphabet.lb2
+    if open_label is None:
+        open_label, pass_label, close_label = (alphabet.lb1, alphabet.lb2,
+                                               alphabet.rb)
     off = 1
     arcs = [(0, a, a, 0.0, 0) for a in alphabet.sigma()]
-    arcs.append((0, rb, EPS, 0.0, 0))
-    arcs.append((0, lb2, lb2, 0.0, 0))
-    arcs.append((0, lb1, lb1, 0.0, cp.initial + off))
+    arcs.append((0, close_label, EPS, 0.0, 0))
+    arcs.append((0, pass_label, pass_label, 0.0, 0))
+    arcs.append((0, open_label, open_label, 0.0, cp.initial + off))
     for s, i, o, w, d in cp.arcs:
         arcs.append((s + off, i, o, w, d + off))
     for q in range(cp.num_states):
-        for m in (rb, lb1, lb2):
+        for m in (close_label, open_label, pass_label):
             arcs.append((q + off, m, EPS, 0.0, q + off))
     for q, fw in cp.finals.items():
-        arcs.append((q + off, rb, EPS, fw, 0))
+        arcs.append((q + off, close_label, EPS, fw, 0))
     return Transducer(cp.num_states + 1, 0, {0: 0.0}, arcs,
-                      weighted=cp.weighted)
+                      weighted=any(a[3] for a in arcs))
 
 
 def _lambda_dfa(lam, alphabet, counter=None, deadline=None):
@@ -168,7 +173,7 @@ def compile_rule(rule, alphabet, compact=True, deadline=None):
         states=t.num_states, arcs=len(t.arcs), build_ms=ms,
         subset_constructions=counter.determinizations,
         compact_determinizations=compact_counter.determinizations)
-    return CompiledRule(transducer=t, source=rule, stats=stats)
+    return CompiledRule(transducer=t, stats=stats)
 
 
 def identity_over_sigma(alphabet):

@@ -3,10 +3,16 @@ and the elementary constructions everything else builds on (regex-style
 combinators, identity, cross product, reversal, loop-adding, epsilon
 removal, trimming, weighted composition).
 
-Weights live in the tropical semiring (min, +) over non-negative 64-bit
-floats; ``math.inf`` plays the role of the absorbing "no path" value.
-Machines are immutable once constructed: every operation returns a fresh
-machine, so they can be shared freely between threads.
+Acceptors and transducers share one validating base class; reversal,
+epsilon removal and trimming take either kind. ``_eps_closures`` is the
+one epsilon-closure routine; determinization reuses it.
+
+Weights live in the tropical semiring (min, +) over finite non-negative
+64-bit floats; ``math.inf`` plays the role of the absorbing "no path"
+value and never appears on an arc or a final state. Machines are
+immutable once constructed: an operation returns a new machine, or its
+input when there is nothing to change, so machines can be shared freely
+between threads.
 
 Labels are plain ints. 0 is epsilon; an :class:`Alphabet` assigns
 1..n to the user symbols and the next three ids to the rewrite markers
@@ -18,6 +24,7 @@ import math
 import time
 from collections import deque
 from heapq import heappush, heappop
+from operator import itemgetter
 
 from .errors import EmptyLanguageError, UnknownSymbolError, DeadlineExceeded
 
@@ -58,8 +65,9 @@ class Alphabet:
             raise ValueError("alphabet needs at least one symbol")
         seen = set()
         for name in symbols:
-            if not name:
-                raise ValueError("empty symbol name")
+            if name.split() != [name]:
+                raise ValueError(f"symbol name {name!r} is empty or "
+                                 "contains whitespace")
             if name in _FORBIDDEN_USER_NAMES:
                 raise ValueError(f"symbol name {name!r} is reserved")
             if name in seen:
@@ -124,9 +132,6 @@ class Alphabet:
             toks = text.split()
         return tuple(self.id_of(t) for t in toks)
 
-    def ids_to_string(self, ids):
-        return self.names_to_string([self.name_of(i) for i in ids])
-
     def names_to_string(self, names):
         if all(len(s) == 1 for s in self.symbols):
             return "".join(names)
@@ -139,21 +144,15 @@ class Alphabet:
         return f"Alphabet({list(self.symbols)!r})"
 
 
-def _check_weights(weighted, arcs, finals, arity):
-    if weighted:
-        return
-    wi = 2 if arity == 1 else 3
-    for a in arcs:
-        if a[wi] != 0.0:
-            raise ValueError("unweighted machine carries a nonzero weight")
-    for w in finals.values():
-        if w != 0.0:
-            raise ValueError("unweighted machine carries a nonzero final weight")
+_weight = itemgetter(-2)
 
 
-class Automaton:
-    """Finite-state acceptor. Arcs are (src, label, weight, dst) tuples;
-    finals maps state -> final weight (0.0 by default)."""
+class _Machine:
+    """State-numbered machine: `num_states` states 0..n-1, an initial
+    state, finals mapping state -> final weight, and a tuple of arcs whose
+    first element is the source state, last the destination and
+    second-to-last the weight. Weights are finite and non-negative; an
+    unweighted machine carries only zeros."""
 
     __slots__ = ("num_states", "initial", "finals", "arcs", "weighted", "_out")
 
@@ -162,15 +161,16 @@ class Automaton:
             raise ValueError("initial state out of range")
         finals = dict(finals)
         arcs = tuple(arcs)
-        for src, lab, w, dst in arcs:
-            if not (0 <= src < num_states and 0 <= dst < num_states):
-                raise ValueError("arc endpoint out of range")
-            if w < 0:
-                raise ValueError("negative weight")
-        for q in finals:
+        self._check_arcs(arcs, num_states)
+        for q, w in finals.items():
             if not (0 <= q < num_states):
                 raise ValueError("final state out of range")
-        _check_weights(weighted, arcs, finals, arity=1)
+            if not 0.0 <= w < INF:
+                raise ValueError(f"final weight {w!r} is not finite and "
+                                 "non-negative")
+        if not weighted and (any(map(_weight, arcs))
+                             or any(finals.values())):
+            raise ValueError("unweighted machine carries a nonzero weight")
         self.num_states = num_states
         self.initial = initial
         self.finals = finals
@@ -190,54 +190,49 @@ class Automaton:
         return state in self.finals
 
     def __repr__(self):
-        return (f"Automaton(states={self.num_states}, arcs={len(self.arcs)}, "
-                f"finals={len(self.finals)}, weighted={self.weighted})")
+        return (f"{type(self).__name__}(states={self.num_states}, "
+                f"arcs={len(self.arcs)}, finals={len(self.finals)}, "
+                f"weighted={self.weighted})")
 
 
-class Transducer:
+class Automaton(_Machine):
+    """Finite-state acceptor. Arcs are (src, label, weight, dst) tuples;
+    finals maps state -> final weight (0.0 by default)."""
+
+    __slots__ = ()
+    tapes = 1
+
+    @staticmethod
+    def _check_arcs(arcs, num_states):
+        # unpacking, not indexing: this loop runs over every arc built
+        for s, l, w, d in arcs:
+            if not (0 <= s < num_states and 0 <= d < num_states
+                    and 0.0 <= w < INF):
+                raise ValueError(f"bad endpoint or weight: {(s, l, w, d)}")
+
+
+class Transducer(_Machine):
     """Weighted finite-state transducer. Arcs are
     (src, ilabel, olabel, weight, dst) tuples."""
 
-    __slots__ = ("num_states", "initial", "finals", "arcs", "weighted",
-                 "_out", "_in_idx")
+    __slots__ = ("_in_idx",)
+    tapes = 2
 
-    def __init__(self, num_states, initial, finals, arcs, weighted=False):
-        if not (0 <= initial < num_states):
-            raise ValueError("initial state out of range")
-        finals = dict(finals)
-        arcs = tuple(arcs)
-        for src, ilab, olab, w, dst in arcs:
-            if not (0 <= src < num_states and 0 <= dst < num_states):
-                raise ValueError("arc endpoint out of range")
-            if w < 0:
-                raise ValueError("negative weight")
-        for q in finals:
-            if not (0 <= q < num_states):
-                raise ValueError("final state out of range")
-        _check_weights(weighted, arcs, finals, arity=2)
-        self.num_states = num_states
-        self.initial = initial
-        self.finals = finals
-        self.arcs = arcs
-        self.weighted = weighted
-        self._out = None
-        self._in_idx = None
-
-    def out_arcs(self, state):
-        if self._out is None:
-            out = [[] for _ in range(self.num_states)]
-            for a in self.arcs:
-                out[a[0]].append(a)
-            self._out = out
-        return self._out[state]
+    @staticmethod
+    def _check_arcs(arcs, num_states):
+        for s, i, o, w, d in arcs:
+            if not (0 <= s < num_states and 0 <= d < num_states
+                    and 0.0 <= w < INF):
+                raise ValueError(f"bad endpoint or weight: {(s, i, o, w, d)}")
 
     def in_index(self, state):
         """Outgoing arcs of `state` grouped by input label, as
         ilabel -> [(olabel, weight, dst), ...]."""
-        if self._in_idx is None:
-            idx = [None] * self.num_states
-            self._in_idx = idx
-        d = self._in_idx[state]
+        try:
+            d = self._in_idx[state]
+        except AttributeError:
+            self._in_idx = [None] * self.num_states
+            d = None
         if d is None:
             d = {}
             for _, ilab, olab, w, dst in self.out_arcs(state):
@@ -245,19 +240,12 @@ class Transducer:
             self._in_idx[state] = d
         return d
 
-    def is_final(self, state):
-        return state in self.finals
-
     def labels_used(self):
         labs = set()
         for _, i, o, _, _ in self.arcs:
             labs.add(i)
             labs.add(o)
         return labs
-
-    def __repr__(self):
-        return (f"Transducer(states={self.num_states}, arcs={len(self.arcs)}, "
-                f"finals={len(self.finals)}, weighted={self.weighted})")
 
 
 class WeightedStringSet:
@@ -276,12 +264,6 @@ class WeightedStringSet:
         old = self.entries.get(key)
         if old is None or w < old:
             self.entries[key] = w
-
-    def almost_equal(self, other, tol=1e-9):
-        if set(self.entries) != set(other.entries):
-            return False
-        return all(abs(w - other.entries[k]) <= tol
-                   for k, w in self.entries.items())
 
     def sorted_items(self):
         return sorted(self.entries.items(), key=lambda kw: (kw[1], kw[0]))
@@ -388,8 +370,6 @@ def aut_sigma_star(labels):
 
 def aut_weighted(w, a):
     """Prefix a series term with weight w (an entry arc carrying w)."""
-    if w < 0:
-        raise ValueError("negative series weight")
     arcs = [(0, EPS, float(w), a.initial + 1)]
     arcs.extend(_shift(a, 1))
     finals = {q + 1: fw for q, fw in a.finals.items()}
@@ -470,16 +450,12 @@ def reverse(m):
     """Reverse the language/relation by arc reversal. A fresh super-initial
     state with epsilon arcs to the old finals encodes multiple starts; old
     final weights ride those arcs."""
-    n = m.num_states
-    init = n  # super-initial
-    finals = {m.initial: 0.0}
-    if isinstance(m, Automaton):
-        arcs = [(d, l, w, s) for s, l, w, d in m.arcs]
-        arcs.extend((init, EPS, w, q) for q, w in m.finals.items())
-        return Automaton(n + 1, init, finals, arcs, weighted=m.weighted)
-    arcs = [(d, i, o, w, s) for s, i, o, w, d in m.arcs]
-    arcs.extend((init, EPS, EPS, w, q) for q, w in m.finals.items())
-    return Transducer(n + 1, init, finals, arcs, weighted=m.weighted)
+    init = m.num_states  # super-initial
+    eps = (EPS,) * m.tapes
+    arcs = [(a[-1], *a[1:-1], a[0]) for a in m.arcs]
+    arcs.extend((init, *eps, w, q) for q, w in m.finals.items())
+    return type(m)(init + 1, init, {m.initial: 0.0}, arcs,
+                   weighted=m.weighted)
 
 
 def add_loops(t, pairs):
@@ -512,34 +488,36 @@ def _eps_closures(num_states, eps_arcs_from):
     return closures
 
 
-def remove_epsilon(a):
-    """Equivalent acceptor with no epsilon arcs. Weights combine by + along
-    epsilon paths and by min across alternatives."""
-    if not any(l == EPS for _, l, _, _ in a.arcs):
-        return a
-    eps_from = [[] for _ in range(a.num_states)]
-    real_from = [[] for _ in range(a.num_states)]
-    for s, l, w, d in a.arcs:
-        if l == EPS:
-            eps_from[s].append((w, d))
+def remove_epsilon(m):
+    """Equivalent acceptor or transducer with no epsilon arcs, i.e. no
+    arcs whose every label is epsilon (a transducer keeps its one-sided
+    epsilon arcs). Weights combine by + along epsilon paths and by min
+    across alternatives."""
+    # a[1] and a[-3] are the one label of an acceptor arc, and the two
+    # labels of a transducer arc
+    if not any(a[1] == EPS and a[-3] == EPS for a in m.arcs):
+        return m
+    eps_from = [[] for _ in range(m.num_states)]
+    real_from = [[] for _ in range(m.num_states)]
+    for a in m.arcs:
+        if a[1] == EPS and a[-3] == EPS:
+            eps_from[a[0]].append((a[-2], a[-1]))
         else:
-            real_from[s].append((l, w, d))
-    closures = _eps_closures(a.num_states, eps_from)
+            real_from[a[0]].append((a[1:-2], a[-2], a[-1]))
+    closures = _eps_closures(m.num_states, eps_from)
     arcs = []
     finals = {}
-    for s in range(a.num_states):
+    for s in range(m.num_states):
         for t, dcost in closures[s].items():
-            for l, w, d in real_from[t]:
-                arcs.append((s, l, dcost + w, d))
-            if t in a.finals:
-                fw = dcost + a.finals[t]
+            for labels, w, d in real_from[t]:
+                arcs.append((s, *labels, dcost + w, d))
+            if t in m.finals:
+                fw = dcost + m.finals[t]
                 if fw < finals.get(s, INF):
                     finals[s] = fw
-    weighted = a.weighted
-    if not weighted and (any(w != 0.0 for _, _, w, _ in arcs)
-                         or any(w != 0.0 for w in finals.values())):
-        weighted = True
-    return Automaton(a.num_states, a.initial, finals, arcs, weighted=weighted)
+    # an unweighted machine's weights are all 0, and so are their sums
+    return type(m)(m.num_states, m.initial, finals, arcs,
+                   weighted=m.weighted)
 
 
 def trim(m):
@@ -571,21 +549,18 @@ def trim(m):
                 coreach[r] = 1
                 stack.append(r)
     keep = [q for q in range(n) if reach[q] and coreach[q]]
+    if len(keep) == n:
+        return m
     if not keep:
-        cls = Automaton if isinstance(m, Automaton) else Transducer
-        return cls(1, 0, {}, (), weighted=m.weighted)
+        return type(m)(1, 0, {}, (), weighted=m.weighted)
     # keep is non-empty, so some final is reachable and the initial state is
     # co-accessible; it is always in keep.
     remap = {q: i for i, q in enumerate(keep)}
-    arcs = [a for a in m.arcs if a[0] in remap and a[-1] in remap]
+    arcs = [(remap[a[0]], *a[1:-1], remap[a[-1]]) for a in m.arcs
+            if a[0] in remap and a[-1] in remap]
     finals = {remap[q]: w for q, w in m.finals.items() if q in remap}
-    if isinstance(m, Automaton):
-        arcs = [(remap[s], l, w, remap[d]) for s, l, w, d in arcs]
-        return Automaton(len(keep), remap[m.initial], finals, arcs,
-                         weighted=m.weighted)
-    arcs = [(remap[s], i, o, w, remap[d]) for s, i, o, w, d in arcs]
-    return Transducer(len(keep), remap[m.initial], finals, arcs,
-                      weighted=m.weighted)
+    return type(m)(len(keep), remap[m.initial], finals, arcs,
+                   weighted=m.weighted)
 
 
 def ignore_labels(a, labels, allow_leading=True):

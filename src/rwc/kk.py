@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 from . import fsm
 from .boolean_ops import OpCounter, complement, determinize, intersect, subtract
+from .compiler import build_replace
 from .errors import PhiNullableError
 from .fsm import EPS, Transducer
 from .rulespec import (compile_regex, is_unweighted, nullable,
@@ -58,11 +59,6 @@ class KkBrackets:
 
     def all(self):
         return (self.la, self.li, self.lc, self.ra, self.ri, self.rc)
-
-    def names(self):
-        return {self.la: "<a", self.li: "<i", self.lc: "<c",
-                self.ra: ">a", self.ri: ">i", self.rc: ">c",
-                self.zero: "0"}
 
 
 @dataclass
@@ -185,29 +181,6 @@ def _prologue_inv(alphabet, br):
     return Transducer(1, 0, {0: 0.0}, arcs)
 
 
-def _replace(rule, alphabet, br):
-    """Bracket-driven replacement: the base state copies user symbols,
-    deletes >c, passes <i; <a opens a mandatory phi x psi block (brackets
-    ignored inside, deleted input material emitted as "0"), which exits
-    back to base on the span-closing >c."""
-    psi_wfsa = series_to_wfsa(rule.psi, alphabet)
-    cp = fsm.cross_product(compile_regex(rule.phi, alphabet), psi_wfsa,
-                           pad_out=br.zero)
-    off = 1
-    arcs = [(0, a, a, 0.0, 0) for a in alphabet.sigma()]
-    arcs.append((0, br.rc, EPS, 0.0, 0))
-    arcs.append((0, br.li, br.li, 0.0, 0))
-    arcs.append((0, br.la, br.la, 0.0, cp.initial + off))
-    for s, i, o, w, d in cp.arcs:
-        arcs.append((s + off, i, o, w, d + off))
-    for q in range(cp.num_states):
-        for m in (br.la, br.li, br.rc):
-            arcs.append((q + off, m, EPS, 0.0, q + off))
-    for q, fw in cp.finals.items():
-        arcs.append((q + off, br.rc, EPS, fw, 0))
-    return Transducer(cp.num_states + 1, 0, {0: 0.0}, arcs)
-
-
 def kk_compile_rule(rule, alphabet, deadline=None):
     """Compile one unweighted rule through the bracket cascade. Returns a
     KkCompiledRule carrying the transducer and the operation counts."""
@@ -223,7 +196,9 @@ def kk_compile_rule(rule, alphabet, deadline=None):
     t = _prologue(alphabet, br)
     for stage in (fsm.id_transducer(obligatory),
                   fsm.id_transducer(rightcontext),
-                  _replace(rule, alphabet, br),
+                  build_replace(rule.phi, series_to_wfsa(rule.psi, alphabet),
+                                alphabet, pad_out=br.zero, open_label=br.la,
+                                pass_label=br.li, close_label=br.rc),
                   fsm.id_transducer(leftcontext),
                   _prologue_inv(alphabet, br)):
         t = fsm.compose(t, stage, deadline)

@@ -78,7 +78,6 @@ class Rule:
     psi: object
     lam: object
     rho: object
-    mode: str = "obligatory-ltr"
 
 
 @dataclass(frozen=True)
@@ -221,6 +220,9 @@ def _lex(text):
             if w < 0:
                 raise NegativeWeightError(
                     f"negative weight at line {start_line}")
+            if w == fsm.INF:
+                err(f"weight {text[j:k]!r} is too large",
+                    start_line, start_col)
             toks.append(_Tok("WEIGHT", w, line, col))
             col += k + 1 - i
             i = k + 1

@@ -6,12 +6,13 @@
     final <state> <weight>
     arc <src> <dst> <in> <out> <weight>   # acceptors omit <out>
 
-Arc labels are symbol-table ids. Weights are printed with 6 decimal
-places; the reader accepts any precision. Reserved names are <eps>,
+Arc labels are symbol-table ids. Weights are written as ``repr(float)``,
+the shortest text that reads back as the same float, so a write/read
+round trip is lossless; the reader accepts any float syntax and rejects
+weights that are not finite and non-negative. Reserved names are <eps>,
 <rb>, <lb1>, <lb2>; user symbols occupy ids 1..n.
 """
 
-from . import fsm
 from .errors import FormatError
 from .fsm import RESERVED_NAMES, Alphabet, Automaton, Transducer
 
@@ -20,8 +21,7 @@ _HEADER = "WFST v1"
 
 def format_machine(m, alphabet):
     """Serialize an Automaton or Transducer to the text format."""
-    is_acceptor = isinstance(m, Automaton)
-    kind = "acceptor" if is_acceptor else "transducer"
+    kind = "acceptor" if m.tapes == 1 else "transducer"
     wtag = "weighted" if m.weighted else "unweighted"
     lines = [f"{_HEADER} {wtag} {kind}"]
     lines.append("sym 0 <eps>")
@@ -32,20 +32,15 @@ def format_machine(m, alphabet):
     max_label = alphabet.num_labels - 1
     lines.append(f"init {m.initial}")
     for q in sorted(m.finals):
-        lines.append(f"final {q} {m.finals[q]:.6f}")
+        lines.append(f"final {q} {float(m.finals[q])!r}")
     for a in m.arcs:
-        if is_acceptor:
-            s, i, w, d = a
-            labs = (i,)
-        else:
-            s, i, o, w, d = a
-            labs = (i, o)
+        labs = a[1:-2]
         for l in labs:
             if not (0 <= l <= max_label):
                 raise FormatError(
                     f"label {l} has no name in the symbol table")
-        lines.append(f"arc {s} {d} " + " ".join(str(l) for l in labs)
-                     + f" {w:.6f}")
+        lines.append(f"arc {a[0]} {a[-1]} " + " ".join(map(str, labs))
+                     + f" {float(a[-2])!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -74,9 +69,16 @@ def parse_machine(text):
     initial = None
     finals = {}
     arcs = []
+    n_fields = {"sym": 3, "init": 2, "final": 3,
+                "arc": 5 if is_acceptor else 6}
     for ln in lines[1:]:
         parts = ln.split()
         tag = parts[0]
+        if tag not in n_fields:
+            raise FormatError(f"unknown line tag {tag!r}")
+        if len(parts) != n_fields[tag]:
+            raise FormatError(f"malformed line {ln!r}: expected "
+                              f"{n_fields[tag]} fields")
         try:
             if tag == "sym":
                 syms[int(parts[1])] = parts[2]
@@ -84,19 +86,10 @@ def parse_machine(text):
                 initial = int(parts[1])
             elif tag == "final":
                 finals[int(parts[1])] = float(parts[2])
-            elif tag == "arc":
-                if is_acceptor:
-                    s, d, i, w = (int(parts[1]), int(parts[2]),
-                                  int(parts[3]), float(parts[4]))
-                    arcs.append((s, i, w, d))
-                else:
-                    s, d, i, o, w = (int(parts[1]), int(parts[2]),
-                                     int(parts[3]), int(parts[4]),
-                                     float(parts[5]))
-                    arcs.append((s, i, o, w, d))
             else:
-                raise FormatError(f"unknown line tag {tag!r}")
-        except (IndexError, ValueError) as e:
+                s, d, *labs = map(int, parts[1:-1])
+                arcs.append((s, *labs, float(parts[-1]), d))
+        except ValueError as e:
             raise FormatError(f"malformed line {ln!r}: {e}") from None
     if initial is None:
         raise FormatError("missing init line")
@@ -116,10 +109,8 @@ def parse_machine(text):
         [initial] + [q for q in finals]
         + [x for a in arcs for x in (a[0], a[-1])], default=0)
     try:
-        if is_acceptor:
-            m = Automaton(num_states, initial, finals, arcs, weighted)
-        else:
-            m = Transducer(num_states, initial, finals, arcs, weighted)
+        m = (Automaton if is_acceptor else Transducer)(
+            num_states, initial, finals, arcs, weighted)
     except ValueError as e:
         raise FormatError(str(e)) from None
     return m, alphabet

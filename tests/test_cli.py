@@ -1,6 +1,7 @@
 """CLI subcommands: exit codes, printed output, and file round trips."""
 
 import math
+import pathlib
 
 import pytest
 
@@ -12,6 +13,8 @@ RULE9 = ("alphabet: b m n p N a ;\n"
          " / _ [b m p] ;\n")
 
 SMALL = "alphabet: a b c d ;\na -> b / c _ d ;\n"
+
+DEMOS = pathlib.Path(__file__).parent.parent / "demos"
 
 
 @pytest.fixture
@@ -164,3 +167,19 @@ def test_bench_csv_deterministic_except_ms(tmp_path):
                      "--alphabet-size", "10",
                      "--deadline-ms", "60000"]) == 0
     assert strip_ms(a) == strip_ms(b)
+
+
+def test_check_against_compiled_nasal_demo(tmp_path, capsys):
+    # weights such as -log(0.9) must survive the FST file exactly
+    out = tmp_path / "n.fst"
+    rules = str(DEMOS / "nasal.rules")
+    assert main(["compile", rules, "-o", str(out)]) == 0
+    assert main(["check", rules, "--max-len", "4",
+                 "--against", str(out)]) == 0
+
+
+def test_compile_unweighted_rules_writes_unweighted_header(tmp_path):
+    out = tmp_path / "c.fst"
+    assert main(["compile", str(DEMOS / "chain.rules"), "-o", str(out)]) == 0
+    assert out.read_text().splitlines()[0] == \
+        "WFST v1 unweighted transducer"

@@ -75,9 +75,36 @@ def test_alphabet_rejects_bad_names():
         Alphabet(["0"])
 
 
+def test_alphabet_rejects_whitespace_in_names():
+    # such a name would be written to an FST file that reads back as a
+    # different alphabet
+    for name in ("a b", "a\tb", " a", "a\n"):
+        with pytest.raises(ValueError):
+            Alphabet([name, "c"])
+
+
 def test_unweighted_machines_reject_weights():
     with pytest.raises(ValueError):
         Automaton(2, 0, {1: 0.0}, [(0, A, 1.0, 1)], weighted=False)
+
+
+def _one_arc_machine(cls, arc_w=0.0, final_w=0.0):
+    arc = (0, A, arc_w, 1) if cls is Automaton else (0, A, B, arc_w, 1)
+    return cls(2, 0, {1: final_w}, [arc], weighted=True)
+
+
+@pytest.mark.parametrize("cls", [Automaton, Transducer])
+@pytest.mark.parametrize("w", [math.nan, INF])
+def test_machines_reject_non_finite_arc_weights(cls, w):
+    with pytest.raises(ValueError):
+        _one_arc_machine(cls, arc_w=w)
+
+
+@pytest.mark.parametrize("cls", [Automaton, Transducer])
+@pytest.mark.parametrize("w", [math.nan, INF, -1.0])
+def test_machines_reject_bad_final_weights(cls, w):
+    with pytest.raises(ValueError):
+        _one_arc_machine(cls, final_w=w)
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +246,15 @@ def test_remove_epsilon_random_language_preserved():
         lang1 = enum_language(aut, 5)
         lang2 = enum_language(remove_epsilon(aut), 5)
         assert weights_close(lang1, lang2)
+    # transducers: only arcs that are epsilon on both tapes go
+    rng = rng_for("eps-removal-transducer")
+    for _ in range(30):
+        t = rand_transducer(rng, ABC.sigma(), p_eps=0.4)
+        finals = {q: round(rng.uniform(0, 2), 3) for q in t.finals}
+        t = Transducer(t.num_states, t.initial, finals, t.arcs, weighted=True)
+        out = remove_epsilon(t)
+        assert not any(i == EPS and o == EPS for _, i, o, _, _ in out.arcs)
+        assert weights_close(enum_relation(t, 4), enum_relation(out, 4))
 
 
 def test_trim_drops_unreachable_state():

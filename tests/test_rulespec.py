@@ -126,6 +126,12 @@ def test_parse_errors():
         parse_regex("<1> a", AB)  # weights only in targets
 
 
+def test_parse_rejects_infinite_weight():
+    # 1e400 reads as float inf, which no machine may carry
+    with pytest.raises(RuleSyntaxError):
+        parse_rule_file("alphabet: a b ;\n a -> <1e400> b ;\n")
+
+
 def test_comments_ignored():
     rs = parse_rule_file("# top\nalphabet: a b ;  # trailing\n"
                          "a -> b ;  # rule\n")

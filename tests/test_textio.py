@@ -1,6 +1,8 @@
 """FST text format round trips and error handling."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rwc import compiler as C
 from rwc import oracle as O
@@ -76,3 +78,51 @@ def test_compiled_rule_round_trip_preserves_relation(tmp_path):
     m, alpha = read_machine(path)
     rep = O.equivalent_on(t, m, rs.alphabet, 5, tol=1e-6)
     assert rep.equivalent, str(rep)
+
+
+# Random machines whose every state is mentioned by the initial state, a
+# final or an arc (the format does not record unmentioned trailing
+# states), with arbitrary finite non-negative weights.
+_weights = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _machines(draw):
+    acceptor = draw(st.booleans())
+    n = draw(st.integers(1, 5))
+    state = st.integers(0, n - 1)
+    label = st.integers(0, AB.num_labels - 1)
+    arc = (st.tuples(state, label, _weights, state) if acceptor
+           else st.tuples(state, label, label, _weights, state))
+    arcs = draw(st.lists(arc, max_size=8))
+    finals = draw(st.dictionaries(state, _weights, max_size=n))
+    finals[n - 1] = draw(_weights)
+    cls = Automaton if acceptor else Transducer
+    return cls(n, draw(state), finals, arcs, weighted=True)
+
+
+@given(_machines())
+def test_format_parse_is_identity(m):
+    m2, alpha = parse_machine(format_machine(m, AB))
+    assert alpha == AB
+    assert type(m2) is type(m)
+    assert (m2.num_states, m2.initial, m2.finals, m2.arcs, m2.weighted) \
+        == (m.num_states, m.initial, m.finals, m.arcs, m.weighted)
+
+
+_ACCEPTOR_HEAD = ("WFST v1 weighted acceptor\nsym 0 <eps>\nsym 1 a\n"
+                  "sym 2 <rb>\nsym 3 <lb1>\nsym 4 <lb2>\ninit 0\n")
+
+
+@pytest.mark.parametrize("line", ["final 1 nan", "final 1 inf",
+                                  "final 1 -1", "arc 0 1 1 nan",
+                                  "arc 0 1 1 inf"])
+def test_parse_rejects_bad_weights(line):
+    with pytest.raises(FormatError):
+        parse_machine(_ACCEPTOR_HEAD + "final 1 0\narc 0 1 1 0\n" + line)
+
+
+def test_parse_rejects_extra_fields():
+    # "sym 1 a b" used to read silently as the symbol "a"
+    with pytest.raises(FormatError):
+        parse_machine(_ACCEPTOR_HEAD.replace("sym 1 a", "sym 1 a b"))
