@@ -9,9 +9,10 @@
 `check` exhaustively compares each compiled rule against the brute-force
 rewriting oracle (and, for unweighted rules, against the KK baseline
 compiler) on every string up to the length bound; it exits 2 with
-counterexamples on any mismatch. The RWC_SEED environment variable seeds
-the random corpora used by the test suite; the CLI subcommands themselves
-are deterministic.
+counterexamples on any mismatch. It refuses (exit 1) a sweep of more than
+CHECK_BUDGET input strings. The RWC_SEED environment variable seeds the
+random corpora used by the test suite; the CLI subcommands themselves are
+deterministic.
 """
 
 import argparse
@@ -20,8 +21,8 @@ import sys
 from . import bench as bench_mod
 from . import compiler, kk, oracle, rulespec, textio
 from . import fsm as fsm_mod
-from .errors import RwcError
-from .fsm import compose, trim
+from .errors import InputBudgetError, RwcError
+from .fsm import compose
 from .boolean_ops import compact_transducer
 
 
@@ -43,7 +44,7 @@ def cmd_compile(args):
                 raise RwcError(
                     "the kk algorithm compiles unweighted rules only")
             cr = kk.kk_compile_rule(rule, alphabet)
-            t = trim(compose(t, cr.transducer))
+            t = compose(t, cr.transducer)
             if compact:
                 t = compact_transducer(t)
     textio.write_machine(args.out, t, alphabet)
@@ -117,9 +118,26 @@ def _check_one_rule(idx, rule, alphabet, max_len):
     return failures
 
 
+# `check` sweeps every input string up to --max-len; it refuses sweeps of
+# more strings than this
+CHECK_BUDGET = 10**6
+
+
+def _check_budget(n_symbols, max_len):
+    total = layer = 1
+    for _ in range(max_len):
+        layer *= n_symbols
+        total += layer
+        if total > CHECK_BUDGET:
+            raise InputBudgetError(
+                f"{n_symbols} symbols up to --max-len {max_len} are more "
+                f"than {CHECK_BUDGET:,} input strings; lower --max-len")
+
+
 def cmd_check(args):
     ruleset = _load_rules(args.rules)
     alphabet = ruleset.alphabet
+    _check_budget(alphabet.n, args.max_len)
     failures = []
     for idx, rule in enumerate(ruleset.rules):
         failures.extend(_check_one_rule(idx, rule, alphabet, args.max_len))

@@ -15,6 +15,10 @@ matched against the input side and the left context against the already
 rewritten output side. Only three subset constructions are needed per
 rule: the r automaton, the f automaton, and one shared Σ*λ automaton for
 l1 and l2.
+
+A rule set compiles over one representative per block of symbols its
+rules cannot tell apart, and is expanded to the full alphabet once at
+the end; `compile_rule` always works over the alphabet it is given.
 """
 
 import time
@@ -23,9 +27,10 @@ from dataclasses import dataclass
 from . import fsm
 from .boolean_ops import OpCounter, compact_transducer, determinize
 from .errors import PhiNullableError, PsiEmptyError
-from .fsm import EPS, Transducer
+from .fsm import EPS, Alphabet, Transducer
 from .marker import MarkerKind, MarkerSpec, marker
-from .rulespec import compile_regex, nullable, series_to_wfsa
+from .rulespec import (Rule, compile_regex, leaf_names, nullable, rename,
+                       series_to_wfsa)
 
 
 @dataclass
@@ -147,9 +152,9 @@ def assert_no_markers(t, alphabet):
 
 
 def compile_rule(rule, alphabet, compact=True, deadline=None):
-    """Compose the five transducers for one rule, trim, and (by default)
-    compact. The caller must ensure the rule does not rewrite its own
-    non-contextual part; that condition is not checked here."""
+    """Compose the five transducers for one rule and (by default) compact.
+    The caller must ensure the rule does not rewrite its own non-contextual
+    part; that condition is not checked here."""
     t0 = time.perf_counter()
     counter = OpCounter()
     r = build_r(rule.rho, alphabet, counter, deadline)
@@ -163,7 +168,6 @@ def compile_rule(rule, alphabet, compact=True, deadline=None):
     t = fsm.compose(t, rep, deadline)
     t = fsm.compose(t, l1, deadline)
     t = fsm.compose(t, l2, deadline)
-    t = fsm.trim(t)
     compact_counter = OpCounter()
     if compact:
         t = compact_transducer(t, compact_counter, deadline)
@@ -182,16 +186,61 @@ def identity_over_sigma(alphabet):
         fsm.remove_epsilon(fsm.aut_sigma_star(alphabet.sigma())))
 
 
+def symbol_blocks(ruleset):
+    """Partition Σ into blocks of symbols the rule set cannot tell apart:
+    two symbols share a block when they sit in exactly the same phi,
+    lambda and rho leaves (Sym or Cls, negated classes expanded). Every
+    symbol of a psi leaf is a block of its own, so a representative never
+    stands on both tapes of a phi x psi pair. Blocks come in declaration
+    order of their first member, members in declaration order."""
+    sets = {frozenset(names) for rule in ruleset.rules
+            for ast in (rule.phi, rule.lam, rule.rho)
+            for names in leaf_names(ast)}
+    psi = {n for rule in ruleset.rules for names in leaf_names(rule.psi)
+           for n in names}
+    blocks = {}
+    for name in ruleset.alphabet.symbols:
+        key = name if name in psi else frozenset(s for s in sets if name in s)
+        blocks.setdefault(key, []).append(name)
+    return [tuple(b) for b in blocks.values()]
+
+
+def _expand(t, members, reduced):
+    """t over the representatives of `reduced`, with each arc r:r turned
+    into x:x and each arc r:o into x:o for every member label x of r's
+    block; members[r] lists them (members[EPS] is (EPS,))."""
+    arcs = []
+    for s, i, o, w, d in t.arcs:
+        if i > reduced.n or o > reduced.n:
+            raise AssertionError("marker label leaked into the result: "
+                                 + reduced.name_of(max(i, o)))
+        if i == o:
+            arcs.extend((s, x, x, w, d) for x in members[i])
+            continue
+        if len(members[o]) > 1:
+            raise AssertionError("block representative "
+                                 f"{reduced.name_of(o)} is an output only")
+        arcs.extend((s, x, members[o][0], w, d) for x in members[i])
+    return Transducer(t.num_states, t.initial, t.finals, arcs,
+                      weighted=t.weighted)
+
+
 def compile_ruleset(ruleset, compact=True, deadline=None):
     """Left fold of weighted composition over the rules in file order,
-    compacting after each composition."""
+    compacting after each composition. The fold runs over one
+    representative per block of `symbol_blocks`, and the result is
+    expanded back to the full alphabet once at the end."""
     alphabet = ruleset.alphabet
-    t = identity_over_sigma(alphabet)
+    blocks = symbol_blocks(ruleset)
+    rep = {x: block[0] for block in blocks for x in block}
+    reduced = Alphabet([block[0] for block in blocks])
+    t = identity_over_sigma(reduced)
     for rule in ruleset.rules:
-        cr = compile_rule(rule, alphabet, compact=compact, deadline=deadline)
+        rule = Rule(*(rename(ast, rep)
+                      for ast in (rule.phi, rule.psi, rule.lam, rule.rho)))
+        cr = compile_rule(rule, reduced, compact=compact, deadline=deadline)
         t = fsm.compose(t, cr.transducer, deadline)
-        t = fsm.trim(t)
         if compact:
             t = compact_transducer(t, deadline=deadline)
-    assert_no_markers(t, alphabet)
-    return t
+    members = [(EPS,)] + [alphabet.ids_of(block) for block in blocks]
+    return _expand(t, members, reduced)

@@ -75,6 +75,12 @@ class FormatError(RwcError):
     code = "E_FORMAT"
 
 
+class InputBudgetError(RwcError):
+    """An exhaustive sweep would visit more inputs than its budget."""
+
+    code = "E_BUDGET"
+
+
 class DeadlineExceeded(RwcError):
     """Cooperative timeout raised inside long-running constructions."""
 

@@ -202,7 +202,6 @@ def kk_compile_rule(rule, alphabet, deadline=None):
                   fsm.id_transducer(leftcontext),
                   _prologue_inv(alphabet, br)):
         t = fsm.compose(t, stage, deadline)
-        t = fsm.trim(t)
     leftovers = t.labels_used() & (set(br.all()) | {br.zero})
     if leftovers:
         raise AssertionError(f"bracket labels leaked: {sorted(leftovers)}")

@@ -116,6 +116,34 @@ def empty_language(ast):
     raise TypeError(f"not an AST node: {ast!r}")
 
 
+def leaf_names(ast):
+    """The symbol names of each Sym and Cls leaf, one tuple per leaf."""
+    if isinstance(ast, Sym):
+        yield (ast.name,)
+    elif isinstance(ast, Cls):
+        yield ast.names
+    elif isinstance(ast, (Cat, Alt)):
+        for p in ast.parts:
+            yield from leaf_names(p)
+    elif isinstance(ast, (Star, Plus, Opt, Weighted)):
+        yield from leaf_names(ast.child)
+
+
+def rename(ast, new_name):
+    """The expression with every symbol name n replaced by new_name[n]."""
+    if isinstance(ast, Sym):
+        return Sym(new_name[ast.name])
+    if isinstance(ast, Cls):
+        return Cls(tuple(sorted({new_name[n] for n in ast.names})))
+    if isinstance(ast, (Cat, Alt)):
+        return type(ast)(tuple(rename(p, new_name) for p in ast.parts))
+    if isinstance(ast, (Star, Plus, Opt)):
+        return type(ast)(rename(ast.child, new_name))
+    if isinstance(ast, Weighted):
+        return Weighted(ast.weight, rename(ast.child, new_name))
+    return ast
+
+
 def is_unweighted(ast):
     """True when no subterm carries a nonzero weight."""
     if isinstance(ast, Weighted):

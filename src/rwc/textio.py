@@ -1,6 +1,7 @@
 """Line-oriented FST text format (one machine per file, UTF-8).
 
     WFST v1 <weighted|unweighted> <acceptor|transducer>
+    states <n>                 # states are 0..n-1
     sym <id> <name>            # full symbol table incl. reserved names
     init <state>
     final <state> <weight>
@@ -10,7 +11,9 @@ Arc labels are symbol-table ids. Weights are written as ``repr(float)``,
 the shortest text that reads back as the same float, so a write/read
 round trip is lossless; the reader accepts any float syntax and rejects
 weights that are not finite and non-negative. Reserved names are <eps>,
-<rb>, <lb1>, <lb2>; user symbols occupy ids 1..n.
+<rb>, <lb1>, <lb2>; user symbols occupy ids 1..n. The ``states`` line
+keeps states that no other line mentions; a file without it has
+1 + the highest state mentioned.
 """
 
 from .errors import FormatError
@@ -23,7 +26,7 @@ def format_machine(m, alphabet):
     """Serialize an Automaton or Transducer to the text format."""
     kind = "acceptor" if m.tapes == 1 else "transducer"
     wtag = "weighted" if m.weighted else "unweighted"
-    lines = [f"{_HEADER} {wtag} {kind}"]
+    lines = [f"{_HEADER} {wtag} {kind}", f"states {m.num_states}"]
     lines.append("sym 0 <eps>")
     for i, name in enumerate(alphabet.symbols, start=1):
         lines.append(f"sym {i} {name}")
@@ -66,10 +69,11 @@ def parse_machine(text):
     is_acceptor = head[3] == "acceptor"
 
     syms = {}
+    num_states = None
     initial = None
     finals = {}
     arcs = []
-    n_fields = {"sym": 3, "init": 2, "final": 3,
+    n_fields = {"states": 2, "sym": 3, "init": 2, "final": 3,
                 "arc": 5 if is_acceptor else 6}
     for ln in lines[1:]:
         parts = ln.split()
@@ -80,7 +84,9 @@ def parse_machine(text):
             raise FormatError(f"malformed line {ln!r}: expected "
                               f"{n_fields[tag]} fields")
         try:
-            if tag == "sym":
+            if tag == "states":
+                num_states = int(parts[1])
+            elif tag == "sym":
                 syms[int(parts[1])] = parts[2]
             elif tag == "init":
                 initial = int(parts[1])
@@ -105,9 +111,13 @@ def parse_machine(text):
         alphabet = Alphabet(user)
     except ValueError as e:
         raise FormatError(str(e)) from None
-    num_states = 1 + max(
-        [initial] + [q for q in finals]
-        + [x for a in arcs for x in (a[0], a[-1])], default=0)
+    highest = max([initial] + list(finals)
+                  + [x for a in arcs for x in (a[0], a[-1])])
+    if num_states is None:
+        num_states = highest + 1
+    elif highest >= num_states:
+        raise FormatError(f"state {highest} is out of range for "
+                          f"states {num_states}")
     try:
         m = (Automaton if is_acceptor else Transducer)(
             num_states, initial, finals, arcs, weighted)

@@ -10,6 +10,7 @@ import itertools
 import math
 import os
 import random
+from collections import deque
 from heapq import heappush, heappop
 
 from rwc import rulespec as R
@@ -309,6 +310,31 @@ def rand_transducer(rng, labels, max_states=4, p_eps=0.25, weighted=True):
         finals = {rng.randrange(n): 0.0}
     from rwc.fsm import Transducer
     return Transducer(n, rng.randrange(n), finals, arcs, weighted=weighted)
+
+
+def canonical(t):
+    """State count, finals, arcs and weighted flag of a transducer under
+    BFS renumbering from the initial state, each state's arcs visited in
+    (in, out, weight) order; states BFS does not reach follow in their
+    old order. Unique for compacted machines, whose arcs leaving a state
+    differ in (in, out, weight)."""
+    order = {}
+    queue = deque()
+
+    def number(q):
+        if q not in order:
+            order[q] = len(order)
+            queue.append(q)
+
+    number(t.initial)
+    while queue or len(order) < t.num_states:
+        if not queue:
+            number(min(set(range(t.num_states)) - set(order)))
+        for a in sorted(t.out_arcs(queue.popleft()), key=lambda a: a[1:-1]):
+            number(a[-1])
+    arcs = sorted((order[s], i, o, w, order[d]) for s, i, o, w, d in t.arcs)
+    finals = {order[q]: w for q, w in t.finals.items()}
+    return t.num_states, finals, arcs, t.weighted
 
 
 def weights_close(d1, d2, tol=1e-9):

@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+from rwc import cli
 from rwc.bench import CSV_HEADER
 from rwc.cli import main
 
@@ -183,3 +184,29 @@ def test_compile_unweighted_rules_writes_unweighted_header(tmp_path):
     assert main(["compile", str(DEMOS / "chain.rules"), "-o", str(out)]) == 0
     assert out.read_text().splitlines()[0] == \
         "WFST v1 unweighted transducer"
+
+
+def _no_sweep(*args):
+    raise AssertionError("check swept inputs")
+
+
+def test_check_refuses_sweep_over_budget(tmp_path, capsys, monkeypatch):
+    # 194 symbols up to the default --max-len 6 are 5.7e13 strings
+    names = " ".join(f"s{i:03d}" for i in range(194))
+    rules = tmp_path / "wide.rules"
+    rules.write_text(f"alphabet: {names} ;\ns000 -> s001 / s002 _ ;\n")
+    monkeypatch.setattr(cli, "_check_one_rule", _no_sweep)
+    assert main(["check", str(rules)]) == 1
+    err = capsys.readouterr().err
+    assert "E_BUDGET" in err and "--max-len 6" in err
+    # 1 + 194 + 194^2 + 194^3 strings are over the budget too
+    assert main(["check", str(rules), "--max-len", "3"]) == 1
+
+
+def test_check_budget_admits_nasal_demo_default(monkeypatch):
+    # 6 symbols up to --max-len 6 are 55,987 strings
+    checked = []
+    monkeypatch.setattr(cli, "_check_one_rule",
+                        lambda idx, *args: checked.append(idx) or [])
+    assert main(["check", str(DEMOS / "nasal.rules")]) == 0
+    assert checked == [0]

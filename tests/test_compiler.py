@@ -2,18 +2,23 @@
 then whole-rule compilation against the rewriting oracle."""
 
 import math
+import pathlib
 
 import pytest
 
 from rwc import compiler as C
 from rwc import oracle as O
 from rwc import rulespec as R
+from rwc.boolean_ops import compact_transducer
 from rwc.errors import PhiNullableError, PsiEmptyError
-from rwc.fsm import Alphabet
+from rwc.fsm import EPS, Alphabet, Transducer, compose
 from rwc.rulespec import parse_regex, parse_rule_file, parse_series, \
     series_to_wfsa
 
-from .helpers import enum_relation, rng_for, rule_corpus, weights_close
+from .helpers import (canonical, enum_relation, rng_for, rule_corpus,
+                      weights_close)
+
+DEMOS = pathlib.Path(__file__).parent.parent / "demos"
 
 ABC = Alphabet(["a", "b", "c"])
 ABCD = Alphabet(["a", "b", "c", "d"])
@@ -272,3 +277,116 @@ def test_compile_ruleset_matches_sequential_oracle():
         want = {tuple(rs.alphabet.name_of(s) for s in k): w
                 for k, w in stage.items()}
         assert weights_close(rel.get(u, {}), want), (u, want)
+
+
+# ---------------------------------------------------------------------------
+# Rule sets over blocks of interchangeable symbols
+# ---------------------------------------------------------------------------
+
+def full_fold(ruleset, compact=True):
+    """compile_ruleset's fold run over the whole alphabet."""
+    alphabet = ruleset.alphabet
+    t = C.identity_over_sigma(alphabet)
+    for rule in ruleset.rules:
+        t = compose(t, C.compile_rule(rule, alphabet, compact).transducer)
+        if compact:
+            t = compact_transducer(t)
+    return t
+
+
+def assert_same_as_full_fold(ruleset, note=None):
+    assert canonical(C.compile_ruleset(ruleset)) == \
+        canonical(full_fold(ruleset)), note
+    loose = C.compile_ruleset(ruleset, compact=False)
+    ref = full_fold(ruleset, compact=False)
+    assert (loose.num_states, len(loose.arcs), loose.weighted) == \
+        (ref.num_states, len(ref.arcs), ref.weighted), note
+
+
+def rand_ruleset_text(rng):
+    """A rule file of 1-3 rules over 5-8 symbols. Leaves are symbols,
+    classes and negated classes drawn from a pool of 2-4 of the symbols,
+    so the rest are named only by negated classes; psi takes symbols and
+    classes, and half the targets are weighted alternatives."""
+    names = [chr(ord("a") + j) for j in range(rng.randint(5, 8))]
+    pool = rng.sample(names, rng.randint(2, 4))
+
+    def leaf(kinds=("sym", "cls", "neg")):
+        kind = rng.choice(kinds)
+        if kind == "sym":
+            return rng.choice(pool)
+        body = " ".join(rng.sample(pool, rng.randint(1, len(pool))))
+        return f"[{body}]" if kind == "cls" else f"[^ {body}]"
+
+    def leaves(lo, hi, kinds=("sym", "cls", "neg")):
+        return " ".join(leaf(kinds) for _ in range(rng.randint(lo, hi)))
+
+    rules = []
+    for _ in range(rng.randint(1, 3)):
+        lam = leaves(0, 2)
+        if lam and rng.random() < 0.3:
+            lam += "*"
+        alts = [leaves(1, 2, ("sym", "cls")) for _ in range(rng.randint(1, 2))]
+        if rng.random() < 0.5:
+            alts = [f"<{rng.uniform(0, 3):.3f}> ({a})" for a in alts]
+        rules.append(f"{leaves(1, 2)} -> {' + '.join(alts)} "
+                     f"/ {lam} _ {leaves(0, 2)} ;")
+    return f"alphabet: {' '.join(names)} ;\n" + "\n".join(rules) + "\n"
+
+
+def test_compile_ruleset_equals_full_fold_random_corpus():
+    rng = rng_for("ruleset-blocks")
+    for _ in range(60):
+        text = rand_ruleset_text(rng)
+        assert_same_as_full_fold(parse_rule_file(text), text)
+
+
+@pytest.mark.parametrize("demo", ["nasal.rules", "chain.rules"])
+def test_compile_ruleset_equals_full_fold_demos(demo):
+    assert_same_as_full_fold(parse_rule_file((DEMOS / demo).read_text()))
+
+
+def test_compile_ruleset_equals_full_fold_acceptance_corpora():
+    corpus = (rule_corpus("acceptance-oracle", 100, {2: 60, 3: 30, 4: 10})
+              + rule_corpus("acceptance-kk", 20, {2: 10, 3: 6, 4: 4},
+                            weighted=False))
+    for alphabet, rule in corpus:
+        assert_same_as_full_fold(R.RuleSet(alphabet, (rule,)))
+
+
+def test_blocks_for_negated_left_context():
+    rs = parse_rule_file("alphabet: a b c d e f g ;\n"
+                         "[a b] -> [c d] / [^ a] _ ;\n")
+    assert C.symbol_blocks(rs) == [("a",), ("b",), ("c",), ("d",),
+                                   ("e", "f", "g")]
+    assert_same_as_full_fold(rs)
+    t = C.compile_ruleset(rs)
+    assert apply_names(t, rs.alphabet, "ga") == {
+        names(rs.alphabet, "gc"): 0.0, names(rs.alphabet, "gd"): 0.0}
+    assert apply_names(t, rs.alphabet, "aa") == {names(rs.alphabet, "aa"): 0.0}
+    assert apply_names(t, rs.alphabet, "ba") == {
+        names(rs.alphabet, "bc"): 0.0, names(rs.alphabet, "bd"): 0.0}
+
+
+def test_blocks_when_phi_class_overlaps_psi_symbol():
+    # b is both in the phi class and the target: it must not share a
+    # representative with a and c, or b:b would read as a copy
+    rs = parse_rule_file("alphabet: a b c d e f ;\n[a b c] -> b / _ d ;\n")
+    assert C.symbol_blocks(rs) == [("a", "c"), ("b",), ("d",), ("e", "f")]
+    assert_same_as_full_fold(rs)
+    t = C.compile_ruleset(rs)
+    for text, want in (("ad", "bd"), ("bd", "bd"), ("cd", "bd"),
+                       ("ed", "ed"), ("ca", "ca"), ("fcd", "fbd")):
+        assert apply_names(t, rs.alphabet, text) == \
+            {names(rs.alphabet, want): 0.0}
+
+
+def test_expand_rejects_output_only_block_representative():
+    reduced = Alphabet(["a", "c"])
+    members = [(EPS,), (1, 2), (3,)]
+    t = Transducer(1, 0, {0: 0.0}, [(0, 2, 1, 0.0, 0)])
+    with pytest.raises(AssertionError):
+        C._expand(t, members, reduced)
+    t = Transducer(1, 0, {0: 0.0}, [(0, reduced.rb, 1, 0.0, 0)])
+    with pytest.raises(AssertionError):
+        C._expand(t, members, reduced)

@@ -52,6 +52,7 @@ def test_reader_accepts_any_weight_precision():
             "sym 0 <eps>\nsym 1 a\nsym 2 <rb>\nsym 3 <lb1>\nsym 4 <lb2>\n"
             "init 0\nfinal 1 0.25000000001\narc 0 1 1 1e-3\n")
     m, alpha = parse_machine(text)
+    assert m.num_states == 2  # no states line: 1 + the highest state
     assert m.finals[1] == 0.25000000001
     assert m.arcs[0][2] == 1e-3
 
@@ -80,9 +81,8 @@ def test_compiled_rule_round_trip_preserves_relation(tmp_path):
     assert rep.equivalent, str(rep)
 
 
-# Random machines whose every state is mentioned by the initial state, a
-# final or an arc (the format does not record unmentioned trailing
-# states), with arbitrary finite non-negative weights.
+# Random machines, trailing states that no arc, final or initial mark
+# mentions included, with arbitrary finite non-negative weights.
 _weights = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
 
 
@@ -96,7 +96,6 @@ def _machines(draw):
            else st.tuples(state, label, label, _weights, state))
     arcs = draw(st.lists(arc, max_size=8))
     finals = draw(st.dictionaries(state, _weights, max_size=n))
-    finals[n - 1] = draw(_weights)
     cls = Automaton if acceptor else Transducer
     return cls(n, draw(state), finals, arcs, weighted=True)
 
@@ -126,3 +125,20 @@ def test_parse_rejects_extra_fields():
     # "sym 1 a b" used to read silently as the symbol "a"
     with pytest.raises(FormatError):
         parse_machine(_ACCEPTOR_HEAD.replace("sym 1 a", "sym 1 a b"))
+
+
+def test_states_line_keeps_isolated_trailing_states():
+    aut = Automaton(4, 0, {1: 0.0}, [(0, A, 0.0, 1)])
+    text = format_machine(aut, AB)
+    assert text.splitlines()[1] == "states 4"
+    assert parse_machine(text)[0].num_states == 4
+
+
+def test_parse_rejects_state_beyond_states_line():
+    head = _ACCEPTOR_HEAD.replace("init 0\n", "states 2\ninit 0\n")
+    assert parse_machine(head + "final 1 0\n")[0].num_states == 2
+    for line in ("final 2 0", "arc 0 2 1 0", "arc 2 0 1 0"):
+        with pytest.raises(FormatError):
+            parse_machine(head + line + "\n")
+    with pytest.raises(FormatError):
+        parse_machine(head.replace("states 2", "states 0"))
