@@ -5,7 +5,7 @@ bracket-cascade reference compiler, a brute-force rewriting oracle, and a
 growth benchmark harness.
 """
 
-from .boolean_ops import (Dfa, OpCounter, compact_transducer, complement,
+from .boolean_ops import (OpCounter, compact_transducer, complement,
                           complete, determinize, intersect, is_complete,
                           minimize, subtract)
 from .compiler import (CompiledRule, build_f, build_l1, build_l2, build_r,
@@ -19,8 +19,8 @@ from .fsm import (EPS, INF, Alphabet, Automaton, Deadline, Transducer,
                   remove_epsilon, reverse, trim)
 from .kk import KkBrackets, kk_compile_rule, kk_rightcontext_probe
 from .marker import MarkerKind, MarkerSpec, marker
-from .oracle import (RewriteOracle, apply, equivalent_on, oracle_rewrite,
-                     relation_upto)
+from .oracle import (RewriteOracle, apply, check_rule, equivalent_on,
+                     oracle_rewrite, relation_upto)
 from .rulespec import (Rule, RuleSet, compile_regex, evaluate_series,
                        parse_regex, parse_rule_file, parse_series,
                        series_to_wfsa)

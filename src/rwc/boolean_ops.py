@@ -10,6 +10,12 @@ The working alphabet for completion and complementation is always an
 explicit parameter (a sequence of label ids), never inferred from the
 machine's arcs: the marker constructions operate over extended alphabets
 and the right answer depends on which one.
+
+A DFA is a plain ``Automaton``: unweighted, epsilon-free, at most one arc
+per (state, label) and every state accessible. ``determinize``,
+``complete``, ``complement`` and ``minimize`` return such machines, and
+the functions that need the property (``is_complete``, ``complete`` and
+``minimize``) check it on their input with ``_delta``.
 """
 
 from collections import deque
@@ -30,66 +36,32 @@ class OpCounter:
     subtractions: int = 0
 
 
-class Dfa:
-    """An accessible deterministic acceptor: no epsilon arcs, at most one
-    transition per (state, label). Construction verifies the certificate."""
-
-    __slots__ = ("aut", "delta")
-
-    def __init__(self, aut):
-        if aut.weighted:
-            raise NotDeterministicError("weighted machines are not DFAs here")
-        delta = {}
-        for s, l, _, d in aut.arcs:
-            if l == EPS:
-                raise NotDeterministicError("epsilon arc in DFA")
-            if (s, l) in delta:
-                raise NotDeterministicError(
-                    f"two arcs with label {l} leave state {s}")
-            delta[(s, l)] = d
-        seen = {aut.initial}
-        stack = [aut.initial]
-        while stack:
-            q = stack.pop()
-            for _, _, _, d in aut.out_arcs(q):
-                if d not in seen:
-                    seen.add(d)
-                    stack.append(d)
-        if len(seen) != aut.num_states:
-            raise NotDeterministicError("DFA has inaccessible states")
-        self.aut = aut
-        self.delta = delta
-
-    @property
-    def num_states(self):
-        return self.aut.num_states
-
-    @property
-    def initial(self):
-        return self.aut.initial
-
-    @property
-    def finals(self):
-        return self.aut.finals
-
-    @property
-    def arcs(self):
-        return self.aut.arcs
-
-    def accepts(self, labels):
-        q = self.aut.initial
-        for l in labels:
-            q = self.delta.get((q, l))
-            if q is None:
-                return False
-        return q in self.aut.finals
-
-    def __repr__(self):
-        return f"Dfa({self.aut!r})"
-
-
-def as_dfa(m):
-    return m if isinstance(m, Dfa) else Dfa(m)
+def _delta(aut):
+    """The transition map {(state, label): target} of an accessible
+    deterministic acceptor. Raises E_NOT_DETERMINISTIC on a weighted
+    machine, an epsilon arc, two arcs with one label from one state, or an
+    inaccessible state."""
+    if aut.weighted:
+        raise NotDeterministicError("weighted machines are not DFAs here")
+    delta = {}
+    for s, l, _, d in aut.arcs:
+        if l == EPS:
+            raise NotDeterministicError("epsilon arc in DFA")
+        if (s, l) in delta:
+            raise NotDeterministicError(
+                f"two arcs with label {l} leave state {s}")
+        delta[(s, l)] = d
+    seen = {aut.initial}
+    stack = [aut.initial]
+    while stack:
+        q = stack.pop()
+        for _, _, _, d in aut.out_arcs(q):
+            if d not in seen:
+                seen.add(d)
+                stack.append(d)
+    if len(seen) != aut.num_states:
+        raise NotDeterministicError("DFA has inaccessible states")
+    return delta
 
 
 def determinize(a, counter=None, deadline=None):
@@ -141,30 +113,30 @@ def determinize(a, counter=None, deadline=None):
                 ids[tfro] = nid
                 order.append(tfro)
             arcs.append((cur_id, l, 0.0, nid))
-    return Dfa(Automaton(len(order), 0, finals, arcs))
+    return Automaton(len(order), 0, finals, arcs)
 
 
 def is_complete(d, labels):
     """True iff every state has a transition on every label of the given
     working alphabet."""
-    d = as_dfa(d)
-    return all((q, l) in d.delta
+    delta = _delta(d)
+    return all((q, l) in delta
                for q in range(d.num_states) for l in labels)
 
 
 def complete(d, labels):
     """Add a non-final sink (if needed) so the DFA is complete over
     `labels`. Language unchanged."""
-    d = as_dfa(d)
+    delta = _delta(d)
     missing = [(q, l) for q in range(d.num_states) for l in labels
-               if (q, l) not in d.delta]
+               if (q, l) not in delta]
     if not missing:
         return d
     sink = d.num_states
     arcs = list(d.arcs)
     arcs.extend((q, l, 0.0, sink) for q, l in missing)
     arcs.extend((sink, l, 0.0, sink) for l in labels)
-    return Dfa(Automaton(d.num_states + 1, d.initial, d.finals, arcs))
+    return Automaton(d.num_states + 1, d.initial, d.finals, arcs)
 
 
 def complement(d, labels, counter=None):
@@ -172,17 +144,13 @@ def complement(d, labels, counter=None):
     internally)."""
     if counter is not None:
         counter.complementations += 1
-    d = complete(as_dfa(d), labels)
+    d = complete(d, labels)
     finals = {q: 0.0 for q in range(d.num_states) if q not in d.finals}
-    return Dfa(Automaton(d.num_states, d.initial, finals, d.arcs))
+    return Automaton(d.num_states, d.initial, finals, d.arcs)
 
 
 def intersect(a, b, counter=None, deadline=None):
     """Product construction; L = L(a) ∩ L(b). Inputs unweighted."""
-    if isinstance(a, Dfa):
-        a = a.aut
-    if isinstance(b, Dfa):
-        b = b.aut
     if a.weighted or b.weighted:
         raise ValueError("intersect expects unweighted acceptors")
     if counter is not None:
@@ -231,22 +199,22 @@ def subtract(a, b, labels, counter=None, deadline=None):
     if counter is not None:
         counter.subtractions += 1
     b_c = complement(determinize(b, counter, deadline), labels, counter)
-    return intersect(a, b_c.aut, counter, deadline)
+    return intersect(a, b_c, counter, deadline)
 
 
 def minimize(d, deadline=None):
     """Unique minimal partial DFA for L(d) (up to isomorphism): trim, then
     Moore partition refinement against an implicit sink class, rebuilt in
-    BFS order so equal languages give identical machines."""
-    d = as_dfa(d)
-    aut = fsm.trim(d.aut)
+    BFS order so equal languages give identical machines (which are trim:
+    every class of a trim DFA is accessible and co-accessible)."""
+    delta = _delta(d)
+    aut = fsm.trim(d)
     if not aut.finals:
-        return Dfa(Automaton(1, 0, {}, ()))
+        return Automaton(1, 0, {}, ())
+    if aut is not d:
+        delta = {(s, l): t for s, l, _, t in aut.arcs}
     n = aut.num_states
     labels = sorted({l for _, l, _, _ in aut.arcs})
-    delta = {}
-    for s, l, _, t in aut.arcs:
-        delta[(s, l)] = t
     SINK = -1
     cls = [1 if q in aut.finals else 0 for q in range(n)]
     n_classes = 2 if any(c == 0 for c in cls) else 1
@@ -293,16 +261,14 @@ def minimize(d, deadline=None):
                 order[t] = len(order)
                 queue.append(t)
             arcs.append((cid, l, 0.0, order[t]))
-    return Dfa(fsm.trim(Automaton(len(order), 0, finals, arcs)))
+    return Automaton(len(order), 0, finals, arcs)
 
 
 def compact_transducer(t, counter=None, deadline=None):
     """Shrink a transducer without changing its relation or weights: each
     (in, out, weight) triple becomes a synthetic label, the machine is
     determinized and minimized as an acceptor, then decoded."""
-    t = fsm.trim(t)
-    t = fsm.remove_epsilon(t)
-    t = fsm.trim(t)
+    t = fsm.trim(fsm.remove_epsilon(t))
     # Nonzero final weights would be lost by the unweighted encoding; move
     # them onto entry arcs of a fresh super-final state first.
     if any(w != 0.0 for w in t.finals.values()):

@@ -10,7 +10,9 @@
 rewriting oracle (and, for unweighted rules, against the KK baseline
 compiler) on every string up to the length bound; it exits 2 with
 counterexamples on any mismatch. It refuses (exit 1) a sweep of more than
-CHECK_BUDGET input strings. The RWC_SEED environment variable seeds the
+CHECK_BUDGET input strings. Every subcommand exits 1 with a coded error on
+bad input, including an option out of range (--max-len below 0, --nbest
+or --bound below 1). The RWC_SEED environment variable seeds the
 random corpora used by the test suite; the CLI subcommands themselves are
 deterministic.
 """
@@ -21,7 +23,7 @@ import sys
 from . import bench as bench_mod
 from . import compiler, kk, oracle, rulespec, textio
 from . import fsm as fsm_mod
-from .errors import InputBudgetError, RwcError
+from .errors import BadOptionError, InputBudgetError, RwcError
 from .fsm import compose
 from .boolean_ops import compact_transducer
 
@@ -54,6 +56,8 @@ def cmd_compile(args):
 
 
 def cmd_apply(args):
+    _at_least("--nbest", args.nbest, 1)
+    _at_least("--bound", args.bound, 1)
     m, alphabet = textio.read_machine(args.fst)
     t = m if isinstance(m, fsm_mod.Transducer) else fsm_mod.id_transducer(m)
     inputs = []
@@ -79,30 +83,14 @@ def cmd_apply(args):
 def _check_one_rule(idx, rule, alphabet, max_len):
     """Oracle equivalence (and KK cross-check for unweighted rules) for one
     rule; returns a list of failure strings."""
-    failures = []
     cr = compiler.compile_rule(rule, alphabet)
-    rel = oracle.relation_upto(cr.transducer, alphabet, max_len)
-    orc = oracle.RewriteOracle(rule, alphabet)
-    n_checked = 0
-    for u in oracle._all_inputs(alphabet, max_len):
-        n_checked += 1
-        ids = tuple(alphabet.id_of(x) for x in u)
-        exp = {tuple(alphabet.name_of(s) for s in k): w
-               for k, w in orc.rewrite_ids(ids).items()}
-        got = rel.get(u, {})
-        if not exp:
-            failures.append(f"rule {idx}: oracle produced no output "
-                            f"for {u!r}")
-            continue
-        if set(exp) != set(got) or any(
-                abs(exp[k] - got[k]) > 1e-9 for k in exp):
-            failures.append(
-                f"rule {idx}: input {u!r}: compiled {got!r} != "
-                f"oracle {exp!r}")
-            if len(failures) >= 10:
-                break
-    tag = "ok" if not failures else "FAIL"
-    print(f"rule {idx}: oracle equivalence on {n_checked} strings: {tag}")
+    rep = oracle.check_rule(rule, cr.transducer, alphabet, max_len)
+    failures = [f"rule {idx}: input {u!r}: compiled {got!r} != "
+                f"oracle {exp!r}" if exp else
+                f"rule {idx}: oracle produced no output for {u!r}"
+                for u, got, exp in rep.counterexamples]
+    print(f"rule {idx}: oracle equivalence on {rep.strings_checked} "
+          f"strings: {'ok' if rep.equivalent else 'FAIL'}")
     if rulespec.is_unweighted(rule.psi):
         kkc = kk.kk_compile_rule(rule, alphabet)
         rep = oracle.equivalent_on(cr.transducer, kkc.transducer,
@@ -116,6 +104,11 @@ def _check_one_rule(idx, rule, alphabet, max_len):
     else:
         print(f"rule {idx}: kk cross-check skipped (weighted rule)")
     return failures
+
+
+def _at_least(option, value, low):
+    if value is not None and value < low:
+        raise BadOptionError(f"{option} must be at least {low}, not {value}")
 
 
 # `check` sweeps every input string up to --max-len; it refuses sweeps of
@@ -135,6 +128,7 @@ def _check_budget(n_symbols, max_len):
 
 
 def cmd_check(args):
+    _at_least("--max-len", args.max_len, 0)
     ruleset = _load_rules(args.rules)
     alphabet = ruleset.alphabet
     _check_budget(alphabet.n, args.max_len)

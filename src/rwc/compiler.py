@@ -181,9 +181,10 @@ def compile_rule(rule, alphabet, compact=True, deadline=None):
 
 
 def identity_over_sigma(alphabet):
-    """Identity transducer over Σ* (the empty rule set compiles to this)."""
-    return fsm.id_transducer(
-        fsm.remove_epsilon(fsm.aut_sigma_star(alphabet.sigma())))
+    """One-state identity transducer over Σ* (the empty rule set compiles
+    to this)."""
+    return Transducer(1, 0, {0: 0.0},
+                      [(0, a, a, 0.0, 0) for a in alphabet.sigma()])
 
 
 def symbol_blocks(ruleset):

@@ -63,6 +63,10 @@ class BadMarkerSpecError(RwcError):
     code = "E_BAD_SPEC"
 
 
+class BadOptionError(RwcError):
+    code = "E_BAD_OPTION"
+
+
 class DivergentError(RwcError):
     """Enumeration bound exceeded while rewriting with an infinite psi."""
 

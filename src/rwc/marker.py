@@ -3,18 +3,20 @@ language: TYPE 1 machines insert (or consume) a marker after every
 matching prefix; TYPE 2 and TYPE 3 machines are filters that admit a
 marker only after matching (resp. non-matching) prefixes and delete it.
 
-TYPE 1 and TYPE 2 require the input DFA to be complete over the working
-alphabet; a deterministic automaton for a language of the form Σ*β always
-is, but callers must have expanded the Σ*-loop over the full working
-alphabet. TYPE 3 is completed internally with a non-final sink: the sink
-is a non-matching state, so admitting markers there is exactly what the
-filter means.
+The input is a plain ``Automaton`` that must be deterministic and
+accessible; ``is_complete`` and ``complete`` check that and raise
+E_NOT_DETERMINISTIC otherwise. TYPE 1 and TYPE 2 require it to be complete
+over the working alphabet; a deterministic automaton for a language of the
+form Σ*β always is, but callers must have expanded the Σ*-loop over the
+full working alphabet. TYPE 3 is completed internally with a non-final
+sink: the sink is a non-matching state, so admitting markers there is
+exactly what the filter means.
 """
 
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .boolean_ops import as_dfa, complete, is_complete
+from .boolean_ops import complete, is_complete
 from .errors import BadMarkerSpecError, NotCompleteError
 from .fsm import EPS, Transducer
 
@@ -51,13 +53,13 @@ def marker(alpha, spec, working_labels):
     """Build the marker transducer of the requested kind from `alpha`, a
     deterministic accessible automaton that must be complete over
     `working_labels` (TYPE 3 completes internally)."""
-    d = as_dfa(alpha)  # raises E_NOT_DETERMINISTIC
+    # both checks raise E_NOT_DETERMINISTIC on a non-DFA
+    aut = alpha
     if spec.kind is MarkerKind.TYPE3:
-        d = complete(d, working_labels)
-    elif not is_complete(d, working_labels):
+        aut = complete(alpha, working_labels)
+    elif not is_complete(alpha, working_labels):
         raise NotCompleteError(
             "marker input must be complete over the working alphabet")
-    aut = d.aut
     n = aut.num_states
     finals_in = set(aut.finals)
 
@@ -94,7 +96,7 @@ def marker(alpha, spec, working_labels):
                     if q not in finals_in)
         out = Transducer(n, aut.initial, {q: 0.0 for q in range(n)}, arcs)
 
-    _assert_size_bound(d.aut, spec, out)
+    _assert_size_bound(aut, spec, out)
     return out
 
 

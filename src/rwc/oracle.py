@@ -182,7 +182,7 @@ class _Matcher:
         if reverse:
             a = fsm.reverse(a)
         d = determinize(a)
-        self.delta = d.delta
+        self.delta = {(s, l): t for s, l, _, t in d.arcs}
         self.finals = set(d.finals)
         self.initial = d.initial
 
@@ -316,21 +316,46 @@ def _all_inputs(alphabet, max_len):
             break
 
 
-def equivalent_on(t1, t2, alphabet, max_len, tol=1e-9, max_report=10):
-    """Compare two transducers as weighted relations on every input over
-    the user alphabet up to max_len."""
-    r1 = relation_upto(t1, alphabet, max_len)
-    r2 = relation_upto(t2, alphabet, max_len)
+def _compare(rel, expected, alphabet, max_len, need_output=False,
+             tol=1e-9, max_report=10):
+    """Compare a relation of `relation_upto` with `expected`, a function
+    from an input to its {output: weight}, on every input over the user
+    alphabet up to max_len. With need_output, an input with no expected
+    output is a counterexample too."""
     counterexamples = []
     checked = 0
     for u in _all_inputs(alphabet, max_len):
         checked += 1
-        o1 = r1.get(u, {})
-        o2 = r2.get(u, {})
+        o1 = rel.get(u, {})
+        o2 = expected(u)
         ok = set(o1) == set(o2) and all(
             abs(w - o2[k]) <= tol for k, w in o1.items())
-        if not ok:
+        if not ok or (need_output and not o2):
             counterexamples.append((u, o1, o2))
             if len(counterexamples) >= max_report:
                 break
     return EquivalenceReport(not counterexamples, counterexamples, checked)
+
+
+def equivalent_on(t1, t2, alphabet, max_len, tol=1e-9, max_report=10):
+    """Compare two transducers as weighted relations on every input over
+    the user alphabet up to max_len."""
+    r2 = relation_upto(t2, alphabet, max_len)
+    return _compare(relation_upto(t1, alphabet, max_len),
+                    lambda u: r2.get(u, {}), alphabet, max_len, tol=tol,
+                    max_report=max_report)
+
+
+def check_rule(rule, t, alphabet, max_len):
+    """Compare the transducer t compiled from `rule` with the rewriting
+    oracle on every input over the user alphabet up to max_len.
+    Counterexamples are (input, t's outputs, the oracle's outputs); an
+    input the oracle maps to nothing is one too."""
+    orc = RewriteOracle(rule, alphabet)
+
+    def expected(u):
+        return {_names(alphabet, o): w
+                for o, w in orc.rewrite_ids(alphabet.ids_of(u)).items()}
+
+    return _compare(relation_upto(t, alphabet, max_len), expected, alphabet,
+                    max_len, need_output=True)

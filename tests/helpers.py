@@ -312,6 +312,20 @@ def rand_transducer(rng, labels, max_states=4, p_eps=0.25, weighted=True):
     return Transducer(n, rng.randrange(n), finals, arcs, weighted=weighted)
 
 
+def not_dfas(a, b):
+    """Acceptors over labels a and b that are not accessible DFAs, one per
+    way of failing: two arcs with one label from one state, an epsilon
+    arc, an inaccessible state, and a weighted machine."""
+    from rwc.fsm import Automaton
+    return [
+        Automaton(2, 0, {1: 0.0},
+                  [(0, a, 0.0, 0), (0, b, 0.0, 0), (0, b, 0.0, 1)]),
+        Automaton(2, 0, {1: 0.0}, [(0, EPS, 0.0, 1)]),
+        Automaton(3, 0, {1: 0.0}, [(0, a, 0.0, 1), (2, b, 0.0, 1)]),
+        Automaton(2, 0, {1: 0.0}, [(0, a, 1.0, 1)], weighted=True),
+    ]
+
+
 def canonical(t):
     """State count, finals, arcs and weighted flag of a transducer under
     BFS renumbering from the initial state, each state's arcs visited in

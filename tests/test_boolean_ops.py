@@ -7,17 +7,17 @@ import pytest
 
 from rwc import boolean_ops as B
 from rwc import fsm
-from rwc.boolean_ops import (Dfa, OpCounter, compact_transducer, complement,
+from rwc.boolean_ops import (OpCounter, compact_transducer, complement,
                              complete, determinize, intersect, is_complete,
                              minimize, subtract)
 from rwc.errors import NotDeterministicError
-from rwc.fsm import EPS, Alphabet, Automaton, aut_concat, aut_label, \
+from rwc.fsm import Alphabet, Automaton, aut_concat, aut_label, \
     aut_sigma_star
 from rwc.rulespec import compile_regex, parse_regex
 
-from .helpers import (all_strings, enum_relation, lang_set,
-                      rand_automaton, rand_regex, rand_transducer,
-                      rng_for, weights_close)
+from .helpers import (accepts_by_enum, all_strings, enum_relation,
+                      lang_set, not_dfas, rand_automaton, rand_regex,
+                      rand_transducer, rng_for, weights_close)
 
 AB = Alphabet(["a", "b"])
 A, B_ = AB.ids_of(["a", "b"])
@@ -39,13 +39,13 @@ def test_determinize_sigma_star_b_by_hand():
     assert d.num_states == 2
     assert is_complete(d, AB.sigma())
     for s in all_strings(AB.sigma(), 5):
-        assert d.accepts(s) == (len(s) > 0 and s[-1] == B_)
+        assert accepts_by_enum(d, s) == (len(s) > 0 and s[-1] == B_)
 
 
 def test_determinize_preserves_language_of_dfa_input():
     d = determinize(hand_nfa_sigma_star_b())
-    d2 = determinize(d.aut)
-    assert lang_set(d.aut, 5) == lang_set(d2.aut, 5)
+    d2 = determinize(d)
+    assert lang_set(d, 5) == lang_set(d2, 5)
 
 
 def test_determinize_counter_increments():
@@ -62,10 +62,22 @@ def test_determinize_rejects_weighted():
 
 
 def test_dfa_certificate_rejects_nondeterminism():
-    with pytest.raises(NotDeterministicError):
-        Dfa(hand_nfa_sigma_star_b())
-    with pytest.raises(NotDeterministicError):
-        Dfa(Automaton(2, 0, {1: 0.0}, [(0, EPS, 0.0, 1)]))
+    # every function that needs a DFA checks its input
+    checks = [lambda d: is_complete(d, AB.sigma()),
+              lambda d: complete(d, AB.sigma()),
+              lambda d: complement(d, AB.sigma()),
+              minimize]
+    for aut in not_dfas(A, B_):
+        for check in checks:
+            with pytest.raises(NotDeterministicError):
+                check(aut)
+
+
+def test_dfa_results_are_plain_automata():
+    d = determinize(hand_nfa_sigma_star_b())
+    for m in (d, complete(d, ABC.sigma()), complement(d, ABC.sigma()),
+              minimize(d)):
+        assert type(m) is Automaton
 
 
 def test_determinize_blowup_grows_exponentially():
@@ -95,12 +107,12 @@ def test_det_sigma_star_beta_is_complete():
 
 
 def test_incomplete_single_state():
-    d = Dfa(Automaton(1, 0, {0: 0.0}, ()))
+    d = Automaton(1, 0, {0: 0.0}, ())
     assert not is_complete(d, AB.sigma())
 
 
 def test_complete_adds_one_sink():
-    d = Dfa(Automaton(2, 0, {1: 0.0}, [(0, A, 0.0, 1)]))
+    d = Automaton(2, 0, {1: 0.0}, [(0, A, 0.0, 1)])
     c = complete(d, AB.sigma())
     assert c.num_states == d.num_states + 1
     assert is_complete(c, AB.sigma())
@@ -114,13 +126,13 @@ def test_complete_preserves_language():
         aut = rand_automaton(rng, ABC.sigma(), p_eps=0.2)
         d = determinize(aut)
         c = complete(d, ABC.sigma())
-        assert lang_set(d.aut, 5) == lang_set(c.aut, 5)
+        assert lang_set(d, 5) == lang_set(c, 5)
 
 
 def test_complement_of_sigma_star_is_empty():
     d = determinize(aut_sigma_star(AB.sigma()))
     c = complement(d, AB.sigma())
-    assert not lang_set(c.aut, 4)
+    assert not lang_set(c, 4)
 
 
 def test_complement_involution_and_membership():
@@ -130,10 +142,10 @@ def test_complement_involution_and_membership():
         aut = rand_automaton(rng, ABC.sigma(), p_eps=0.2)
         d = determinize(aut)
         comp = complement(d, ABC.sigma())
-        lang = lang_set(d.aut, 5)
-        lang_c = lang_set(comp.aut, 5)
+        lang = lang_set(d, 5)
+        lang_c = lang_set(comp, 5)
         assert lang_c == sig - lang
-        assert lang_set(complement(comp, ABC.sigma()).aut, 5) == lang
+        assert lang_set(complement(comp, ABC.sigma()), 5) == lang
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +209,9 @@ def test_minimize_merges_equivalent_finals():
     aut = Automaton(3, 0, {1: 0.0, 2: 0.0},
                     [(0, A, 0.0, 1), (0, B_, 0.0, 2),
                      (1, A, 0.0, 1), (2, A, 0.0, 2)])
-    m = minimize(Dfa(aut))
+    m = minimize(aut)
     assert m.num_states == 2
-    assert lang_set(m.aut, 4) == lang_set(aut, 4)
+    assert lang_set(m, 4) == lang_set(aut, 4)
 
 
 def test_minimize_minimal_input_is_isomorphic():
@@ -217,22 +229,31 @@ def test_minimize_random_language_and_size():
         d = determinize(aut)
         m = minimize(d)
         assert m.num_states <= d.num_states
-        assert lang_set(m.aut, 5) == lang_set(d.aut, 5)
+        assert lang_set(m, 5) == lang_set(d, 5)
+
+
+def test_minimize_output_is_trim():
+    rng = rng_for("minimize-trim")
+    for _ in range(25):
+        m = minimize(determinize(rand_automaton(rng, ABC.sigma())))
+        t = fsm.trim(m)
+        assert (t.num_states, t.finals, t.arcs) == \
+            (m.num_states, m.finals, m.arcs)
 
 
 def test_minimize_invariant_under_state_relabeling():
     rng = rng_for("minimize-relabel")
     for _ in range(15):
         aut = rand_automaton(rng, ABC.sigma(), p_eps=0.2)
-        d = determinize(aut).aut
+        d = determinize(aut)
         perm = list(range(d.num_states))
         rng.shuffle(perm)
         relabeled = Automaton(
             d.num_states, perm[d.initial],
             {perm[q]: w for q, w in d.finals.items()},
             [(perm[s], l, w, perm[t]) for s, l, w, t in d.arcs])
-        m1 = minimize(Dfa(d))
-        m2 = minimize(Dfa(relabeled))
+        m1 = minimize(d)
+        m2 = minimize(relabeled)
         assert m1.num_states == m2.num_states
         assert len(m1.arcs) == len(m2.arcs)
 

@@ -6,6 +6,7 @@ import pathlib
 import pytest
 
 from rwc import cli
+from rwc import compiler as C
 from rwc.bench import CSV_HEADER
 from rwc.cli import main
 
@@ -210,3 +211,33 @@ def test_check_budget_admits_nasal_demo_default(monkeypatch):
                         lambda idx, *args: checked.append(idx) or [])
     assert main(["check", str(DEMOS / "nasal.rules")]) == 0
     assert checked == [0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", str(DEMOS / "nasal.rules"), "--max-len", "-1"],
+    ["apply", "{fst}", "Nb", "--nbest", "-1"],
+    ["apply", "{fst}", "Nb", "--nbest", "0"],
+    ["apply", "{fst}", "Nb", "--bound", "0"],
+])
+def test_option_out_of_range_exits_1(argv, rule9_file, tmp_path, capsys):
+    fst = tmp_path / "rule9.fst"
+    assert main(["compile", str(rule9_file), "-o", str(fst)]) == 0
+    capsys.readouterr()
+    assert main([a.format(fst=fst) for a in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "E_BAD_OPTION" in err and argv[-2] in err
+
+
+def test_check_reports_oracle_mismatch(tmp_path, capsys, monkeypatch):
+    rules = tmp_path / "small.rules"
+    rules.write_text(SMALL)
+
+    def identity_compile(rule, alphabet):
+        return C.CompiledRule(C.identity_over_sigma(alphabet), None)
+
+    monkeypatch.setattr(cli.compiler, "compile_rule", identity_compile)
+    assert main(["check", str(rules), "--max-len", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert "rule 0: oracle equivalence on 85 strings: FAIL" in out
+    assert ("rule 0: input ('c', 'a', 'd'): compiled "
+            "{('c', 'a', 'd'): 0.0} != oracle {('c', 'b', 'd'): 0.0}") in err

@@ -11,7 +11,8 @@ from rwc.fsm import Alphabet, Automaton, aut_concat, aut_sigma_star
 from rwc.marker import MarkerKind, MarkerSpec, marker
 from rwc.rulespec import compile_regex, parse_regex
 
-from .helpers import all_strings, enum_relation, rand_regex, rng_for
+from .helpers import (all_strings, enum_relation, lang_set, not_dfas,
+                      rand_regex, rng_for)
 
 AB = Alphabet(["a", "b"])
 A, B = AB.ids_of(["a", "b"])
@@ -107,9 +108,13 @@ def test_marker_rejects_nondeterministic_input():
     nfa = fsm.Automaton(2, 0, {1: 0.0},
                         [(0, B, 0.0, 0), (0, B, 0.0, 1), (0, A, 0.0, 0),
                          (1, A, 0.0, 1), (1, B, 0.0, 1)])
-    with pytest.raises(NotDeterministicError):
-        marker(nfa, MarkerSpec(MarkerKind.TYPE1, frozenset({HASH})),
-               AB.sigma())
+    specs = [MarkerSpec(MarkerKind.TYPE1, frozenset({HASH})),
+             MarkerSpec(MarkerKind.TYPE2, deletions=frozenset({HASH})),
+             MarkerSpec(MarkerKind.TYPE3, deletions=frozenset({HASH}))]
+    for aut in [nfa] + not_dfas(A, B):
+        for spec in specs:
+            with pytest.raises(NotDeterministicError):
+                marker(aut, spec, AB.sigma())
 
 
 def test_marker_spec_validation():
@@ -144,13 +149,14 @@ def test_type1_correctness_against_prefix_definition():
         dfa = prefix_dfa(beta)
         tau = marker(dfa, MarkerSpec(MarkerKind.TYPE1, frozenset({HASH})),
                      AB.sigma())
+        lang = lang_set(dfa, 5)
         for ids in all_strings(AB.sigma(), 5):
             outs = outputs_for(tau, ids, max_out=12)
             # the unique output interleaves a marker after every prefix
             # accepted by the dfa
             expected = []
             for i in range(len(ids) + 1):
-                if dfa.accepts(ids[:i]):
+                if ids[:i] in lang:
                     expected.append(HASH)
                 if i < len(ids):
                     expected.append(ids[i])

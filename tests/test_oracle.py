@@ -10,7 +10,7 @@ from rwc import oracle as O
 from rwc.errors import DivergentError
 from rwc.fsm import Alphabet, Transducer, aut_sigma_star, id_transducer, \
     remove_epsilon
-from rwc.rulespec import parse_rule_file
+from rwc.rulespec import Cls, Eps, Rule, Sym, parse_rule_file
 
 from .helpers import rng_for, weights_close
 
@@ -125,3 +125,33 @@ def test_equivalent_on_finds_constructed_difference():
                         weighted=t.weighted)
     rep = O.equivalent_on(t, broken, alphabet, 4)
     assert not rep.equivalent and rep.counterexamples
+
+
+def test_check_rule_accepts_compiled_rule():
+    alphabet, rule = rule_of("alphabet: a b c ;\n a -> <0.5> b + c / c _ ;")
+    t = C.compile_rule(rule, alphabet).transducer
+    rep = O.check_rule(rule, t, alphabet, 4)
+    assert rep.equivalent
+    assert rep.strings_checked == sum(3 ** n for n in range(5))
+
+
+def test_check_rule_reports_wrong_transducer():
+    alphabet, rule = rule_of("alphabet: a b c ;\n a -> b / c _ ;")
+    t = C.identity_over_sigma(alphabet)
+    rep = O.check_rule(rule, t, alphabet, 3)
+    assert not rep.equivalent
+    u, got, exp = rep.counterexamples[0]
+    assert u == ("c", "a")
+    assert got == {("c", "a"): 0.0} and exp == {("c", "b"): 0.0}
+
+
+def test_check_rule_counts_empty_oracle_output():
+    # psi denotes nothing, so the oracle maps "a" to no output; a machine
+    # that also maps "a" to nothing still fails the check
+    alphabet = Alphabet(["a", "b"])
+    rule = Rule(phi=Sym("a"), psi=Cls(()), lam=Eps(), rho=Eps())
+    b = alphabet.id_of("b")
+    t = Transducer(1, 0, {0: 0.0}, [(0, b, b, 0.0, 0)])
+    rep = O.check_rule(rule, t, alphabet, 1)
+    assert rep.counterexamples == [(("a",), {}, {})]
+    assert rep.strings_checked == 3
