@@ -3,8 +3,10 @@ determinization, completion, complementation, intersection, subtraction,
 DFA minimization, and label-encoded transducer compaction.
 
 Epsilon closures come from the core machinery: determinization takes its
-subsets from ``fsm._eps_closures``, and compaction removes arcs that are
-epsilon on both tapes with ``fsm.remove_epsilon``.
+subsets from ``fsm._eps_closures``. Compaction hands a zero-weight arc that
+is epsilon on both tapes to determinization as an acceptor epsilon, and
+runs ``fsm.remove_epsilon`` first only when such an arc or a final state
+carries a weight.
 
 The working alphabet for completion and complementation is always an
 explicit parameter (a sequence of label ids), never inferred from the
@@ -204,18 +206,19 @@ def subtract(a, b, labels, counter=None, deadline=None):
 
 def minimize(d, deadline=None):
     """Unique minimal partial DFA for L(d) (up to isomorphism): trim, then
-    Moore partition refinement against an implicit sink class, rebuilt in
-    BFS order so equal languages give identical machines (which are trim:
-    every class of a trim DFA is accessible and co-accessible)."""
-    delta = _delta(d)
+    Moore partition refinement. A state's signature is its class, the
+    labels of its own arcs in label order and their targets' classes, so
+    a round costs O(arcs). The classes are rebuilt in BFS order so equal
+    languages give identical machines (which are trim: every class of a
+    trim DFA is accessible and co-accessible)."""
+    _delta(d)
     aut = fsm.trim(d)
     if not aut.finals:
         return Automaton(1, 0, {}, ())
-    if aut is not d:
-        delta = {(s, l): t for s, l, _, t in aut.arcs}
     n = aut.num_states
-    labels = sorted({l for _, l, _, _ in aut.arcs})
-    SINK = -1
+    out = [sorted((l, t) for _, l, _, t in aut.out_arcs(q)) for q in range(n)]
+    labs = [tuple(l for l, _ in o) for o in out]
+    dsts = [[t for _, t in o] for o in out]
     cls = [1 if q in aut.finals else 0 for q in range(n)]
     n_classes = 2 if any(c == 0 for c in cls) else 1
     while True:
@@ -224,9 +227,7 @@ def minimize(d, deadline=None):
         sigs = {}
         new_cls = [0] * n
         for q in range(n):
-            sig = (cls[q],) + tuple(
-                cls[delta[(q, l)]] if (q, l) in delta else SINK
-                for l in labels)
+            sig = (cls[q], labs[q], tuple(map(cls.__getitem__, dsts[q])))
             nid = sigs.get(sig)
             if nid is None:
                 nid = len(sigs)
@@ -238,14 +239,9 @@ def minimize(d, deadline=None):
         n_classes = len(sigs)
     cls = new_cls
     # Rebuild, numbering classes in BFS order from the initial class.
-    rep_arcs = {}
-    rep_final = {}
+    rep = {}
     for q in range(n):
-        c = cls[q]
-        if c not in rep_arcs:
-            rep_arcs[c] = {l: cls[delta[(q, l)]]
-                           for l in labels if (q, l) in delta}
-            rep_final[c] = q in aut.finals
+        rep.setdefault(cls[q], q)
     order = {cls[aut.initial]: 0}
     queue = deque([cls[aut.initial]])
     arcs = []
@@ -253,10 +249,11 @@ def minimize(d, deadline=None):
     while queue:
         c = queue.popleft()
         cid = order[c]
-        if rep_final[c]:
+        q = rep[c]
+        if q in aut.finals:
             finals[cid] = 0.0
-        for l in sorted(rep_arcs[c]):
-            t = rep_arcs[c][l]
+        for l, t in out[q]:
+            t = cls[t]
             if t not in order:
                 order[t] = len(order)
                 queue.append(t)
@@ -264,11 +261,20 @@ def minimize(d, deadline=None):
     return Automaton(len(order), 0, finals, arcs)
 
 
-def compact_transducer(t, counter=None, deadline=None):
+def compact_transducer(t, deadline=None):
     """Shrink a transducer without changing its relation or weights: each
     (in, out, weight) triple becomes a synthetic label, the machine is
-    determinized and minimized as an acceptor, then decoded."""
-    t = fsm.trim(fsm.remove_epsilon(t))
+    determinized and minimized as an acceptor, then decoded.
+
+    A zero-weight arc that is epsilon on both tapes becomes an acceptor
+    epsilon, which `determinize`'s closures absorb. Only where an ε:ε arc
+    or a final state carries a weight does ``fsm.remove_epsilon`` run
+    first: the encoding would keep one path per weight where ε-removal
+    keeps the least, so the result would be correct but larger."""
+    if (any(w != 0.0 for w in t.finals.values())
+            or any(i == EPS and o == EPS and w != 0.0
+                   for _, i, o, w, _ in t.arcs)):
+        t = fsm.remove_epsilon(t)
     # Nonzero final weights would be lost by the unweighted encoding; move
     # them onto entry arcs of a fresh super-final state first.
     if any(w != 0.0 for w in t.finals.values()):
@@ -277,23 +283,24 @@ def compact_transducer(t, counter=None, deadline=None):
         arcs.extend((q, EPS, EPS, w, sf) for q, w in t.finals.items())
         t = Transducer(t.num_states + 1, t.initial, {sf: 0.0}, arcs,
                        weighted=t.weighted)
-    codes = {}
+    # a zero-weight eps:eps arc encodes as epsilon, every other triple as
+    # 1, 2, ... in order of first appearance
+    codes = {(EPS, EPS, 0.0): EPS}
     enc_arcs = []
     for s, i, o, w, d in t.arcs:
         key = (i, o, w)
         lab = codes.get(key)
         if lab is None:
-            lab = len(codes) + 1
+            lab = len(codes)
             codes[key] = lab
         enc_arcs.append((s, lab, 0.0, d))
     enc = Automaton(t.num_states, t.initial, {q: 0.0 for q in t.finals},
                     enc_arcs)
-    m = minimize(determinize(enc, counter, deadline), deadline=deadline)
+    m = minimize(determinize(enc, deadline=deadline), deadline=deadline)
     decode = {lab: key for key, lab in codes.items()}
     out_arcs = []
     for s, lab, _, d in m.arcs:
         i, o, w = decode[lab]
         out_arcs.append((s, i, o, w, d))
-    finals = dict(m.finals)
-    return Transducer(m.num_states, m.initial, finals, out_arcs,
+    return Transducer(m.num_states, m.initial, m.finals, out_arcs,
                       weighted=t.weighted)

@@ -159,6 +159,11 @@ def cmd_check(args):
 
 
 def cmd_bench(args):
+    _at_least("--kmax", args.kmax, 0)
+    # the bench rule names s000, s001 and s002
+    _at_least("--alphabet-size", args.alphabet_size, 3)
+    _at_least("--deadline-ms", args.deadline_ms, 1)
+    _at_least("--skip-after", args.skip_after, 0)
     records = bench_mod.run_bench(
         args.family, args.kmax, alphabet_size=args.alphabet_size,
         deadline_ms=args.deadline_ms,

@@ -39,7 +39,6 @@ class CompileStats:
     arcs: int
     build_ms: float
     subset_constructions: int
-    compact_determinizations: int
 
 
 @dataclass
@@ -168,15 +167,13 @@ def compile_rule(rule, alphabet, compact=True, deadline=None):
     t = fsm.compose(t, rep, deadline)
     t = fsm.compose(t, l1, deadline)
     t = fsm.compose(t, l2, deadline)
-    compact_counter = OpCounter()
     if compact:
-        t = compact_transducer(t, compact_counter, deadline)
+        t = compact_transducer(t, deadline)
     assert_no_markers(t, alphabet)
     ms = (time.perf_counter() - t0) * 1000.0
     stats = CompileStats(
         states=t.num_states, arcs=len(t.arcs), build_ms=ms,
-        subset_constructions=counter.determinizations,
-        compact_determinizations=compact_counter.determinizations)
+        subset_constructions=counter.determinizations)
     return CompiledRule(transducer=t, stats=stats)
 
 

@@ -297,11 +297,19 @@ def _lex(text):
 _ATOM_START = {"NAME", "ZERO", "LPAREN", "LBRACK", "LBRACKNEG"}
 
 
+# Deepest nesting of parentheses and weight prefixes in one expression.
+# The parser and the tree walkers (compile_regex, nullable, rename, pretty)
+# recurse once or more per level, so this keeps them within Python's
+# recursion limit.
+MAX_NESTING = 50
+
+
 class _Parser:
     def __init__(self, toks, alphabet=None):
         self.toks = toks
         self.pos = 0
         self.alphabet = alphabet
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.pos]
@@ -317,6 +325,17 @@ class _Parser:
     def err(self, msg):
         t = self.peek()
         raise RuleSyntaxError(msg, t.line, t.col)
+
+    def nest(self, tok, parse, *args):
+        """parse(*args) one level deeper than `tok`, which opens it."""
+        if self.depth == MAX_NESTING:
+            raise RuleSyntaxError(
+                f"expression nested more than {MAX_NESTING} levels deep",
+                tok.line, tok.col)
+        self.depth += 1
+        node = parse(*args)
+        self.depth -= 1
+        return node
 
     def resolve(self, name, tok):
         if name not in self.alphabet._ids:
@@ -346,7 +365,7 @@ class _Parser:
             if not series:
                 self.err("weights are only allowed in the rewrite target")
             self.take()
-            return Weighted(t.value, self.factor(series))
+            return Weighted(t.value, self.nest(t, self.factor, series))
         node = self.atom(series)
         k = self.peek().kind
         if k == "STAR":
@@ -370,7 +389,7 @@ class _Parser:
             return Eps()
         if t.kind == "LPAREN":
             self.take()
-            node = self.expr(series)
+            node = self.nest(t, self.expr, series)
             self.take("RPAREN")
             return node
         if t.kind in ("LBRACK", "LBRACKNEG"):

@@ -15,7 +15,7 @@ from rwc.fsm import Alphabet, Automaton, aut_concat, aut_label, \
     aut_sigma_star
 from rwc.rulespec import compile_regex, parse_regex
 
-from .helpers import (accepts_by_enum, all_strings, enum_relation,
+from .helpers import (accepts_by_enum, all_strings, canonical, enum_relation,
                       lang_set, not_dfas, rand_automaton, rand_regex,
                       rand_transducer, rng_for, weights_close)
 
@@ -281,6 +281,54 @@ def test_compact_idempotent():
         c2 = compact_transducer(c1)
         assert weights_close(enum_relation(t, 5), enum_relation(c1, 5))
         assert (c2.num_states, len(c2.arcs)) == (c1.num_states, len(c1.arcs))
+
+
+def _rand_compaction_input(rng, kind):
+    """rand_transducer unweighted (kind 0), weighted (1), or weighted with
+    zero-weight eps:eps arcs added and, one time in three, a nonzero final
+    weight (2)."""
+    t = rand_transducer(rng, ABC.sigma(), max_states=5, weighted=kind > 0)
+    if kind < 2:
+        return t
+    n = t.num_states
+    arcs = list(t.arcs) + [
+        (rng.randrange(n), fsm.EPS, fsm.EPS, 0.0, rng.randrange(n))
+        for _ in range(rng.randint(1, 3))]
+    finals = dict(t.finals)
+    if rng.random() < 1 / 3:
+        finals[rng.choice(list(finals))] = round(rng.uniform(0, 2), 3)
+    return fsm.Transducer(n, t.initial, finals, arcs, weighted=True)
+
+
+def test_compact_absorbs_zero_weight_epsilons_random():
+    # zero-weight eps:eps arcs go to determinize as acceptor epsilons
+    # unless an eps:eps arc or a final carries a weight; either way the
+    # result is the compaction of the eps-removed machine, and no
+    # zero-weight eps:eps arc survives
+    rng = rng_for("compact-eps")
+    for n in range(900):
+        t = _rand_compaction_input(rng, n % 3)
+        c = compact_transducer(t)
+        assert weights_close(enum_relation(t, 4), enum_relation(c, 4))
+        assert canonical(c) == canonical(
+            compact_transducer(fsm.remove_epsilon(t)))
+        assert not any(i == fsm.EPS and o == fsm.EPS and w == 0.0
+                       for _, i, o, w, _ in c.arcs)
+
+
+def test_compact_absorbs_zero_weight_super_final_arcs():
+    # the weighted eps:eps arc 1 -> 0 forces eps-removal, which makes 1 a
+    # final of weight 3.183; the zero-weight finals 0 and 3 then reach the
+    # super-final state by zero-weight eps:eps arcs, which determinize
+    # must absorb for the result to be this small
+    t = fsm.Transducer(
+        4, 1, {0: 0.0, 2: 0.0, 3: 0.0},
+        [(3, 3, 2, 2.244, 0), (1, 0, 0, 3.183, 0), (1, 2, 2, 1.51, 3),
+         (2, 0, 0, 0.0, 1), (1, 0, 0, 0.0, 1), (3, 0, 0, 0.0, 3)],
+        weighted=True)
+    c = compact_transducer(t)
+    assert (c.num_states, len(c.arcs)) == (3, 3)
+    assert weights_close(enum_relation(t, 4), enum_relation(c, 4))
 
 
 def test_compact_preserves_nonzero_final_weights():

@@ -7,6 +7,7 @@ import pytest
 
 from rwc import cli
 from rwc import compiler as C
+from rwc import rulespec as R
 from rwc.bench import CSV_HEADER
 from rwc.cli import main
 
@@ -66,6 +67,17 @@ def test_compile_malformed_file_exits_1(tmp_path, capsys):
     out = tmp_path / "bad.fst"
     assert main(["compile", str(rules), "-o", str(out)]) == 1
     assert "E_SYNTAX" in capsys.readouterr().err
+
+
+def test_compile_deeply_nested_rule_exits_1(tmp_path, capsys):
+    rules = tmp_path / "deep.rules"
+    rules.write_text("alphabet: a b ;\n" + "(" * 300 + "a" + ")" * 300
+                     + " -> b ;\n")
+    out = tmp_path / "deep.fst"
+    assert main(["compile", str(rules), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "E_SYNTAX" in err
+    assert f"(line 2, col {R.MAX_NESTING + 1})" in err
 
 
 def test_compile_kk_algorithm(tmp_path, capsys):
@@ -218,6 +230,11 @@ def test_check_budget_admits_nasal_demo_default(monkeypatch):
     ["apply", "{fst}", "Nb", "--nbest", "-1"],
     ["apply", "{fst}", "Nb", "--nbest", "0"],
     ["apply", "{fst}", "Nb", "--bound", "0"],
+    ["bench", "{fst}.csv", "--family", "left", "--kmax", "-1"],
+    ["bench", "{fst}.csv", "--family", "left", "--alphabet-size", "2"],
+    ["bench", "{fst}.csv", "--family", "right", "--deadline-ms", "-5"],
+    ["bench", "{fst}.csv", "--family", "right", "--deadline-ms", "0"],
+    ["bench", "{fst}.csv", "--family", "left", "--skip-after", "-1"],
 ])
 def test_option_out_of_range_exits_1(argv, rule9_file, tmp_path, capsys):
     fst = tmp_path / "rule9.fst"

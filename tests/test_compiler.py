@@ -9,6 +9,7 @@ import pytest
 from rwc import compiler as C
 from rwc import oracle as O
 from rwc import rulespec as R
+from rwc.bench import bench_alphabet, bench_rule
 from rwc.boolean_ops import compact_transducer
 from rwc.errors import PhiNullableError, PsiEmptyError
 from rwc.fsm import EPS, Alphabet, Transducer, compose
@@ -191,6 +192,14 @@ def test_compile_rule_exactly_three_subset_constructions():
     for rule in rs.rules:
         cr = C.compile_rule(rule, rs.alphabet)
         assert cr.stats.subset_constructions == 3
+
+
+@pytest.mark.parametrize("family, size", [("left", (11, 2134)),
+                                          ("right", (21, 2154))])
+def test_bench_rule_k10_sizes(family, size):
+    # the growth bench's largest point, on the full 194-label alphabet
+    cr = C.compile_rule(bench_rule(family, 10), bench_alphabet(194))
+    assert (cr.stats.states, cr.stats.arcs) == size
 
 
 def test_compile_rule_leaves_no_markers():

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from rwc import compiler as C
 from rwc import rulespec as R
 from rwc.errors import (NegativeWeightError, PhiNullableError, PsiEmptyError,
                         RuleSyntaxError, UnknownSymbolError)
@@ -124,6 +125,30 @@ def test_parse_errors():
         parse_series("<-1> a", AB)
     with pytest.raises(RuleSyntaxError):
         parse_regex("<1> a", AB)  # weights only in targets
+
+
+def test_parse_bounds_nesting_at_the_crossing_bracket():
+    deep = "(" * 300 + "a" + ")" * 300
+    with pytest.raises(RuleSyntaxError) as e:
+        parse_rule_file(f"alphabet: a b ;\n{deep} -> b ;\n")
+    assert (e.value.line, e.value.col) == (2, R.MAX_NESTING + 1)
+    # weight prefixes nest too: the 51st "<1>" starts at col 6 + 4 * 50
+    prefixes = "<1> " * 300
+    with pytest.raises(RuleSyntaxError) as e:
+        parse_rule_file(f"alphabet: a b ;\na -> {prefixes}b ;\n")
+    assert (e.value.line, e.value.col) == (2, 6 + 4 * R.MAX_NESTING)
+
+
+def test_parse_admits_nesting_at_the_limit():
+    # the deepest admitted expression, in the shape that costs the tree
+    # walkers the most frames per level, compiles and pretty-prints
+    x = "a"
+    for _ in range(R.MAX_NESTING):
+        x = "(" + x + "* b + a)"
+    rs = parse_rule_file(f"alphabet: a b ;\n{x} -> b ;\n")
+    text = "alphabet: a b ;\n" + pretty_rule(rs.rules[0]) + "\n"
+    assert parse_rule_file(text) == rs
+    C.compile_rule(rs.rules[0], rs.alphabet)
 
 
 def test_parse_rejects_infinite_weight():
