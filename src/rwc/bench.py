@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import compiler, kk, rulespec
-from .errors import DeadlineExceeded
+from .errors import BadOptionError, DeadlineExceeded, at_least
 from .fsm import Alphabet, Deadline
 
 CSV_HEADER = "rule,k,algorithm,ms,states,arcs,dfa_arcs,timeout"
@@ -130,9 +130,17 @@ def run_bench(family, kmax, alphabet_size=194, deadline_ms=300_000,
     module docstring). KK points run under a per-point deadline; after
     `skip_after` consecutive KK timeouts the remaining (larger, strictly
     slower) KK points are recorded as timeouts without running. Returns a
-    list of BenchRecords (2 per k: the `new` row, then the `kk` row)."""
+    list of BenchRecords (2 per k: the `new` row, then the `kk` row).
+    Out-of-range arguments raise BadOptionError."""
     if family not in ("left", "right"):
-        raise ValueError("family must be 'left' or 'right'")
+        raise BadOptionError(f"family must be 'left' or 'right', "
+                             f"not {family!r}")
+    at_least("kmax (--kmax)", kmax, 0)
+    # the bench rule names s000, s001 and s002
+    at_least("alphabet_size (--alphabet-size)", alphabet_size, 3)
+    at_least("deadline_ms (--deadline-ms)", deadline_ms, 1)
+    at_least("repeats_new", repeats_new, 1)
+    at_least("skip_after (--skip-after)", skip_after, 0)
     alphabet = bench_alphabet(alphabet_size)
     rules = [bench_rule(family, k) for k in range(kmax + 1)]
     new_points = _time_new(rules, alphabet, repeats_new)

@@ -23,7 +23,7 @@ import sys
 from . import bench as bench_mod
 from . import compiler, kk, oracle, rulespec, textio
 from . import fsm as fsm_mod
-from .errors import BadOptionError, InputBudgetError, RwcError
+from .errors import InputBudgetError, RwcError, at_least
 from .fsm import compose
 from .boolean_ops import compact_transducer
 
@@ -56,8 +56,8 @@ def cmd_compile(args):
 
 
 def cmd_apply(args):
-    _at_least("--nbest", args.nbest, 1)
-    _at_least("--bound", args.bound, 1)
+    at_least("--nbest", args.nbest, 1)
+    at_least("--bound", args.bound, 1)
     m, alphabet = textio.read_machine(args.fst)
     t = m if isinstance(m, fsm_mod.Transducer) else fsm_mod.id_transducer(m)
     inputs = []
@@ -106,11 +106,6 @@ def _check_one_rule(idx, rule, alphabet, max_len):
     return failures
 
 
-def _at_least(option, value, low):
-    if value is not None and value < low:
-        raise BadOptionError(f"{option} must be at least {low}, not {value}")
-
-
 # `check` sweeps every input string up to --max-len; it refuses sweeps of
 # more strings than this
 CHECK_BUDGET = 10**6
@@ -128,7 +123,7 @@ def _check_budget(n_symbols, max_len):
 
 
 def cmd_check(args):
-    _at_least("--max-len", args.max_len, 0)
+    at_least("--max-len", args.max_len, 0)
     ruleset = _load_rules(args.rules)
     alphabet = ruleset.alphabet
     _check_budget(alphabet.n, args.max_len)
@@ -159,11 +154,6 @@ def cmd_check(args):
 
 
 def cmd_bench(args):
-    _at_least("--kmax", args.kmax, 0)
-    # the bench rule names s000, s001 and s002
-    _at_least("--alphabet-size", args.alphabet_size, 3)
-    _at_least("--deadline-ms", args.deadline_ms, 1)
-    _at_least("--skip-after", args.skip_after, 0)
     records = bench_mod.run_bench(
         args.family, args.kmax, alphabet_size=args.alphabet_size,
         deadline_ms=args.deadline_ms,

@@ -67,6 +67,12 @@ class BadOptionError(RwcError):
     code = "E_BAD_OPTION"
 
 
+def at_least(option, value, low):
+    """Raise BadOptionError unless `value` is None or at least `low`."""
+    if value is not None and value < low:
+        raise BadOptionError(f"{option} must be at least {low}, not {value}")
+
+
 class DivergentError(RwcError):
     """Enumeration bound exceeded while rewriting with an infinite psi."""
 

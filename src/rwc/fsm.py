@@ -57,7 +57,7 @@ class Alphabet:
     rb = n+1, lb1 = n+2, lb2 = n+3.
     """
 
-    __slots__ = ("symbols", "_ids")
+    __slots__ = ("symbols", "_ids", "_chars")
 
     def __init__(self, symbols):
         symbols = tuple(symbols)
@@ -75,6 +75,8 @@ class Alphabet:
             seen.add(name)
         self.symbols = symbols
         self._ids = {name: i + 1 for i, name in enumerate(symbols)}
+        # text is read and written per character when every name is one
+        self._chars = all(len(s) == 1 for s in symbols)
 
     @property
     def n(self):
@@ -121,19 +123,19 @@ class Alphabet:
         return f"<lab{label}>"
 
     def ids_of(self, names):
-        return tuple(self.id_of(n) for n in names)
+        return tuple(map(self.id_of, names))
 
     def string_to_ids(self, text):
         """Tokenize an input string: per character when every symbol name is
         a single character, else on whitespace."""
-        if all(len(s) == 1 for s in self.symbols):
-            toks = list(text.replace(" ", ""))
+        if self._chars:
+            toks = text.replace(" ", "")
         else:
             toks = text.split()
-        return tuple(self.id_of(t) for t in toks)
+        return tuple(map(self.id_of, toks))
 
     def names_to_string(self, names):
-        if all(len(s) == 1 for s in self.symbols):
+        if self._chars:
             return "".join(names)
         return " ".join(names)
 
@@ -393,12 +395,6 @@ def id_transducer(a):
     arcs = tuple((s, l, l, w, d) for s, l, w, d in a.arcs)
     return Transducer(a.num_states, a.initial, a.finals, arcs,
                       weighted=a.weighted)
-
-
-def project_output(t):
-    """The output-side weighted acceptor of a transducer."""
-    arcs = tuple((s, o, w, d) for s, _, o, w, d in t.arcs)
-    return Automaton(t.num_states, t.initial, t.finals, arcs, weighted=True)
 
 
 def cross_product(phi, psi, pad_out=EPS):

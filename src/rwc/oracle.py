@@ -9,7 +9,7 @@ material feeds later left contexts), mirroring the compiled semantics.
 """
 
 from dataclasses import dataclass
-from heapq import heappush, heappop
+from heapq import heapify, heappush, heappop
 
 from . import fsm
 from .boolean_ops import determinize
@@ -25,42 +25,101 @@ def _to_ids(alphabet, s):
 
 
 def _names(alphabet, ids):
-    return tuple(alphabet.name_of(i) for i in ids)
+    return tuple(map(alphabet.name_of, ids))
 
 
 # ---------------------------------------------------------------------------
-# Weighted language enumeration (best-first)
+# n-best strings (best-first search with exact potentials)
 # ---------------------------------------------------------------------------
+
+# keys within this relative distance of their parent's key are the parent's:
+# along a best completion the exact key never changes, but the forward and
+# backward sums that compute it round differently
+_KEY_SLACK = 1e-9
+
+
+def _nbest(adj, into, start, finals, limit):
+    """The distinct strings of the paths from `start` to a final node, with
+    their minimal weights, in order of weight, up to `limit` of them.
+    Returns ({label tuple: weight}, truncated); `truncated` is True exactly
+    when there are more than `limit` strings.
+
+    adj[c] lists the arcs (label, weight, d) leaving node c, with label
+    EPS for an arc that writes nothing, and into[d] the same arcs as
+    (weight, c); finals maps a node to its final weight. First h[c], the
+    least weight from c to a final, final weight included, is found by
+    Dijkstra on `into` (INF: c is dead). Then the search runs over
+    (string prefix, node) pairs, keyed by the prefix's weight plus h of
+    the node, then by insertion order (Mohri & Riley, ICSLP 2002);
+    prefixes are never compared. Keys do not increase along a best
+    completion and equal keys pop first in, first out, so a popped pair
+    reaches a final within a bounded number of pops, even on a
+    zero-weight cycle that writes symbols."""
+    h = dict.fromkeys(adj, INF)
+    h.update(finals)
+    heap = [(v, d) for d, v in finals.items()]
+    heapify(heap)
+    while heap:
+        v, d = heappop(heap)
+        if v > h[d]:
+            continue
+        for w, c in into.get(d, ()):
+            if v + w < h[c]:
+                h[c] = v + w
+                heappush(heap, (v + w, c))
+    results = {}
+    if h[start] == INF:
+        return results, False
+    best = {((), start): 0.0}
+    # (key, insertion count, weight, prefix, node); node None: the prefix
+    # is a string, with this weight
+    heap = [(h[start], 0, 0.0, (), start)]
+    count = 1
+    while heap:
+        f, _, g, s, c = heappop(heap)
+        if c is None:
+            if s in results:
+                # the same weight, summed in another order
+                if g < results[s]:
+                    results[s] = g
+                continue
+            if len(results) >= limit:
+                return results, True
+            results[s] = g
+            continue
+        if g > best[(s, c)]:
+            continue
+        tie = f + _KEY_SLACK * (1.0 + f)
+        fw = finals.get(c)
+        if fw is not None:
+            nf = g + fw
+            heappush(heap, (f if nf <= tie else nf, count, nf, s, None))
+            count += 1
+        for lab, w, d in adj[c]:
+            hd = h[d]
+            if hd == INF:
+                continue
+            ns = s + (lab,) if lab != EPS else s
+            ng = g + w
+            key = (ns, d)
+            if ng < best.get(key, INF):
+                best[key] = ng
+                nf = ng + hd
+                heappush(heap, (f if nf <= tie else nf, count, ng, ns, d))
+                count += 1
+    return results, False
+
 
 def enumerate_language(aut, limit):
     """Accepted strings of a weighted acceptor with their minimal weights,
-    best-first, up to `limit` distinct strings. Returns (dict, truncated).
+    best first, up to `limit` distinct strings. Returns (dict, truncated).
     """
-    a = fsm.trim(fsm.remove_epsilon(aut))
-    if not a.finals:
-        return {}, False
-    results = {}
-    best = {}
-    heap = [(0.0, (), a.initial)]
-    best[((), a.initial)] = 0.0
-    while heap:
-        w, s, q = heappop(heap)
-        if w > best.get((s, q), INF):
-            continue
-        if q in a.finals:
-            tot = w + a.finals[q]
-            if tot < results.get(s, INF):
-                if s not in results and len(results) >= limit:
-                    return results, True
-                results[s] = tot
-        for _, lab, aw, r in a.out_arcs(q):
-            ns = s + (lab,)
-            nw = w + aw
-            key = (ns, r)
-            if nw < best.get(key, INF):
-                best[key] = nw
-                heappush(heap, (nw, ns, r))
-    return results, False
+    adj = {q: [] for q in range(aut.num_states)}
+    into = {}
+    for s, lab, w, d in aut.arcs:
+        adj[s].append((lab, w, d))
+        into.setdefault(d, []).append((w, s))
+    return _nbest(adj, into, aut.initial, aut.finals, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -68,15 +127,49 @@ def enumerate_language(aut, limit):
 # ---------------------------------------------------------------------------
 
 def apply(t, input_seq, alphabet, bound=1000):
-    """Apply a transducer to one string: compose the string's identity
-    transducer with t, project the output side, and enumerate accepted
-    strings with minimal weights. Returns (WeightedStringSet, truncated).
+    """Apply a transducer to one string: the outputs of t's paths that
+    read the string, with their minimal weights, best first, up to `bound`
+    of them. Returns (WeightedStringSet, truncated); `truncated` is True
+    exactly when the string has more than `bound` outputs.
+
+    No machine is built: a forward pass walks the (position, state) pairs
+    of the string and t and records the arcs it takes, a backward pass
+    gives each pair its least weight to (end of string, final state), and
+    `_nbest` searches the live pairs.
     """
     ids = _to_ids(alphabet, input_seq)
-    inp = fsm.id_transducer(fsm.aut_string(ids))
-    comp = fsm.compose(inp, t)
-    out = fsm.trim(fsm.remove_epsilon(fsm.project_output(comp)))
-    raw, truncated = enumerate_language(out, bound)
+    n = t.num_states
+    last = len(ids)
+    index = t.in_index
+    # pair (i, q) is node i * n + q; adj[node] is its arcs (out, w, node2)
+    adj = {}
+    into = {}
+    layer = [t.initial]
+    for i in range(last + 1):
+        base = i * n
+        nbase = base + n
+        a = ids[i] if i < last else None
+        seen = set(layer)
+        moved = {}
+        for q in layer:  # the layer grows as epsilon-input arcs reach states
+            arcs = index(q)
+            out = []
+            c = base + q
+            for o, w, r in arcs.get(EPS, ()):
+                out.append((o, w, base + r))
+                into.setdefault(base + r, []).append((w, c))
+                if r not in seen:
+                    seen.add(r)
+                    layer.append(r)
+            for o, w, r in arcs.get(a, ()):
+                out.append((o, w, nbase + r))
+                into.setdefault(nbase + r, []).append((w, c))
+                moved[r] = None
+            adj[c] = out
+        if i < last:  # the last layer stays, for its finals
+            layer = list(moved)
+    finals = {base + q: t.finals[q] for q in layer if q in t.finals}
+    raw, truncated = _nbest(adj, into, t.initial, finals, bound)
     wss = WeightedStringSet()
     for s, w in raw.items():
         wss.add_min(_names(alphabet, s), w)

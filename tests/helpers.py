@@ -6,10 +6,12 @@ the tests compare two unrelated routes to the same answer.
 The corpus seed comes from the RWC_SEED environment variable (default 0).
 """
 
+import contextlib
 import itertools
 import math
 import os
 import random
+import signal
 from collections import deque
 from heapq import heappush, heappop
 
@@ -19,6 +21,26 @@ from rwc.fsm import EPS, INF, Alphabet
 
 # one line per acceptance criterion, echoed in the terminal summary
 ACCEPTANCE_LINES = []
+
+
+class TimeLimitExceeded(Exception):
+    """Not an OSError, which the CLI would catch and report."""
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail the block with TimeLimitExceeded, rather than hang, when it
+    runs past `seconds` of wall time."""
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def corpus_seed():
@@ -310,6 +332,21 @@ def rand_transducer(rng, labels, max_states=4, p_eps=0.25, weighted=True):
         finals = {rng.randrange(n): 0.0}
     from rwc.fsm import Transducer
     return Transducer(n, rng.randrange(n), finals, arcs, weighted=weighted)
+
+
+def reference_apply(t, input_seq, alphabet, bound=1000):
+    """`oracle.apply` by the composition route it replaced: compose the
+    string's identity transducer with t, project the output side, remove
+    epsilons, trim, and enumerate the result's language."""
+    from rwc import fsm, oracle
+    ids = oracle._to_ids(alphabet, input_seq)
+    comp = fsm.compose(fsm.id_transducer(fsm.aut_string(ids)), t)
+    out = fsm.Automaton(comp.num_states, comp.initial, comp.finals,
+                        [(s, o, w, d) for s, _, o, w, d in comp.arcs],
+                        weighted=True)
+    raw, truncated = oracle.enumerate_language(
+        fsm.trim(fsm.remove_epsilon(out)), bound)
+    return {oracle._names(alphabet, s): w for s, w in raw.items()}, truncated
 
 
 def not_dfas(a, b):

@@ -8,8 +8,13 @@ import pytest
 from rwc import cli
 from rwc import compiler as C
 from rwc import rulespec as R
-from rwc.bench import CSV_HEADER
+from rwc import textio
+from rwc.bench import CSV_HEADER, run_bench
 from rwc.cli import main
+from rwc.errors import BadOptionError
+from rwc.fsm import EPS, Alphabet, Transducer
+
+from .helpers import time_limit
 
 RULE9 = ("alphabet: b m n p N a ;\n"
          f"N -> <{-math.log(0.9)!r}> m + <{-math.log(0.1)!r}> n"
@@ -142,6 +147,43 @@ def test_apply_stdin(rule9_file, tmp_path, capsys, monkeypatch):
     assert main(["apply", str(out), "--stdin", "--nbest", "1"]) == 0
     assert capsys.readouterr().out.splitlines() == ["mb 0.105361",
                                                     "Na 0.000000"]
+
+
+def test_check_psi_with_zero_weight_loop_exits_1(tmp_path, capsys):
+    rules = tmp_path / "loop.rules"
+    rules.write_text("alphabet: a b c ;\na -> b* c ;\n")
+    with time_limit(10):
+        assert main(["check", str(rules), "--max-len", "2"]) == 1
+    assert "E_DIVERGENT" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("loop, exit_", [("a", "b"), ("b", "a")])
+def test_apply_zero_weight_output_loop_truncates(loop, exit_, tmp_path,
+                                                 capsys):
+    ab = Alphabet(["a", "b"])
+    fst = tmp_path / "loop.fst"
+    textio.write_machine(fst, Transducer(
+        2, 0, {1: 0.0}, [(0, EPS, ab.id_of(loop), 0.0, 0),
+                         (0, EPS, ab.id_of(exit_), 0.0, 1)]), ab)
+    with time_limit(10):
+        assert main(["apply", str(fst), "", "--bound", "5"]) == 0
+    out, err = capsys.readouterr()
+    assert "truncated at 5 strings" in err
+    assert sorted(out.splitlines()) == sorted(
+        f"{loop * k}{exit_} 0.000000" for k in range(5))
+
+
+@pytest.mark.parametrize("family, kmax, kwargs", [
+    ("left", -1, {}),
+    ("left", 1, {"alphabet_size": 2}),
+    ("middle", 1, {}),
+    ("right", 0, {"deadline_ms": 0}),
+    ("left", 0, {"skip_after": -1}),
+    ("left", 0, {"repeats_new": 0}),
+])
+def test_run_bench_rejects_out_of_range_arguments(family, kmax, kwargs):
+    with pytest.raises(BadOptionError):
+        run_bench(family, kmax, **kwargs)
 
 
 def test_bench_kmax0_writes_two_rows(tmp_path, capsys):

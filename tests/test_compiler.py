@@ -16,8 +16,8 @@ from rwc.fsm import EPS, Alphabet, Transducer, compose
 from rwc.rulespec import parse_regex, parse_rule_file, parse_series, \
     series_to_wfsa
 
-from .helpers import (canonical, enum_relation, rng_for, rule_corpus,
-                      weights_close)
+from .helpers import (canonical, enum_relation, reference_apply, rng_for,
+                      rule_corpus, weights_close)
 
 DEMOS = pathlib.Path(__file__).parent.parent / "demos"
 
@@ -356,6 +356,35 @@ def test_compile_ruleset_equals_full_fold_acceptance_corpora():
                             weighted=False))
     for alphabet, rule in corpus:
         assert_same_as_full_fold(R.RuleSet(alphabet, (rule,)))
+
+
+def assert_apply_matches_reference(t, alphabet, inputs, note=None):
+    for u in inputs:
+        wss, truncated = O.apply(t, u, alphabet)
+        want, want_truncated = reference_apply(t, u, alphabet)
+        assert truncated == want_truncated, (note, u)
+        if not truncated:
+            assert weights_close(dict(wss.entries), want), (note, u)
+
+
+@pytest.mark.parametrize("demo", ["nasal.rules", "chain.rules"])
+def test_apply_matches_composition_reference_demos(demo):
+    rs = parse_rule_file((DEMOS / demo).read_text())
+    assert_apply_matches_reference(C.compile_ruleset(rs), rs.alphabet,
+                                   O._all_inputs(rs.alphabet, 4))
+
+
+def test_apply_matches_composition_reference_random_corpus():
+    rng = rng_for("ruleset-blocks")
+    inputs_rng = rng_for("ruleset-blocks-apply")
+    for _ in range(60):
+        text = rand_ruleset_text(rng)
+        rs = parse_rule_file(text)
+        inputs = [tuple(inputs_rng.choice(rs.alphabet.symbols)
+                        for _ in range(inputs_rng.randint(0, 6)))
+                  for _ in range(20)]
+        assert_apply_matches_reference(C.compile_ruleset(rs), rs.alphabet,
+                                       inputs, text)
 
 
 def test_blocks_for_negated_left_context():

@@ -4,17 +4,20 @@ equivalence checker."""
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rwc import compiler as C
 from rwc import oracle as O
 from rwc.errors import DivergentError
-from rwc.fsm import Alphabet, Transducer, aut_sigma_star, id_transducer, \
-    remove_epsilon
+from rwc.fsm import EPS, Alphabet, Automaton, Transducer, aut_sigma_star, \
+    id_transducer, remove_epsilon
 from rwc.rulespec import Cls, Eps, Rule, Sym, parse_rule_file
 
-from .helpers import rng_for, weights_close
+from .helpers import reference_apply, rng_for, time_limit, weights_close
 
 ABC = Alphabet(["a", "b", "c"])
+AB = Alphabet(["a", "b"])
 
 
 def rule_of(text):
@@ -75,6 +78,110 @@ def test_oracle_divergent_psi_raises():
     # ...but an input with no match site stays finite
     out = O.oracle_rewrite(rule, alphabet, "", bound=20)
     assert dict(out.entries) == {(): 0.0}
+
+
+@pytest.mark.parametrize("psi", ["b* c", "c* b", "b* <1> c"])
+def test_oracle_psi_with_zero_weight_loop_is_divergent(psi):
+    # a zero-weight loop on b, whose label sorts before the exit's: ties
+    # broken by output string popped ever longer b-prefixes and never a
+    # whole string; with a weighted exit, so did ties broken by weight alone
+    alphabet, rule = rule_of(f"alphabet: a b c ;\n a -> {psi} ;")
+    with time_limit(10):
+        orc = O.RewriteOracle(rule, alphabet, bound=20)
+        assert orc.psi_truncated and len(orc.psi_strings) == 21
+        with pytest.raises(DivergentError):
+            orc.rewrite_ids(alphabet.ids_of(["a"]))
+
+
+def test_enumerate_language_best_first():
+    # a loop writing a with weight 1 and an exit writing b: the bound
+    # keeps the lightest strings
+    a, b = AB.ids_of(["a", "b"])
+    aut = Automaton(2, 0, {1: 0.5}, [(0, a, 1.0, 0), (0, b, 0.0, 1)],
+                    weighted=True)
+    got, truncated = O.enumerate_language(aut, 3)
+    assert truncated
+    assert got == {(b,): 0.5, (a, b): 1.5, (a, a, b): 2.5}
+    got, truncated = O.enumerate_language(aut, 100)
+    assert truncated and len(got) == 100
+
+
+def loop_machine(loop, exit_, exit_weight=0.0):
+    """Two states: an epsilon-input loop writing `loop` on the initial
+    state, and an epsilon-input arc writing `exit_` to the final one."""
+    return Transducer(2, 0, {1: 0.0},
+                      [(0, EPS, AB.id_of(loop), 0.0, 0),
+                       (0, EPS, AB.id_of(exit_), exit_weight, 1)],
+                      weighted=True)
+
+
+@pytest.mark.parametrize("loop, exit_, exit_weight", [
+    ("a", "b", 0.0), ("b", "a", 0.0), ("a", "b", 1.0)])
+def test_apply_zero_weight_output_loop_truncates(loop, exit_, exit_weight):
+    t = loop_machine(loop, exit_, exit_weight)
+    with time_limit(10):
+        wss, truncated = O.apply(t, "", AB, bound=5)
+    assert truncated
+    assert dict(wss.entries) == {
+        (loop,) * k + (exit_,): exit_weight for k in range(5)}
+
+
+def test_apply_skips_state_dead_for_the_input():
+    # on input "a", state 2 is reachable and co-accessible in t (by b),
+    # but dead for the string; its zero-weight epsilon:a loop must not
+    # be searched
+    a, b = AB.ids_of(["a", "b"])
+    t = Transducer(3, 0, {1: 0.0},
+                   [(0, a, b, 0.5, 1), (0, a, a, 0.0, 2),
+                    (2, EPS, a, 0.0, 2), (2, b, b, 0.0, 1)],
+                   weighted=True)
+    with time_limit(10):
+        wss, truncated = O.apply(t, "a", AB)
+        assert not truncated and dict(wss.entries) == {("b",): 0.5}
+        # on "ab" it is live, and the loop gives infinitely many outputs
+        wss, truncated = O.apply(t, "ab", AB, bound=4)
+    assert truncated and dict(wss.entries) == {
+        ("a",) * k + ("b",): 0.0 for k in range(1, 5)}
+
+
+def test_apply_outputs_best_first_when_truncated():
+    # outputs a^k b cost k: the bound keeps the k < 3
+    t = Transducer(2, 0, {1: 0.0},
+                   [(0, EPS, AB.id_of("a"), 1.0, 0),
+                    (0, EPS, AB.id_of("b"), 0.0, 1)], weighted=True)
+    wss, truncated = O.apply(t, "", AB, bound=3)
+    assert truncated
+    assert dict(wss.entries) == {("b",): 0.0, ("a", "b"): 1.0,
+                                 ("a", "a", "b"): 2.0}
+
+
+@st.composite
+def cyclic_transducers(draw):
+    """Weighted transducers over a, b with epsilon-input arcs, epsilon:
+    epsilon arcs, final weights and at least one loop."""
+    n = draw(st.integers(1, 4))
+    state = st.integers(0, n - 1)
+    label = st.sampled_from((EPS, 1, 2))
+    weight = st.one_of(st.just(0.0), st.floats(0.0, 4.0))
+    loop = draw(st.tuples(state, label, label, weight))
+    arcs = draw(st.lists(st.tuples(state, label, label, weight, state),
+                         max_size=9))
+    arcs.append(loop + (loop[0],))
+    finals = draw(st.dictionaries(state, weight, min_size=1))
+    return Transducer(n, draw(state), finals, arcs, weighted=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cyclic_transducers(), st.lists(st.sampled_from("ab"), max_size=4),
+       st.integers(1, 6))
+def test_apply_matches_composition_reference(t, u, bound):
+    with time_limit(10):
+        wss, truncated = O.apply(t, u, AB, bound=bound)
+        want, want_truncated = reference_apply(t, u, AB, bound=bound)
+    assert truncated == want_truncated
+    assert len(wss) == (bound if truncated else len(want))
+    if not truncated:
+        assert weights_close(dict(wss.entries), want)
 
 
 def test_apply_identity_transducer():
