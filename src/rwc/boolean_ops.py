@@ -17,7 +17,7 @@ A DFA is a plain ``Automaton``: unweighted, epsilon-free, at most one arc
 per (state, label) and every state accessible. ``determinize``,
 ``complete``, ``complement`` and ``minimize`` return such machines, and
 the functions that need the property (``is_complete``, ``complete`` and
-``minimize``) check it on their input with ``_delta``.
+``minimize``) check it on their input with ``_dfa_out``.
 """
 
 from collections import deque
@@ -38,32 +38,33 @@ class OpCounter:
     subtractions: int = 0
 
 
-def _delta(aut):
-    """The transition map {(state, label): target} of an accessible
+def _dfa_out(aut):
+    """Each state's arcs as a dict {label: target}, for an accessible
     deterministic acceptor. Raises E_NOT_DETERMINISTIC on a weighted
     machine, an epsilon arc, two arcs with one label from one state, or an
     inaccessible state."""
     if aut.weighted:
         raise NotDeterministicError("weighted machines are not DFAs here")
-    delta = {}
+    n = aut.num_states
+    out = [{} for _ in range(n)]
     for s, l, _, d in aut.arcs:
         if l == EPS:
             raise NotDeterministicError("epsilon arc in DFA")
-        if (s, l) in delta:
+        o = out[s]
+        if l in o:
             raise NotDeterministicError(
                 f"two arcs with label {l} leave state {s}")
-        delta[(s, l)] = d
+        o[l] = d
     seen = {aut.initial}
     stack = [aut.initial]
     while stack:
-        q = stack.pop()
-        for _, _, _, d in aut.out_arcs(q):
+        for d in out[stack.pop()].values():
             if d not in seen:
                 seen.add(d)
                 stack.append(d)
-    if len(seen) != aut.num_states:
+    if len(seen) != n:
         raise NotDeterministicError("DFA has inaccessible states")
-    return delta
+    return out
 
 
 def determinize(a, counter=None, deadline=None):
@@ -121,17 +122,14 @@ def determinize(a, counter=None, deadline=None):
 def is_complete(d, labels):
     """True iff every state has a transition on every label of the given
     working alphabet."""
-    delta = _delta(d)
-    return all((q, l) in delta
-               for q in range(d.num_states) for l in labels)
+    return all(l in o for o in _dfa_out(d) for l in labels)
 
 
 def complete(d, labels):
     """Add a non-final sink (if needed) so the DFA is complete over
     `labels`. Language unchanged."""
-    delta = _delta(d)
-    missing = [(q, l) for q in range(d.num_states) for l in labels
-               if (q, l) not in delta]
+    missing = [(q, l) for q, o in enumerate(_dfa_out(d)) for l in labels
+               if l not in o]
     if not missing:
         return d
     sink = d.num_states
@@ -205,29 +203,49 @@ def subtract(a, b, labels, counter=None, deadline=None):
 
 
 def minimize(d, deadline=None):
-    """Unique minimal partial DFA for L(d) (up to isomorphism): trim, then
-    Moore partition refinement. A state's signature is its class, the
-    labels of its own arcs in label order and their targets' classes, so
-    a round costs O(arcs). The classes are rebuilt in BFS order so equal
-    languages give identical machines (which are trim: every class of a
-    trim DFA is accessible and co-accessible)."""
-    _delta(d)
-    aut = fsm.trim(d)
-    if not aut.finals:
+    """Unique minimal partial DFA for L(d) (up to isomorphism): drop the
+    states that reach no final, then Moore partition refinement. The first
+    classes split on finality and on the labels of a state's own arcs; a
+    state's signature is then its class and its targets' classes in label
+    order, so a round costs O(arcs). The classes are rebuilt in BFS order
+    so equal languages give identical machines (which are trim: every
+    class of a trim DFA is accessible and co-accessible)."""
+    out = _dfa_out(d)
+    # every state is accessible, so the initial state reaches a final
+    # whenever there is one
+    if not d.finals:
         return Automaton(1, 0, {}, ())
-    n = aut.num_states
-    out = [sorted((l, t) for _, l, _, t in aut.out_arcs(q)) for q in range(n)]
-    labs = [tuple(l for l, _ in o) for o in out]
-    dsts = [[t for _, t in o] for o in out]
-    cls = [1 if q in aut.finals else 0 for q in range(n)]
-    n_classes = 2 if any(c == 0 for c in cls) else 1
+    n = d.num_states
+    into = [[] for _ in range(n)]
+    for q, o in enumerate(out):
+        for t in o.values():
+            into[t].append(q)
+    live = bytearray(n)
+    stack = list(d.finals)
+    for q in stack:
+        live[q] = 1
+    while stack:
+        for q in into[stack.pop()]:
+            if not live[q]:
+                live[q] = 1
+                stack.append(q)
+    states = [q for q in range(n) if live[q]]
+    first = {}
+    cls = [0] * n
+    dsts = [None] * n
+    for q in states:
+        out[q] = o = sorted(a for a in out[q].items() if live[a[1]])
+        dsts[q] = [t for _, t in o]
+        cls[q] = first.setdefault((q in d.finals, tuple(l for l, _ in o)),
+                                  len(first))
+    n_classes = len(first)
+    new_cls = [0] * n
     while True:
         if deadline is not None:
             deadline.check()
         sigs = {}
-        new_cls = [0] * n
-        for q in range(n):
-            sig = (cls[q], labs[q], tuple(map(cls.__getitem__, dsts[q])))
+        for q in states:
+            sig = (cls[q], tuple(map(cls.__getitem__, dsts[q])))
             nid = sigs.get(sig)
             if nid is None:
                 nid = len(sigs)
@@ -235,22 +253,22 @@ def minimize(d, deadline=None):
             new_cls[q] = nid
         if len(sigs) == n_classes:
             break
-        cls = new_cls
+        cls, new_cls = new_cls, cls
         n_classes = len(sigs)
     cls = new_cls
     # Rebuild, numbering classes in BFS order from the initial class.
     rep = {}
-    for q in range(n):
+    for q in states:
         rep.setdefault(cls[q], q)
-    order = {cls[aut.initial]: 0}
-    queue = deque([cls[aut.initial]])
+    order = {cls[d.initial]: 0}
+    queue = deque([cls[d.initial]])
     arcs = []
     finals = {}
     while queue:
         c = queue.popleft()
         cid = order[c]
         q = rep[c]
-        if q in aut.finals:
+        if q in d.finals:
             finals[cid] = 0.0
         for l, t in out[q]:
             t = cls[t]

@@ -1,8 +1,9 @@
 """Command-line front end.
 
     rwc compile RULES -o OUT.fst [--no-compact] [--algorithm new|kk]
+                [--deadline-ms D]
     rwc apply OUT.fst INPUT [--stdin] [--nbest N]
-    rwc check RULES [--max-len L] [--against OUT.fst]
+    rwc check RULES [--max-len L] [--against OUT.fst] [--deadline-ms D]
     rwc bench --family left|right [--kmax K] [--alphabet-size N]
               [--deadline-ms D] [--no-skip] OUT.csv
 
@@ -10,9 +11,11 @@
 rewriting oracle (and, for unweighted rules, against the KK baseline
 compiler) on every string up to the length bound; it exits 2 with
 counterexamples on any mismatch. It refuses (exit 1) a sweep of more than
-CHECK_BUDGET input strings. Every subcommand exits 1 with a coded error on
-bad input, including an option out of range (--max-len below 0, --nbest
-or --bound below 1). The RWC_SEED environment variable seeds the
+CHECK_BUDGET input strings. `compile` and `check` given --deadline-ms exit
+1 with E_TIMEOUT once that many milliseconds of wall time have passed.
+Every subcommand exits 1 with a coded error on bad input, including an
+option out of range (--max-len below 0, --nbest, --bound or --deadline-ms
+below 1). The RWC_SEED environment variable seeds the
 random corpora used by the test suite; the CLI subcommands themselves are
 deterministic.
 """
@@ -24,7 +27,7 @@ from . import bench as bench_mod
 from . import compiler, kk, oracle, rulespec, textio
 from . import fsm as fsm_mod
 from .errors import InputBudgetError, RwcError, at_least
-from .fsm import compose
+from .fsm import Deadline, compose
 from .boolean_ops import compact_transducer
 
 
@@ -33,22 +36,30 @@ def _load_rules(path):
         return rulespec.parse_rule_file(f.read())
 
 
+def _deadline(args):
+    """One Deadline for the whole command, or None without --deadline-ms."""
+    at_least("--deadline-ms", args.deadline_ms, 1)
+    return None if args.deadline_ms is None else Deadline(args.deadline_ms)
+
+
 def cmd_compile(args):
+    deadline = _deadline(args)
     ruleset = _load_rules(args.rules)
     alphabet = ruleset.alphabet
     compact = not args.no_compact
     if args.algorithm == "new":
-        t = compiler.compile_ruleset(ruleset, compact=compact)
+        t = compiler.compile_ruleset(ruleset, compact=compact,
+                                     deadline=deadline)
     else:
         t = compiler.identity_over_sigma(alphabet)
         for rule in ruleset.rules:
             if not rulespec.is_unweighted(rule.psi):
                 raise RwcError(
                     "the kk algorithm compiles unweighted rules only")
-            cr = kk.kk_compile_rule(rule, alphabet)
-            t = compose(t, cr.transducer)
+            cr = kk.kk_compile_rule(rule, alphabet, deadline=deadline)
+            t = compose(t, cr.transducer, deadline)
             if compact:
-                t = compact_transducer(t)
+                t = compact_transducer(t, deadline)
     textio.write_machine(args.out, t, alphabet)
     print(f"wrote {args.out}: states={t.num_states} arcs={len(t.arcs)} "
           f"weighted={'yes' if t.weighted else 'no'}")
@@ -80,11 +91,16 @@ def cmd_apply(args):
     return 0
 
 
-def _check_one_rule(idx, rule, alphabet, max_len):
+def _check_one_rule(idx, rule, alphabet, max_len, deadline=None):
     """Oracle equivalence (and KK cross-check for unweighted rules) for one
-    rule; returns a list of failure strings."""
-    cr = compiler.compile_rule(rule, alphabet)
-    rep = oracle.check_rule(rule, cr.transducer, alphabet, max_len)
+    rule; returns a list of failure strings. The compiled rule's relation
+    is swept once and serves both comparisons."""
+    cr = compiler.compile_rule(rule, alphabet, deadline=deadline)
+    orc = oracle.RewriteOracle(rule, alphabet)
+    rel = oracle._relation(cr.transducer, alphabet.sigma(), max_len,
+                           deadline=deadline)
+    rep = oracle._compare(rel, orc.rewrite_ids, alphabet, max_len,
+                          need_output=True, deadline=deadline)
     failures = [f"rule {idx}: input {u!r}: compiled {got!r} != "
                 f"oracle {exp!r}" if exp else
                 f"rule {idx}: oracle produced no output for {u!r}"
@@ -92,9 +108,11 @@ def _check_one_rule(idx, rule, alphabet, max_len):
     print(f"rule {idx}: oracle equivalence on {rep.strings_checked} "
           f"strings: {'ok' if rep.equivalent else 'FAIL'}")
     if rulespec.is_unweighted(rule.psi):
-        kkc = kk.kk_compile_rule(rule, alphabet)
-        rep = oracle.equivalent_on(cr.transducer, kkc.transducer,
-                                   alphabet, max_len)
+        kkc = kk.kk_compile_rule(rule, alphabet, deadline=deadline)
+        kk_rel = oracle._relation(kkc.transducer, alphabet.sigma(), max_len,
+                                  deadline=deadline)
+        rep = oracle._compare(rel, kk_rel.get, alphabet, max_len,
+                              deadline=deadline)
         print(f"rule {idx}: kk cross-check: "
               f"{'ok' if rep.equivalent else 'FAIL'}")
         if not rep.equivalent:
@@ -124,20 +142,27 @@ def _check_budget(n_symbols, max_len):
 
 def cmd_check(args):
     at_least("--max-len", args.max_len, 0)
+    deadline = _deadline(args)
     ruleset = _load_rules(args.rules)
     alphabet = ruleset.alphabet
     _check_budget(alphabet.n, args.max_len)
     failures = []
     for idx, rule in enumerate(ruleset.rules):
-        failures.extend(_check_one_rule(idx, rule, alphabet, args.max_len))
+        failures.extend(_check_one_rule(idx, rule, alphabet, args.max_len,
+                                        deadline))
     if args.against:
         t, alpha2 = textio.read_machine(args.against)
         if alpha2.symbols != alphabet.symbols:
             failures.append("--against machine declares a different "
                             "alphabet")
         else:
-            composed = compiler.compile_ruleset(ruleset)
-            rep = oracle.equivalent_on(composed, t, alphabet, args.max_len)
+            composed = compiler.compile_ruleset(ruleset, deadline=deadline)
+            sigma = alphabet.sigma()
+            r2 = oracle._relation(t, sigma, args.max_len, deadline=deadline)
+            r1 = oracle._relation(composed, sigma, args.max_len,
+                                  deadline=deadline)
+            rep = oracle._compare(r1, r2.get, alphabet, args.max_len,
+                                  deadline=deadline)
             print(f"ruleset vs {args.against}: "
                   f"{'ok' if rep.equivalent else 'FAIL'}")
             if not rep.equivalent:
@@ -176,6 +201,8 @@ def build_parser():
     c.add_argument("-o", "--out", required=True)
     c.add_argument("--no-compact", action="store_true")
     c.add_argument("--algorithm", choices=("new", "kk"), default="new")
+    c.add_argument("--deadline-ms", type=int, default=None,
+                   help="exit 1 with E_TIMEOUT after this much wall time")
     c.set_defaults(func=cmd_compile)
 
     a = sub.add_parser("apply", help="apply a compiled FST to input")
@@ -194,6 +221,8 @@ def build_parser():
     k.add_argument("--max-len", type=int, default=6)
     k.add_argument("--against", default=None,
                    help="also compare the composed ruleset with this FST")
+    k.add_argument("--deadline-ms", type=int, default=None,
+                   help="exit 1 with E_TIMEOUT after this much wall time")
     k.set_defaults(func=cmd_check)
 
     b = sub.add_parser("bench", help="growth benchmark, CSV output")

@@ -28,6 +28,11 @@ def _names(alphabet, ids):
     return tuple(map(alphabet.name_of, ids))
 
 
+def _named(alphabet, outputs):
+    """{output ids: weight} -> {output names: weight}."""
+    return {_names(alphabet, o): w for o, w in outputs.items()}
+
+
 # ---------------------------------------------------------------------------
 # n-best strings (best-first search with exact potentials)
 # ---------------------------------------------------------------------------
@@ -176,13 +181,12 @@ def apply(t, input_seq, alphabet, bound=1000):
     return wss, truncated
 
 
-def relation_upto(t, alphabet, max_len, bound_per_input=4096,
-                  max_out_len=None, deadline=None):
-    """The full relation of `t` on inputs over the user alphabet up to
-    max_len, as {input names: {output names: weight}}, by one batched
+def _relation(t, sigma, max_len, bound_per_input=4096, max_out_len=None,
+              deadline=None):
+    """The full relation of `t` on inputs over the symbol ids `sigma` up to
+    max_len, as {input ids: {output ids: weight}}, by one batched
     breadth-first traversal (equivalent to calling apply on every string).
     """
-    sigma = alphabet.sigma()
     if max_out_len is None:
         max_out_len = 8 * max_len + 32
     n = t.num_states
@@ -193,9 +197,13 @@ def relation_upto(t, alphabet, max_len, bound_per_input=4096,
             eps_arcs[s].append((o, w, d))
         else:
             sym_arcs[s].setdefault(i, []).append((o, w, d))
+    eps_states = {q for q in range(n) if eps_arcs[q]}
 
     def eps_close(configs):
-        work = list(configs.items())
+        # only configurations on a state with an epsilon-input arc move
+        if not eps_states:
+            return configs
+        work = [(k, w) for k, w in configs.items() if k[0] in eps_states]
         steps = 0
         while work:
             (q, out), w = work.pop()
@@ -254,11 +262,18 @@ def relation_upto(t, alphabet, max_len, bound_per_input=4096,
         layer = nxt
         for u, configs in layer.items():
             record(u, configs)
-    named = {}
-    for u, rec in results.items():
-        named[_names(alphabet, u)] = {
-            _names(alphabet, o): w for o, w in rec.items()}
-    return named
+    return results
+
+
+def relation_upto(t, alphabet, max_len, bound_per_input=4096,
+                  max_out_len=None, deadline=None):
+    """The full relation of `t` on inputs over the user alphabet up to
+    max_len, as {input names: {output names: weight}} (see `_relation`).
+    """
+    rel = _relation(t, alphabet.sigma(), max_len, bound_per_input,
+                    max_out_len, deadline)
+    return {_names(alphabet, u): _named(alphabet, rec)
+            for u, rec in rel.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -396,35 +411,50 @@ class EquivalenceReport:
         return "\n".join(lines)
 
 
-def _all_inputs(alphabet, max_len):
+def _strings(symbols, max_len):
+    """Every string over `symbols` up to max_len, shortest first, each
+    length in the order of `symbols`."""
     todo = [()]
     for _ in range(max_len + 1):
         nxt = []
         for u in todo:
             yield u
             if len(u) < max_len:
-                nxt.extend(u + (a,) for a in alphabet.symbols)
+                nxt.extend(u + (a,) for a in symbols)
         todo = nxt
         if not todo:
             break
 
 
+def _all_inputs(alphabet, max_len):
+    """Every input over the user alphabet up to max_len, as name tuples."""
+    return _strings(alphabet.symbols, max_len)
+
+
+# the sweep checks its deadline once per this many inputs
+_DEADLINE_EVERY = 4096
+
+
 def _compare(rel, expected, alphabet, max_len, need_output=False,
-             tol=1e-9, max_report=10):
-    """Compare a relation of `relation_upto` with `expected`, a function
-    from an input to its {output: weight}, on every input over the user
-    alphabet up to max_len. With need_output, an input with no expected
-    output is a counterexample too."""
+             tol=1e-9, max_report=10, deadline=None):
+    """Compare a relation of `_relation` with `expected`, a function from
+    input ids to {output ids: weight} (or to None: no output), on every
+    input over the user alphabet up to max_len. With need_output, an input
+    with no expected output is a counterexample too. Counterexamples are
+    reported in names."""
     counterexamples = []
     checked = 0
-    for u in _all_inputs(alphabet, max_len):
+    for u in _strings(alphabet.sigma(), max_len):
         checked += 1
+        if deadline is not None and checked % _DEADLINE_EVERY == 0:
+            deadline.check()
         o1 = rel.get(u, {})
-        o2 = expected(u)
-        ok = set(o1) == set(o2) and all(
+        o2 = expected(u) or {}
+        ok = o1.keys() == o2.keys() and all(
             abs(w - o2[k]) <= tol for k, w in o1.items())
         if not ok or (need_output and not o2):
-            counterexamples.append((u, o1, o2))
+            counterexamples.append((_names(alphabet, u), _named(alphabet, o1),
+                                    _named(alphabet, o2)))
             if len(counterexamples) >= max_report:
                 break
     return EquivalenceReport(not counterexamples, counterexamples, checked)
@@ -433,10 +463,10 @@ def _compare(rel, expected, alphabet, max_len, need_output=False,
 def equivalent_on(t1, t2, alphabet, max_len, tol=1e-9, max_report=10):
     """Compare two transducers as weighted relations on every input over
     the user alphabet up to max_len."""
-    r2 = relation_upto(t2, alphabet, max_len)
-    return _compare(relation_upto(t1, alphabet, max_len),
-                    lambda u: r2.get(u, {}), alphabet, max_len, tol=tol,
-                    max_report=max_report)
+    sigma = alphabet.sigma()
+    r2 = _relation(t2, sigma, max_len)
+    return _compare(_relation(t1, sigma, max_len), r2.get, alphabet,
+                    max_len, tol=tol, max_report=max_report)
 
 
 def check_rule(rule, t, alphabet, max_len):
@@ -445,10 +475,5 @@ def check_rule(rule, t, alphabet, max_len):
     Counterexamples are (input, t's outputs, the oracle's outputs); an
     input the oracle maps to nothing is one too."""
     orc = RewriteOracle(rule, alphabet)
-
-    def expected(u):
-        return {_names(alphabet, o): w
-                for o, w in orc.rewrite_ids(alphabet.ids_of(u)).items()}
-
-    return _compare(relation_upto(t, alphabet, max_len), expected, alphabet,
-                    max_len, need_output=True)
+    return _compare(_relation(t, alphabet.sigma(), max_len),
+                    orc.rewrite_ids, alphabet, max_len, need_output=True)

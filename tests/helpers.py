@@ -391,3 +391,118 @@ def canonical(t):
 def weights_close(d1, d2, tol=1e-9):
     return set(d1) == set(d2) and all(
         math.isclose(d1[k], d2[k], abs_tol=tol) for k in d1)
+
+
+# ---------------------------------------------------------------------------
+# Reference sweep: the name-level relation and comparison that the id-level
+# sweep in rwc.oracle replaced, kept as they were
+# ---------------------------------------------------------------------------
+
+def reference_relation_upto(t, alphabet, max_len, bound_per_input=4096,
+                            max_out_len=None):
+    """{input names: {output names: weight}} of t on every input over the
+    user alphabet up to max_len, by the breadth-first traversal that
+    converts every input and output to names."""
+    from rwc.errors import DivergentError
+    from rwc.oracle import _names
+    sigma = alphabet.sigma()
+    if max_out_len is None:
+        max_out_len = 8 * max_len + 32
+    n = t.num_states
+    eps_arcs = [[] for _ in range(n)]
+    sym_arcs = [dict() for _ in range(n)]
+    for s, i, o, w, d in t.arcs:
+        if i == EPS:
+            eps_arcs[s].append((o, w, d))
+        else:
+            sym_arcs[s].setdefault(i, []).append((o, w, d))
+
+    def eps_close(configs):
+        work = list(configs.items())
+        steps = 0
+        while work:
+            (q, out), w = work.pop()
+            if w > configs.get((q, out), INF):
+                continue
+            for o, aw, r in eps_arcs[q]:
+                no = out + (o,) if o != EPS else out
+                if len(no) > max_out_len:
+                    raise DivergentError("output grew past the bound")
+                nw = w + aw
+                key = (r, no)
+                if nw < configs.get(key, INF):
+                    configs[key] = nw
+                    work.append((key, nw))
+                    steps += 1
+                    if steps > 2_000_000:
+                        raise DivergentError("epsilon closure diverged")
+        return configs
+
+    results = {}
+
+    def record(u, configs):
+        rec = {}
+        for (q, out), w in configs.items():
+            if q in t.finals:
+                tw = w + t.finals[q]
+                if tw < rec.get(out, INF):
+                    rec[out] = tw
+        if len(rec) > bound_per_input:
+            raise DivergentError("more outputs than the enumeration bound")
+        if rec:
+            results[u] = rec
+
+    layer = {(): eps_close({(t.initial, ()): 0.0})}
+    record((), layer[()])
+    for _ in range(max_len):
+        nxt = {}
+        for u, configs in layer.items():
+            for a in sigma:
+                moved = {}
+                for (q, out), w in configs.items():
+                    for o, aw, r in sym_arcs[q].get(a, ()):
+                        no = out + (o,) if o != EPS else out
+                        if len(no) > max_out_len:
+                            raise DivergentError("output grew past bound")
+                        nw = w + aw
+                        key = (r, no)
+                        if nw < moved.get(key, INF):
+                            moved[key] = nw
+                if moved:
+                    nxt[u + (a,)] = eps_close(moved)
+        layer = nxt
+        for u, configs in layer.items():
+            record(u, configs)
+    named = {}
+    for u, rec in results.items():
+        named[_names(alphabet, u)] = {
+            _names(alphabet, o): w for o, w in rec.items()}
+    return named
+
+
+def reference_compare(rel, expected, alphabet, max_len, need_output=False,
+                      tol=1e-9, max_report=10):
+    """Compare a relation of `reference_relation_upto` with `expected`, a
+    function from input names to {output names: weight}; returns
+    (equivalent, counterexamples, strings checked)."""
+    counterexamples = []
+    checked = 0
+    for u in all_strings(alphabet.symbols, max_len):
+        checked += 1
+        o1 = rel.get(u, {})
+        o2 = expected(u)
+        ok = set(o1) == set(o2) and all(
+            abs(w - o2[k]) <= tol for k, w in o1.items())
+        if not ok or (need_output and not o2):
+            counterexamples.append((u, o1, o2))
+            if len(counterexamples) >= max_report:
+                break
+    return not counterexamples, counterexamples, checked
+
+
+def reference_equivalent_on(t1, t2, alphabet, max_len, tol=1e-9,
+                            max_report=10):
+    r2 = reference_relation_upto(t2, alphabet, max_len)
+    return reference_compare(reference_relation_upto(t1, alphabet, max_len),
+                             lambda u: r2.get(u, {}), alphabet, max_len,
+                             tol=tol, max_report=max_report)

@@ -4,9 +4,12 @@ import math
 import pathlib
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rwc import cli
 from rwc import compiler as C
+from rwc import oracle
 from rwc import rulespec as R
 from rwc import textio
 from rwc.bench import CSV_HEADER, run_bench
@@ -277,6 +280,9 @@ def test_check_budget_admits_nasal_demo_default(monkeypatch):
     ["bench", "{fst}.csv", "--family", "right", "--deadline-ms", "-5"],
     ["bench", "{fst}.csv", "--family", "right", "--deadline-ms", "0"],
     ["bench", "{fst}.csv", "--family", "left", "--skip-after", "-1"],
+    ["check", str(DEMOS / "nasal.rules"), "--deadline-ms", "0"],
+    ["compile", str(DEMOS / "nasal.rules"), "-o", "{fst}.out",
+     "--deadline-ms", "-3"],
 ])
 def test_option_out_of_range_exits_1(argv, rule9_file, tmp_path, capsys):
     fst = tmp_path / "rule9.fst"
@@ -291,7 +297,7 @@ def test_check_reports_oracle_mismatch(tmp_path, capsys, monkeypatch):
     rules = tmp_path / "small.rules"
     rules.write_text(SMALL)
 
-    def identity_compile(rule, alphabet):
+    def identity_compile(rule, alphabet, deadline=None):
         return C.CompiledRule(C.identity_over_sigma(alphabet), None)
 
     monkeypatch.setattr(cli.compiler, "compile_rule", identity_compile)
@@ -300,3 +306,153 @@ def test_check_reports_oracle_mismatch(tmp_path, capsys, monkeypatch):
     assert "rule 0: oracle equivalence on 85 strings: FAIL" in out
     assert ("rule 0: input ('c', 'a', 'd'): compiled "
             "{('c', 'a', 'd'): 0.0} != oracle {('c', 'b', 'd'): 0.0}") in err
+
+
+THREE_RULES = ("alphabet: a b c ;\n"
+               "a -> b / c _ ;\n"
+               "b -> <0.5> c + a ;\n"
+               "c -> a / _ b ;\n")
+
+
+def test_check_sweeps_each_relation_once(tmp_path, capsys, monkeypatch):
+    # 3 compiled rules, 2 KK machines and the two machines of --against:
+    # 7 sweeps, where sweeping the compiled rule for the oracle and again
+    # for the KK cross-check took 9
+    rules = tmp_path / "three.rules"
+    rules.write_text(THREE_RULES)
+    fst = tmp_path / "three.fst"
+    assert main(["compile", str(rules), "-o", str(fst)]) == 0
+    calls = []
+    sweep = oracle._relation
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_relation", counted)
+    assert main(["check", str(rules), "--max-len", "3",
+                 "--against", str(fst)]) == 0
+    assert len(calls) == 7
+    out = capsys.readouterr().out
+    assert out.count("kk cross-check: ok") == 2
+    assert "ruleset vs" in out and "all checks passed" in out
+
+
+def test_check_divergent_sweep_exits_1(tmp_path, capsys):
+    # an epsilon-input loop that writes a symbol: the sweep of the
+    # --against machine outgrows its output bound
+    alphabet = R.parse_rule_file((DEMOS / "nasal.rules").read_text()).alphabet
+    fst = tmp_path / "loop.fst"
+    textio.write_machine(fst, Transducer(1, 0, {0: 0.0},
+                                         [(0, EPS, 1, 0.0, 0)]), alphabet)
+    with time_limit(20):
+        assert main(["check", str(DEMOS / "nasal.rules"), "--max-len", "2",
+                     "--against", str(fst)]) == 1
+    assert "E_DIVERGENT" in capsys.readouterr().err
+
+
+def test_check_past_deadline_exits_1(capsys):
+    # 55,987 inputs up to --max-len 6 take far longer than 1 ms
+    with time_limit(60):
+        assert main(["check", str(DEMOS / "nasal.rules"), "--max-len", "6",
+                     "--deadline-ms", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert "E_TIMEOUT" in err and "all checks passed" not in out
+
+
+@pytest.mark.parametrize("algorithm", ["new", "kk"])
+def test_compile_past_deadline_exits_1(algorithm, tmp_path, capsys):
+    # a right context of 8 symbols over 194 labels compiles in well over
+    # 1 ms with either algorithm
+    names = " ".join(f"s{i:03d}" for i in range(194))
+    rules = tmp_path / "wide.rules"
+    rules.write_text(f"alphabet: {names} ;\n"
+                     f"s000 -> s001 / _ {' '.join(['s002'] * 8)} ;\n")
+    out = tmp_path / "wide.fst"
+    with time_limit(120):
+        assert main(["compile", str(rules), "-o", str(out), "--algorithm",
+                     algorithm, "--deadline-ms", "1"]) == 1
+    assert "E_TIMEOUT" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_deadline_leaves_results_unchanged(tmp_path, capsys):
+    out = tmp_path / "n.fst"
+    rules = str(DEMOS / "nasal.rules")
+    assert main(["compile", rules, "-o", str(out),
+                 "--deadline-ms", "600000"]) == 0
+    capsys.readouterr()
+    assert main(["check", rules, "--max-len", "3", "--against", str(out),
+                 "--deadline-ms", "600000"]) == 0
+    with_deadline = capsys.readouterr()
+    assert main(["check", rules, "--max-len", "3", "--against",
+                 str(out)]) == 0
+    assert capsys.readouterr() == with_deadline
+
+
+def _run_coded(argv, capsys):
+    """main(argv), which may fail only with a coded error (exit 1)."""
+    with time_limit(20):
+        code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert code != 1 or err.startswith("error: E_"), err
+
+
+FST_TOKENS = ["0", "1", "2", "5", "7", "9", "12", "-1", "0.5", "-0.5",
+              "nan", "inf", "1e400", "x", "<eps>", "b", "N", "arc", "final",
+              "states", "sym", "init", "WFST", "transducer", "acceptor"]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(st.sampled_from(["del", "dup", "swap", "token"]),
+                          st.integers(0, 40), st.integers(0, 5),
+                          st.sampled_from(FST_TOKENS)),
+                min_size=1, max_size=4))
+def test_mutated_fst_fails_only_with_coded_errors(tmp_path, capsys, edits):
+    rules = DEMOS / "nasal.rules"
+    ruleset = R.parse_rule_file(rules.read_text())
+    lines = textio.format_machine(C.compile_ruleset(ruleset),
+                                  ruleset.alphabet).splitlines()
+    for op, i, j, token in edits:
+        i %= len(lines)
+        if op == "del":
+            del lines[i]
+        elif op == "dup":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            lines[i], lines[j % len(lines)] = lines[j % len(lines)], lines[i]
+        else:
+            parts = lines[i].split() or [""]
+            parts[j % len(parts)] = token
+            lines[i] = " ".join(parts)
+    fst = tmp_path / "mutated.fst"
+    fst.write_text("\n".join(lines) + "\n")
+    _run_coded(["apply", str(fst), "Nb", "--bound", "20"], capsys)
+    _run_coded(["check", str(rules), "--max-len", "2", "--against", str(fst)],
+               capsys)
+
+
+RULE_TOKENS = ["a", "b", "c", "z", "0", "(", ")", "[", "[^", "]", "*", "+",
+               "?", "<1.5>", "<-1>", "<nan>", "<", ">", "->", "/", "_", ";",
+               "#", ":", "alphabet"]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(st.sampled_from(RULE_TOKENS), st.booleans()),
+                max_size=14),
+       st.lists(st.sampled_from(["a", "b", "c", "(a b)*", "[a c]", "0",
+                                 "a+", "<0.5> b + c", "b?"]),
+                min_size=4, max_size=4))
+def test_random_rule_bodies_fail_only_with_coded_errors(tmp_path, capsys,
+                                                        body, parts):
+    # a token soup, and a well-formed rule from random parts
+    soup = "".join(tok + (" " if space else "") for tok, space in body)
+    phi, psi, lam, rho = parts
+    rules = tmp_path / "random.rules"
+    out = tmp_path / "random.fst"
+    for text in (soup, f"{phi} -> {psi} / {lam} _ {rho} ;"):
+        rules.write_text("alphabet: a b c ;\n" + text + "\n")
+        _run_coded(["compile", str(rules), "-o", str(out)], capsys)

@@ -14,7 +14,9 @@ from rwc.fsm import EPS, Alphabet, Automaton, Transducer, aut_sigma_star, \
     id_transducer, remove_epsilon
 from rwc.rulespec import Cls, Eps, Rule, Sym, parse_rule_file
 
-from .helpers import reference_apply, rng_for, time_limit, weights_close
+from .helpers import (reference_apply, reference_compare,
+                      reference_equivalent_on, reference_relation_upto,
+                      rng_for, rule_corpus, time_limit, weights_close)
 
 ABC = Alphabet(["a", "b", "c"])
 AB = Alphabet(["a", "b"])
@@ -262,3 +264,73 @@ def test_check_rule_counts_empty_oracle_output():
     rep = O.check_rule(rule, t, alphabet, 1)
     assert rep.counterexamples == [(("a",), {}, {})]
     assert rep.strings_checked == 3
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type of the coded error it raises."""
+    try:
+        return fn(*args)
+    except DivergentError as e:
+        return type(e)
+
+
+def corrupt(t, how, k):
+    """A copy of t with its k-th arc (modulo the arc count) reweighted or
+    dropped, or its k-th final state (modulo) dropped."""
+    arcs = list(t.arcs)
+    finals = dict(t.finals)
+    if how == "final" and len(finals) > 1:
+        finals.pop(sorted(finals)[k % len(finals)])
+    elif arcs:
+        s, i, o, w, d = arcs[k % len(arcs)]
+        if how == "weight":
+            arcs[k % len(arcs)] = (s, i, o, w + 0.5, d)
+        else:
+            del arcs[k % len(arcs)]
+    return Transducer(t.num_states, t.initial, finals, arcs, weighted=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cyclic_transducers(), st.sampled_from(("weight", "drop", "final")),
+       st.integers(0, 20), st.integers(0, 3), st.integers(1, 10))
+def test_equivalent_on_matches_named_reference(t, how, k, max_len,
+                                               max_report):
+    # the id-level sweep reports what the name-level one did: verdict,
+    # strings checked and counterexamples, in names and in order
+    for t2 in (t, corrupt(t, how, k)):
+        with time_limit(20):
+            got = _outcome(O.equivalent_on, t, t2, AB, max_len, 1e-9,
+                           max_report)
+            want = _outcome(reference_equivalent_on, t, t2, AB, max_len,
+                            1e-9, max_report)
+        if want is DivergentError:
+            assert got is DivergentError
+        else:
+            assert (got.equivalent, got.counterexamples,
+                    got.strings_checked) == want
+
+
+def test_relation_upto_matches_named_reference():
+    for alphabet, rule in rule_corpus("sweep-reference", 12, {2: 6, 3: 6}):
+        t = C.compile_rule(rule, alphabet).transducer
+        assert O.relation_upto(t, alphabet, 4) == \
+            reference_relation_upto(t, alphabet, 4)
+
+
+def test_check_rule_matches_named_reference():
+    # against the right machine and the identity, which fails on every
+    # rule that rewrites some input
+    for alphabet, rule in rule_corpus("check-reference", 12, {2: 6, 3: 6}):
+        orc = O.RewriteOracle(rule, alphabet)
+
+        def expected(u):
+            return {O._names(alphabet, o): w for o, w in
+                    orc.rewrite_ids(alphabet.ids_of(u)).items()}
+
+        for t in (C.compile_rule(rule, alphabet).transducer,
+                  C.identity_over_sigma(alphabet)):
+            rep = O.check_rule(rule, t, alphabet, 3)
+            want = reference_compare(reference_relation_upto(t, alphabet, 3),
+                                     expected, alphabet, 3, need_output=True)
+            assert (rep.equivalent, rep.counterexamples,
+                    rep.strings_checked) == want
