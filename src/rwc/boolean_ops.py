@@ -3,10 +3,11 @@ determinization, completion, complementation, intersection, subtraction,
 DFA minimization, and label-encoded transducer compaction.
 
 Epsilon closures come from the core machinery: determinization takes its
-subsets from ``fsm._eps_closures``. Compaction hands a zero-weight arc that
-is epsilon on both tapes to determinization as an acceptor epsilon, and
-runs ``fsm.remove_epsilon`` first only when such an arc or a final state
-carries a weight.
+subsets from ``fsm._eps_closures``, and intersection trims its product
+with ``fsm._product``, the backward pass it shares with composition.
+Compaction hands a zero-weight arc that is epsilon on both tapes to
+determinization as an acceptor epsilon, and runs ``fsm.remove_epsilon``
+first only when such an arc or a final state carries a weight.
 
 The working alphabet for completion and complementation is always an
 explicit parameter (a sequence of label ids), never inferred from the
@@ -22,6 +23,7 @@ the functions that need the property (``is_complete``, ``complete`` and
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 
 from . import fsm
 from .errors import NotDeterministicError
@@ -69,22 +71,55 @@ def _dfa_out(aut):
 
 def determinize(a, counter=None, deadline=None):
     """Subset construction. Language preserved, result deterministic and
-    accessible; no minimization. States come out in BFS discovery order and
-    arcs are emitted in sorted label order, so sizes are reproducible."""
+    accessible; no minimization.
+
+    Id order: the subsets are numbered in BFS discovery order, and each
+    subset's arcs are emitted in ascending label order, a new target
+    subset taking the next id at the least label that reaches it. So the
+    numbering depends only on the input machine, never on set iteration
+    order.
+
+    The work is done per label class, not per label: labels with the same
+    set of (source, target) pairs send every subset to the same target
+    subset, so each subset computes one target per class. The classes are
+    visited in order of their least label, which assigns the ids above;
+    only the emitted arcs are per label. A Σ*-loop state over many labels
+    costs a few classes, not one set per label."""
     if a.weighted:
         raise ValueError("determinize expects an unweighted acceptor")
     if counter is not None:
         counter.determinizations += 1
     finals_in = set(a.finals)
     eps_from = [[] for _ in range(a.num_states)]
-    sym_from = [[] for _ in range(a.num_states)]
+    pairs = {}
     for s, l, w, d in a.arcs:
         if l == EPS:
             eps_from[s].append((w, d))
         else:
-            sym_from[s].append((l, d))
+            pairs.setdefault(l, set()).add((s, d))
     closures = [frozenset(c) for c in fsm._eps_closures(a.num_states,
                                                         eps_from)]
+    # class ids follow the least label of each class
+    class_of = {}
+    labels_of = []
+    for l in sorted(pairs):
+        key = frozenset(pairs[l])
+        c = class_of.get(key)
+        if c is None:
+            c = class_of[key] = len(labels_of)
+            labels_of.append([])
+        labels_of[c].append(l)
+    # each state's classes, with the union of its targets' closures
+    class_from = [[] for _ in range(a.num_states)]
+    for key, c in class_of.items():
+        dsts = {}
+        for s, d in key:
+            dsts.setdefault(s, []).append(closures[d])
+        for s, cl in dsts.items():
+            class_from[s].append((c, frozenset().union(*cl)))
+    # per tuple of classes leaving a subset: its labels in ascending order,
+    # and the position in the tuple of each label's class
+    merged = {}
 
     start = closures[a.initial]
     ids = {start: 0}
@@ -100,22 +135,34 @@ def determinize(a, counter=None, deadline=None):
             deadline.check()
         if not finals_in.isdisjoint(cur):
             finals[cur_id] = 0.0
-        targets = {}
+        parts = {}
         for q in cur:
-            for l, d in sym_from[q]:
-                tset = targets.get(l)
-                if tset is None:
-                    targets[l] = set(closures[d])
+            for c, u in class_from[q]:
+                p = parts.get(c)
+                if p is None:
+                    parts[c] = [u]
                 else:
-                    tset.update(closures[d])
-        for l in sorted(targets):
-            tfro = frozenset(targets[l])
+                    p.append(u)
+        if not parts:
+            continue
+        classes = tuple(sorted(parts))
+        tids = []
+        for c in classes:
+            p = parts[c]
+            tfro = p[0] if len(p) == 1 else frozenset().union(*p)
             nid = ids.get(tfro)
             if nid is None:
                 nid = len(order)
                 ids[tfro] = nid
                 order.append(tfro)
-            arcs.append((cur_id, l, 0.0, nid))
+            tids.append(nid)
+        lp = merged.get(classes)
+        if lp is None:
+            lp = merged[classes] = tuple(zip(*sorted(
+                (l, i) for i, c in enumerate(classes) for l in labels_of[c])))
+        labels, pos = lp
+        arcs.extend(zip(repeat(cur_id), labels, repeat(0.0),
+                        map(tids.__getitem__, pos)))
     return Automaton(len(order), 0, finals, arcs)
 
 
@@ -150,7 +197,8 @@ def complement(d, labels, counter=None):
 
 
 def intersect(a, b, counter=None, deadline=None):
-    """Product construction; L = L(a) ∩ L(b). Inputs unweighted."""
+    """Product construction; L = L(a) ∩ L(b). Inputs unweighted. States
+    are numbered in BFS discovery order and the result is trim."""
     if a.weighted or b.weighted:
         raise ValueError("intersect expects unweighted acceptors")
     if counter is not None:
@@ -168,30 +216,36 @@ def intersect(a, b, counter=None, deadline=None):
             b_idx[q] = d
         return d
 
-    ids = {(a.initial, b.initial): 0}
-    queue = deque([(a.initial, b.initial)])
+    # a state (p, q) is keyed by p * nb + q, and numbered by its position
+    # in `keys`, the FIFO of discovered states; ends[p] is the number of
+    # arcs built once state p is done
+    nb = b.num_states
+    start = a.initial * nb + b.initial
+    ids = {start: 0}
+    keys = [start]
     arcs = []
+    ends = []
     finals = {}
-    n = 0
-    while queue:
-        p, q = pq = queue.popleft()
-        cur = ids[pq]
-        n += 1
-        if deadline is not None and n % 256 == 0:
+    head = 0
+    while head < len(keys):
+        p, q = divmod(keys[head], nb)
+        cur = head
+        head += 1
+        if deadline is not None and head % 256 == 0:
             deadline.check()
         if p in a.finals and q in b.finals:
             finals[cur] = 0.0
         idx = bi(q)
         for _, l, _, p2 in a.out_arcs(p):
             for q2 in idx.get(l, ()):
-                key = (p2, q2)
+                key = p2 * nb + q2
                 nid = ids.get(key)
                 if nid is None:
-                    nid = len(ids)
-                    ids[key] = nid
-                    queue.append(key)
+                    nid = ids[key] = len(keys)
+                    keys.append(key)
                 arcs.append((cur, l, 0.0, nid))
-    return fsm.trim(Automaton(len(ids), 0, finals, arcs))
+        ends.append(len(arcs))
+    return fsm._product(Automaton, finals, arcs, ends, False)
 
 
 def subtract(a, b, labels, counter=None, deadline=None):

@@ -5,7 +5,10 @@ removal, trimming, weighted composition).
 
 Acceptors and transducers share one validating base class; reversal,
 epsilon removal and trimming take either kind. ``_eps_closures`` is the
-one epsilon-closure routine; determinization reuses it.
+one epsilon-closure routine; determinization reuses it. ``_coaccessible``
+is the one backward (co-accessibility) pass: ``trim`` runs it after its
+forward pass, and composition and intersection, whose states are all
+accessible by construction, run only it (through ``_product``).
 
 Weights live in the tropical semiring (min, +) over finite non-negative
 64-bit floats; ``math.inf`` plays the role of the absorbing "no path"
@@ -147,6 +150,8 @@ class Alphabet:
 
 
 _weight = itemgetter(-2)
+_ends = itemgetter(0, -1)
+_dst = itemgetter(-1)
 
 
 class _Machine:
@@ -229,7 +234,7 @@ class Transducer(_Machine):
 
     def in_index(self, state):
         """Outgoing arcs of `state` grouped by input label, as
-        ilabel -> [(olabel, weight, dst), ...]."""
+        ilabel -> [arc, ...] in arc order."""
         try:
             d = self._in_idx[state]
         except AttributeError:
@@ -237,8 +242,12 @@ class Transducer(_Machine):
             d = None
         if d is None:
             d = {}
-            for _, ilab, olab, w, dst in self.out_arcs(state):
-                d.setdefault(ilab, []).append((olab, w, dst))
+            for a in self.out_arcs(state):
+                e = d.get(a[1])
+                if e is None:
+                    d[a[1]] = [a]
+                else:
+                    e.append(a)
             self._in_idx[state] = d
         return d
 
@@ -516,47 +525,89 @@ def remove_epsilon(m):
                    weighted=m.weighted)
 
 
+def _coaccessible(finals, into):
+    """Marks (a bytearray) of the states from which some state of
+    `finals` is reachable, given each state's predecessors `into`: one
+    backward pass."""
+    coreach = bytearray(len(into))
+    stack = list(finals)
+    for q in stack:
+        coreach[q] = 1
+    while stack:
+        for r in into[stack.pop()]:
+            if not coreach[r]:
+                coreach[r] = 1
+                stack.append(r)
+    return coreach
+
+
+def _restrict(cls, n, initial, finals, arcs, weighted, live):
+    """The machine of class `cls` on the states q with live[q], renumbered
+    in order; the 1-state empty machine when none is live. The initial
+    state must be live whenever any state is."""
+    keep = [q for q in range(n) if live[q]]
+    if len(keep) == n:
+        return cls(n, initial, finals, arcs, weighted=weighted)
+    if not keep:
+        return cls(1, 0, {}, (), weighted=weighted)
+    remap = {q: i for i, q in enumerate(keep)}
+    # unpacking, not slicing: this runs over every arc of a product
+    if cls.tapes == 1:
+        arcs = [(remap[s], l, w, remap[d]) for s, l, w, d in arcs
+                if s in remap and d in remap]
+    else:
+        arcs = [(remap[s], i, o, w, remap[d]) for s, i, o, w, d in arcs
+                if s in remap and d in remap]
+    finals = {remap[q]: w for q, w in finals.items() if q in remap}
+    return cls(len(keep), remap[initial], finals, arcs, weighted=weighted)
+
+
+def _product(cls, finals, arcs, ends, weighted):
+    """The trimmed result of a product (``compose``, and
+    ``boolean_ops.intersect``). Its states are numbered from initial state
+    0 in discovery order, so all are accessible, and state q's arcs are
+    ``arcs[ends[q - 1]:ends[q]]`` (from 0 for q = 0). Only the states that
+    reach no final are dropped, by one backward pass; the untrimmed
+    machine is never built."""
+    into = [[] for _ in ends]
+    lo = 0
+    for q, hi in enumerate(ends):
+        # the distinct targets: the parallel arcs of a Σ*-loop are one
+        for d in set(map(_dst, arcs[lo:hi])):
+            into[d].append(q)
+        lo = hi
+    return _restrict(cls, len(ends), 0, finals, arcs, weighted,
+                     _coaccessible(finals, into))
+
+
 def trim(m):
     """Keep only states that are both accessible and co-accessible. An
-    empty-relation machine trims to a single non-final initial state."""
+    empty-relation machine trims to a single non-final initial state;
+    a machine with nothing to drop is returned as it is."""
     n = m.num_states
     fwd = [[] for _ in range(n)]
-    bwd = [[] for _ in range(n)]
-    for a in m.arcs:
-        fwd[a[0]].append(a[-1])
-        bwd[a[-1]].append(a[0])
+    into = [[] for _ in range(n)]
+    # the distinct (source, target) pairs: the parallel arcs of a Σ*-loop
+    # are one
+    for s, d in set(map(_ends, m.arcs)):
+        fwd[s].append(d)
+        into[d].append(s)
     reach = bytearray(n)
     stack = [m.initial]
     reach[m.initial] = 1
     while stack:
-        q = stack.pop()
-        for r in fwd[q]:
+        for r in fwd[stack.pop()]:
             if not reach[r]:
                 reach[r] = 1
                 stack.append(r)
-    coreach = bytearray(n)
-    stack = [q for q in m.finals if reach[q]]
-    for q in stack:
-        coreach[q] = 1
-    while stack:
-        q = stack.pop()
-        for r in bwd[q]:
-            if not coreach[r]:
-                coreach[r] = 1
-                stack.append(r)
-    keep = [q for q in range(n) if reach[q] and coreach[q]]
-    if len(keep) == n:
+    coreach = _coaccessible([q for q in m.finals if reach[q]], into)
+    # a kept state reaches a final, so the initial state, which reaches
+    # every kept state, is kept whenever any is
+    live = [r and c for r, c in zip(reach, coreach)]
+    if all(live):
         return m
-    if not keep:
-        return type(m)(1, 0, {}, (), weighted=m.weighted)
-    # keep is non-empty, so some final is reachable and the initial state is
-    # co-accessible; it is always in keep.
-    remap = {q: i for i, q in enumerate(keep)}
-    arcs = [(remap[a[0]], *a[1:-1], remap[a[-1]]) for a in m.arcs
-            if a[0] in remap and a[-1] in remap]
-    finals = {remap[q]: w for q, w in m.finals.items() if q in remap}
-    return type(m)(len(keep), remap[m.initial], finals, arcs,
-                   weighted=m.weighted)
+    return _restrict(type(m), n, m.initial, m.finals, m.arcs, m.weighted,
+                     live)
 
 
 def ignore_labels(a, labels, allow_leading=True):
@@ -594,44 +645,65 @@ def compose(t1, t2, deadline=None):
     Filter states: 0 = free, 1 = only t1 may keep moving on its output
     epsilon, 2 = only t2 may keep moving on its input epsilon. A matched
     real symbol resets to 0; a paired epsilon move is allowed only from 0.
+    States are numbered in BFS discovery order and the result is trim.
     """
-    state_ids = {}
-    queue = deque()
-
-    def sid(key):
-        if key not in state_ids:
-            state_ids[key] = len(state_ids)
-            queue.append(key)
-        return state_ids[key]
-
-    sid((t1.initial, t2.initial, 0))
+    # a state (q1, q2, filter) is keyed by (q1 * n2 + q2) * 3 + filter, and
+    # numbered by its position in `keys`, the FIFO of discovered states;
+    # ends[q] is the number of arcs built once state q is done
+    n2 = t2.num_states
+    f1 = t1.finals
+    f2 = t2.finals
+    start = (t1.initial * n2 + t2.initial) * 3
+    ids = {start: 0}
+    keys = [start]
     arcs = []
+    ends = []
     finals = {}
-    n_popped = 0
-    while queue:
-        key = queue.popleft()
-        q1, q2, flt = key
-        cur = state_ids[key]
-        n_popped += 1
-        if deadline is not None and n_popped % 256 == 0:
+    head = 0
+    while head < len(keys):
+        q, flt = divmod(keys[head], 3)
+        q1, q2 = divmod(q, n2)
+        cur = head
+        head += 1
+        if deadline is not None and head % 256 == 0:
             deadline.check()
-        if q1 in t1.finals and q2 in t2.finals:
-            finals[cur] = t1.finals[q1] + t2.finals[q2]
+        if q1 in f1 and q2 in f2:
+            finals[cur] = f1[q1] + f2[q2]
         idx2 = t2.in_index(q2)
         eps2 = idx2.get(EPS, ())
         for _, a, b, w1, p1 in t1.out_arcs(q1):
             if b != EPS:
-                for c, w2, p2 in idx2.get(b, ()):
-                    arcs.append((cur, a, c, w1 + w2, sid((p1, p2, 0))))
+                for _, _, c, w2, p2 in idx2.get(b, ()):
+                    k = (p1 * n2 + p2) * 3
+                    nid = ids.get(k)
+                    if nid is None:
+                        nid = ids[k] = len(keys)
+                        keys.append(k)
+                    arcs.append((cur, a, c, w1 + w2, nid))
             else:
                 if flt != 2:
-                    arcs.append((cur, a, EPS, w1, sid((p1, q2, 1))))
+                    k = (p1 * n2 + q2) * 3 + 1
+                    nid = ids.get(k)
+                    if nid is None:
+                        nid = ids[k] = len(keys)
+                        keys.append(k)
+                    arcs.append((cur, a, EPS, w1, nid))
                 if flt == 0:
-                    for c, w2, p2 in eps2:
-                        arcs.append((cur, a, c, w1 + w2, sid((p1, p2, 0))))
+                    for _, _, c, w2, p2 in eps2:
+                        k = (p1 * n2 + p2) * 3
+                        nid = ids.get(k)
+                        if nid is None:
+                            nid = ids[k] = len(keys)
+                            keys.append(k)
+                        arcs.append((cur, a, c, w1 + w2, nid))
         if flt != 1:
-            for c, w2, p2 in eps2:
-                arcs.append((cur, EPS, c, w2, sid((q1, p2, 2))))
-    out = Transducer(len(state_ids), 0, finals, arcs,
-                     weighted=t1.weighted or t2.weighted)
-    return trim(out)
+            for _, _, c, w2, p2 in eps2:
+                k = (q1 * n2 + p2) * 3 + 2
+                nid = ids.get(k)
+                if nid is None:
+                    nid = ids[k] = len(keys)
+                    keys.append(k)
+                arcs.append((cur, EPS, c, w2, nid))
+        ends.append(len(arcs))
+    return _product(Transducer, finals, arcs, ends,
+                    t1.weighted or t2.weighted)

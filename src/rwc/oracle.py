@@ -160,13 +160,13 @@ def apply(t, input_seq, alphabet, bound=1000):
             arcs = index(q)
             out = []
             c = base + q
-            for o, w, r in arcs.get(EPS, ()):
+            for _, _, o, w, r in arcs.get(EPS, ()):
                 out.append((o, w, base + r))
                 into.setdefault(base + r, []).append((w, c))
                 if r not in seen:
                     seen.add(r)
                     layer.append(r)
-            for o, w, r in arcs.get(a, ()):
+            for _, _, o, w, r in arcs.get(a, ()):
                 out.append((o, w, nbase + r))
                 into.setdefault(nbase + r, []).append((w, c))
                 moved[r] = None

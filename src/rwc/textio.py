@@ -13,7 +13,9 @@ round trip is lossless; the reader accepts any float syntax and rejects
 weights that are not finite and non-negative. Reserved names are <eps>,
 <rb>, <lb1>, <lb2>; user symbols occupy ids 1..n. The ``states`` line
 keeps states that no other line mentions; a file without it has
-1 + the highest state mentioned.
+1 + the highest state mentioned. A machine has at most ``MAX_STATES``
+states: readers of a file allocate per-state tables, so a larger count
+is refused by the reader and by the writer alike.
 """
 
 from .errors import FormatError
@@ -21,9 +23,19 @@ from .fsm import RESERVED_NAMES, Alphabet, Automaton, Transducer
 
 _HEADER = "WFST v1"
 
+# far above the largest machine rwc builds (about 1k states)
+MAX_STATES = 1_000_000
+
+
+def _check_size(num_states):
+    if num_states > MAX_STATES:
+        raise FormatError(f"states {num_states} is more than the limit of "
+                          f"{MAX_STATES}")
+
 
 def format_machine(m, alphabet):
     """Serialize an Automaton or Transducer to the text format."""
+    _check_size(m.num_states)
     kind = "acceptor" if m.tapes == 1 else "transducer"
     wtag = "weighted" if m.weighted else "unweighted"
     lines = [f"{_HEADER} {wtag} {kind}", f"states {m.num_states}"]
@@ -118,6 +130,7 @@ def parse_machine(text):
     elif highest >= num_states:
         raise FormatError(f"state {highest} is out of range for "
                           f"states {num_states}")
+    _check_size(num_states)
     try:
         m = (Automaton if is_acceptor else Transducer)(
             num_states, initial, finals, arcs, weighted)

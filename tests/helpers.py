@@ -506,3 +506,187 @@ def reference_equivalent_on(t1, t2, alphabet, max_len, tol=1e-9,
     return reference_compare(reference_relation_upto(t1, alphabet, max_len),
                              lambda u: r2.get(u, {}), alphabet, max_len,
                              tol=tol, max_report=max_report)
+
+
+# ---------------------------------------------------------------------------
+# Reference kernels: determinization, composition, intersection and trimming
+# as they were before label classes and integer state keys, less the counter
+# and deadline; the library's versions must build byte-identical machines
+# ---------------------------------------------------------------------------
+
+def reference_determinize(a):
+    """Subset construction one label at a time."""
+    from rwc.fsm import Automaton, _eps_closures
+    finals_in = set(a.finals)
+    eps_from = [[] for _ in range(a.num_states)]
+    sym_from = [[] for _ in range(a.num_states)]
+    for s, l, w, d in a.arcs:
+        if l == EPS:
+            eps_from[s].append((w, d))
+        else:
+            sym_from[s].append((l, d))
+    closures = [frozenset(c) for c in _eps_closures(a.num_states, eps_from)]
+
+    start = closures[a.initial]
+    ids = {start: 0}
+    order = [start]
+    arcs = []
+    finals = {}
+    head = 0
+    while head < len(order):
+        cur = order[head]
+        cur_id = head
+        head += 1
+        if not finals_in.isdisjoint(cur):
+            finals[cur_id] = 0.0
+        targets = {}
+        for q in cur:
+            for l, d in sym_from[q]:
+                tset = targets.get(l)
+                if tset is None:
+                    targets[l] = set(closures[d])
+                else:
+                    tset.update(closures[d])
+        for l in sorted(targets):
+            tfro = frozenset(targets[l])
+            nid = ids.get(tfro)
+            if nid is None:
+                nid = len(order)
+                ids[tfro] = nid
+                order.append(tfro)
+            arcs.append((cur_id, l, 0.0, nid))
+    return Automaton(len(order), 0, finals, arcs)
+
+
+def reference_trim(m):
+    """Accessible and co-accessible states, by a forward and a backward
+    walk over every arc."""
+    n = m.num_states
+    fwd = [[] for _ in range(n)]
+    bwd = [[] for _ in range(n)]
+    for a in m.arcs:
+        fwd[a[0]].append(a[-1])
+        bwd[a[-1]].append(a[0])
+    reach = bytearray(n)
+    stack = [m.initial]
+    reach[m.initial] = 1
+    while stack:
+        q = stack.pop()
+        for r in fwd[q]:
+            if not reach[r]:
+                reach[r] = 1
+                stack.append(r)
+    coreach = bytearray(n)
+    stack = [q for q in m.finals if reach[q]]
+    for q in stack:
+        coreach[q] = 1
+    while stack:
+        q = stack.pop()
+        for r in bwd[q]:
+            if not coreach[r]:
+                coreach[r] = 1
+                stack.append(r)
+    keep = [q for q in range(n) if reach[q] and coreach[q]]
+    if len(keep) == n:
+        return m
+    if not keep:
+        return type(m)(1, 0, {}, (), weighted=m.weighted)
+    remap = {q: i for i, q in enumerate(keep)}
+    arcs = [(remap[a[0]], *a[1:-1], remap[a[-1]]) for a in m.arcs
+            if a[0] in remap and a[-1] in remap]
+    finals = {remap[q]: w for q, w in m.finals.items() if q in remap}
+    return type(m)(len(keep), remap[m.initial], finals, arcs,
+                   weighted=m.weighted)
+
+
+def reference_intersect(a, b):
+    """Product on tuple-keyed states, built whole, then trimmed."""
+    from rwc.fsm import Automaton, remove_epsilon
+    a = remove_epsilon(a)
+    b = remove_epsilon(b)
+    b_idx = [None] * b.num_states
+
+    def bi(q):
+        d = b_idx[q]
+        if d is None:
+            d = {}
+            for _, l, _, t in b.out_arcs(q):
+                d.setdefault(l, []).append(t)
+            b_idx[q] = d
+        return d
+
+    ids = {(a.initial, b.initial): 0}
+    queue = deque([(a.initial, b.initial)])
+    arcs = []
+    finals = {}
+    while queue:
+        p, q = pq = queue.popleft()
+        cur = ids[pq]
+        if p in a.finals and q in b.finals:
+            finals[cur] = 0.0
+        idx = bi(q)
+        for _, l, _, p2 in a.out_arcs(p):
+            for q2 in idx.get(l, ()):
+                key = (p2, q2)
+                nid = ids.get(key)
+                if nid is None:
+                    nid = len(ids)
+                    ids[key] = nid
+                    queue.append(key)
+                arcs.append((cur, l, 0.0, nid))
+    return reference_trim(Automaton(len(ids), 0, finals, arcs))
+
+
+def reference_compose(t1, t2):
+    """Filtered composition on tuple-keyed states, built whole, then
+    trimmed."""
+    from rwc.fsm import Transducer
+    state_ids = {}
+    queue = deque()
+
+    def sid(key):
+        if key not in state_ids:
+            state_ids[key] = len(state_ids)
+            queue.append(key)
+        return state_ids[key]
+
+    def in_index(q):
+        # t2's arcs out of q by input label, as (olabel, weight, dst)
+        d = {}
+        for _, ilab, olab, w, dst in t2.out_arcs(q):
+            d.setdefault(ilab, []).append((olab, w, dst))
+        return d
+
+    sid((t1.initial, t2.initial, 0))
+    arcs = []
+    finals = {}
+    while queue:
+        key = queue.popleft()
+        q1, q2, flt = key
+        cur = state_ids[key]
+        if q1 in t1.finals and q2 in t2.finals:
+            finals[cur] = t1.finals[q1] + t2.finals[q2]
+        idx2 = in_index(q2)
+        eps2 = idx2.get(EPS, ())
+        for _, a, b, w1, p1 in t1.out_arcs(q1):
+            if b != EPS:
+                for c, w2, p2 in idx2.get(b, ()):
+                    arcs.append((cur, a, c, w1 + w2, sid((p1, p2, 0))))
+            else:
+                if flt != 2:
+                    arcs.append((cur, a, EPS, w1, sid((p1, q2, 1))))
+                if flt == 0:
+                    for c, w2, p2 in eps2:
+                        arcs.append((cur, a, c, w1 + w2, sid((p1, p2, 0))))
+        if flt != 1:
+            for c, w2, p2 in eps2:
+                arcs.append((cur, EPS, c, w2, sid((q1, p2, 2))))
+    out = Transducer(len(state_ids), 0, finals, arcs,
+                     weighted=t1.weighted or t2.weighted)
+    return reference_trim(out)
+
+
+def machine_fields(m):
+    """Everything that defines a machine, arcs in order: two machines with
+    equal fields format to the same text."""
+    return (type(m), m.num_states, m.initial, m.finals, m.weighted, m.arcs)

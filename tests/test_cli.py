@@ -434,6 +434,25 @@ def test_mutated_fst_fails_only_with_coded_errors(tmp_path, capsys, edits):
                capsys)
 
 
+@pytest.mark.parametrize("command", ["apply", "check"])
+def test_huge_state_count_is_a_format_error(tmp_path, capsys, command):
+    # the reader would otherwise hand `apply` and the sweep a machine whose
+    # per-state tables fill memory
+    rules = DEMOS / "nasal.rules"
+    ruleset = R.parse_rule_file(rules.read_text())
+    lines = textio.format_machine(C.compile_ruleset(ruleset),
+                                  ruleset.alphabet).splitlines()
+    assert lines[1].startswith("states ")
+    lines[1] = "states 1000000000"
+    fst = tmp_path / "huge.fst"
+    fst.write_text("\n".join(lines) + "\n")
+    argv = (["apply", str(fst), "Nb"] if command == "apply" else
+            ["check", str(rules), "--max-len", "2", "--against", str(fst)])
+    with time_limit(20):
+        assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: E_FORMAT")
+
+
 RULE_TOKENS = ["a", "b", "c", "z", "0", "(", ")", "[", "[^", "]", "*", "+",
                "?", "<1.5>", "<-1>", "<nan>", "<", ">", "->", "/", "_", ";",
                "#", ":", "alphabet"]

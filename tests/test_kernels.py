@@ -1,0 +1,108 @@
+"""The construction kernels against their reference versions in helpers:
+determinization over label classes, and the products on integer state
+keys with one backward pass, must build the same machines, state for
+state and arc for arc."""
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from rwc import fsm
+from rwc.boolean_ops import determinize, intersect
+from rwc.fsm import EPS, Automaton, Transducer
+
+from .helpers import (machine_fields, reference_compose,
+                      reference_determinize, reference_intersect,
+                      reference_trim)
+
+LABELS = (EPS, 1, 2, 3, 4)
+
+
+@st.composite
+def nfas(draw):
+    """Unweighted acceptors with epsilon arcs, duplicate arcs, labels
+    whose rows are identical, states that are not accessible, and
+    (with no finals) the empty language. Arcs come in random order."""
+    n = draw(st.integers(1, 5))
+    state = st.integers(0, n - 1)
+    arcs = draw(st.lists(st.tuples(state, st.sampled_from(LABELS), state),
+                         max_size=12))
+    labels = sorted({l for _, l, _ in arcs} - {EPS})
+    if labels:
+        # copy one label's row to others, so classes have several labels
+        row = draw(st.sampled_from(labels))
+        for l in draw(st.lists(st.integers(1, 7), max_size=3)):
+            arcs += [(s, l, d) for s, m, d in arcs if m == row]
+        arcs += draw(st.lists(st.sampled_from(arcs), max_size=3))
+    if draw(st.booleans()):
+        # a state nothing enters, with arcs into the rest
+        arcs += [(n, l, d) for l, d in draw(st.lists(
+            st.tuples(st.sampled_from(LABELS), state), max_size=3))]
+        n += 1
+    arcs = draw(st.permutations(arcs))
+    finals = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    return Automaton(n, draw(st.integers(0, n - 1)),
+                     {q: 0.0 for q in finals},
+                     [(s, l, 0.0, d) for s, l, d in arcs])
+
+
+@st.composite
+def transducers(draw):
+    """Cyclic weighted transducers with epsilon on either tape or both,
+    final weights, and possibly no finals at all."""
+    n = draw(st.integers(1, 4))
+    state = st.integers(0, n - 1)
+    label = st.sampled_from(LABELS[:4])
+    weight = st.one_of(st.just(0.0), st.floats(0.0, 4.0))
+    arcs = draw(st.lists(st.tuples(state, label, label, weight, state),
+                         max_size=10))
+    loop = draw(st.tuples(state, label, label, weight))
+    arcs.append(loop + (loop[0],))
+    finals = draw(st.dictionaries(state, weight))
+    return Transducer(n, draw(state), finals, arcs, weighted=True)
+
+
+@settings(max_examples=400, deadline=None)
+@given(nfas())
+@example(Automaton(1, 0, {}, ()))
+def test_determinize_matches_reference(a):
+    assert machine_fields(determinize(a)) \
+        == machine_fields(reference_determinize(a))
+
+
+@settings(max_examples=300, deadline=None)
+@given(nfas(), nfas())
+def test_intersect_matches_reference(a, b):
+    assert machine_fields(intersect(a, b)) \
+        == machine_fields(reference_intersect(a, b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(transducers(), transducers())
+def test_compose_matches_reference(t1, t2):
+    assert machine_fields(fsm.compose(t1, t2)) \
+        == machine_fields(reference_compose(t1, t2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(nfas(), nfas(), transducers(), transducers())
+def test_products_with_only_dead_states_are_empty(a, b, t1, t2):
+    # with no finals on one side, every product state is dead
+    empty_b = Automaton(b.num_states, b.initial, {}, b.arcs)
+    empty_t2 = Transducer(t2.num_states, t2.initial, {}, t2.arcs,
+                          weighted=True)
+    for got, want, cls, weighted in (
+            (intersect(a, empty_b), reference_intersect(a, empty_b),
+             Automaton, False),
+            (fsm.compose(t1, empty_t2), reference_compose(t1, empty_t2),
+             Transducer, True)):
+        assert machine_fields(got) == machine_fields(want) \
+            == (cls, 1, 0, {}, weighted, ())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(nfas(), transducers()))
+def test_trim_matches_reference(m):
+    got, want = fsm.trim(m), reference_trim(m)
+    assert machine_fields(got) == machine_fields(want)
+    # a machine with nothing to drop comes back as it is
+    assert (got is m) == (want is m)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from rwc import compiler as C
 from rwc import oracle as O
+from rwc import textio
 from rwc.errors import FormatError
 from rwc.fsm import Alphabet, Automaton, Transducer
 from rwc.rulespec import parse_rule_file
@@ -142,3 +143,18 @@ def test_parse_rejects_state_beyond_states_line():
             parse_machine(head + line + "\n")
     with pytest.raises(FormatError):
         parse_machine(head.replace("states 2", "states 0"))
+
+
+def test_state_count_is_bounded():
+    head = _ACCEPTOR_HEAD.replace("init 0\n", "states {}\ninit 0\n")
+    big = textio.MAX_STATES + 1
+    assert parse_machine(head.format(textio.MAX_STATES))[0].num_states \
+        == textio.MAX_STATES
+    with pytest.raises(FormatError):
+        parse_machine(head.format(big))
+    # without a states line the count is inferred, and bounded alike
+    with pytest.raises(FormatError):
+        parse_machine(_ACCEPTOR_HEAD + f"arc 0 {big - 1} 1 0\n")
+    # the writer refuses what the reader would, so every file round-trips
+    with pytest.raises(FormatError):
+        format_machine(Automaton(big, 0, {}, ()), AB)
