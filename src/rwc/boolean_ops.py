@@ -24,10 +24,13 @@ the functions that need the property (``is_complete``, ``complete`` and
 from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
+from operator import itemgetter
 
 from . import fsm
 from .errors import NotDeterministicError
 from .fsm import EPS, Automaton, Transducer
+
+_label_weight = itemgetter(1, 2, 3)
 
 
 @dataclass
@@ -338,38 +341,34 @@ def compact_transducer(t, deadline=None):
     (in, out, weight) triple becomes a synthetic label, the machine is
     determinized and minimized as an acceptor, then decoded.
 
+    The labels number the distinct triples in sorted order, so the result
+    depends only on the encoded language, never on the order of t's arcs.
     A zero-weight arc that is epsilon on both tapes becomes an acceptor
     epsilon, which `determinize`'s closures absorb. Only where an ε:ε arc
     or a final state carries a weight does ``fsm.remove_epsilon`` run
     first: the encoding would keep one path per weight where ε-removal
     keeps the least, so the result would be correct but larger."""
-    if (any(w != 0.0 for w in t.finals.values())
-            or any(i == EPS and o == EPS and w != 0.0
-                   for _, i, o, w, _ in t.arcs)):
+    triples = set(map(_label_weight, t.arcs))
+    if any(t.finals.values()) or any(i == EPS and o == EPS and w
+                                     for i, o, w in triples):
         t = fsm.remove_epsilon(t)
+        triples = set(map(_label_weight, t.arcs))
     # Nonzero final weights would be lost by the unweighted encoding; move
     # them onto entry arcs of a fresh super-final state first.
-    if any(w != 0.0 for w in t.finals.values()):
+    if any(t.finals.values()):
         sf = t.num_states
-        arcs = list(t.arcs)
-        arcs.extend((q, EPS, EPS, w, sf) for q, w in t.finals.items())
-        t = Transducer(t.num_states + 1, t.initial, {sf: 0.0}, arcs,
-                       weighted=t.weighted)
-    # a zero-weight eps:eps arc encodes as epsilon, every other triple as
-    # 1, 2, ... in order of first appearance
-    codes = {(EPS, EPS, 0.0): EPS}
-    enc_arcs = []
-    for s, i, o, w, d in t.arcs:
-        key = (i, o, w)
-        lab = codes.get(key)
-        if lab is None:
-            lab = len(codes)
-            codes[key] = lab
-        enc_arcs.append((s, lab, 0.0, d))
+        entries = [(q, EPS, EPS, w, sf) for q, w in t.finals.items()]
+        triples.update(map(_label_weight, entries))
+        t = Transducer(t.num_states + 1, t.initial, {sf: 0.0},
+                       t.arcs + tuple(entries), weighted=t.weighted)
+    # a zero-weight eps:eps arc encodes as epsilon (label 0), every other
+    # triple as its rank among the distinct triples; (EPS, EPS, 0.0) is
+    # the least, as weights are non-negative
+    decode = sorted(triples | {(EPS, EPS, 0.0)})
+    codes = {key: lab for lab, key in enumerate(decode)}
     enc = Automaton(t.num_states, t.initial, {q: 0.0 for q in t.finals},
-                    enc_arcs)
+                    [(a[0], codes[a[1:4]], 0.0, a[4]) for a in t.arcs])
     m = minimize(determinize(enc, deadline=deadline), deadline=deadline)
-    decode = {lab: key for key, lab in codes.items()}
     out_arcs = []
     for s, lab, _, d in m.arcs:
         i, o, w = decode[lab]

@@ -16,6 +16,18 @@ rewritten output side. Only three subset constructions are needed per
 rule: the r automaton, the f automaton, and one shared Σ*λ automaton for
 l1 and l2.
 
+`compile_rule` composes the five factors in this order:
+
+    reverse(tau_r ∘ tau_f) ∘ ((replace ∘ l1) ∘ l2)
+
+r and f are the reversals of the TYPE 1 markers tau_r and tau_f, and
+r ∘ f = reverse(tau_r ∘ tau_f). Built forward from the deterministic
+markers, the product visits only live pairs, where r ∘ f built forward
+from the reversed machines mostly reaches no final. replace, l1 and l2
+are small beside it, so their product is built first and the |Σ|-wide
+product is built once. The relation is that of the left fold; after
+compaction so is the machine.
+
 A rule set compiles over one representative per block of symbols its
 rules cannot tell apart, and is expanded to the full alphabet once at
 the end; `compile_rule` always works over the alphabet it is given.
@@ -53,33 +65,44 @@ def _marker_dfa(beta_nfa, working_labels, counter=None, deadline=None):
     return determinize(nfa, counter, deadline)
 
 
-def build_r(rho, alphabet, counter=None, deadline=None):
-    """Transducer inserting RB before every occurrence of rho: the reversed
-    TYPE 1 marker of det(Σ* reverse(rho))."""
+def _tau_r(rho, alphabet, counter=None, deadline=None):
+    """The TYPE 1 marker of det(Σ* reverse(rho)): read left to right, it
+    inserts RB after every occurrence of reverse(rho)."""
     sigma = alphabet.sigma()
     rho_rev = fsm.reverse(compile_regex(rho, alphabet))
     dfa = _marker_dfa(rho_rev, sigma, counter, deadline)
-    tau = marker(dfa, MarkerSpec(MarkerKind.TYPE1,
-                                 insertions=frozenset({alphabet.rb})),
-                 sigma)
-    return fsm.reverse(tau)
+    return marker(dfa, MarkerSpec(MarkerKind.TYPE1,
+                                  insertions=frozenset({alphabet.rb})),
+                  sigma)
 
 
-def build_f(phi, alphabet, counter=None, deadline=None):
-    """Transducer inserting one of LB1/LB2 before each phi occurrence
-    (RB-ignoring) that sits immediately before an RB; works over Σ ∪ {RB}.
-    """
+def build_r(rho, alphabet, counter=None, deadline=None):
+    """Transducer inserting RB before every occurrence of rho: the reversed
+    TYPE 1 marker of det(Σ* reverse(rho))."""
+    return fsm.reverse(_tau_r(rho, alphabet, counter, deadline))
+
+
+def _tau_f(phi, alphabet, counter=None, deadline=None):
+    """The TYPE 1 marker of det((Σ ∪ {RB})* RB reverse(phi)), phi
+    ignoring RB: read left to right, it inserts LB1 or LB2 after every
+    occurrence of RB reverse(phi)."""
     if nullable(phi):
         raise PhiNullableError("phi accepts the empty string")
     work = alphabet.sigma() + (alphabet.rb,)
     phi_rb = fsm.ignore_labels(compile_regex(phi, alphabet), {alphabet.rb})
     beta = fsm.aut_concat([fsm.aut_label(alphabet.rb), fsm.reverse(phi_rb)])
     dfa = _marker_dfa(beta, work, counter, deadline)
-    tau = marker(dfa, MarkerSpec(MarkerKind.TYPE1,
-                                 insertions=frozenset({alphabet.lb1,
-                                                       alphabet.lb2})),
-                 work)
-    return fsm.reverse(tau)
+    return marker(dfa, MarkerSpec(MarkerKind.TYPE1,
+                                  insertions=frozenset({alphabet.lb1,
+                                                        alphabet.lb2})),
+                  work)
+
+
+def build_f(phi, alphabet, counter=None, deadline=None):
+    """Transducer inserting one of LB1/LB2 before each phi occurrence
+    (RB-ignoring) that sits immediately before an RB; works over Σ ∪ {RB}.
+    """
+    return fsm.reverse(_tau_f(phi, alphabet, counter, deadline))
 
 
 def build_replace(phi, psi_wfsa, alphabet, pad_out=EPS, open_label=None,
@@ -156,17 +179,16 @@ def compile_rule(rule, alphabet, compact=True, deadline=None):
     part; that condition is not checked here."""
     t0 = time.perf_counter()
     counter = OpCounter()
-    r = build_r(rule.rho, alphabet, counter, deadline)
-    f = build_f(rule.phi, alphabet, counter, deadline)
+    tau_r = _tau_r(rule.rho, alphabet, counter, deadline)
+    tau_f = _tau_f(rule.phi, alphabet, counter, deadline)
     psi_wfsa = series_to_wfsa(rule.psi, alphabet)
     rep = build_replace(rule.phi, psi_wfsa, alphabet)
     lam_dfa = _lambda_dfa(rule.lam, alphabet, counter, deadline)
     l1 = build_l1(rule.lam, alphabet, lam_dfa=lam_dfa)
     l2 = build_l2(rule.lam, alphabet, lam_dfa=lam_dfa)
-    t = fsm.compose(r, f, deadline)
-    t = fsm.compose(t, rep, deadline)
-    t = fsm.compose(t, l1, deadline)
-    t = fsm.compose(t, l2, deadline)
+    rf = fsm.reverse(fsm.compose(tau_r, tau_f, deadline))
+    right = fsm.compose(fsm.compose(rep, l1, deadline), l2, deadline)
+    t = fsm.compose(rf, right, deadline)
     if compact:
         t = compact_transducer(t, deadline)
     assert_no_markers(t, alphabet)

@@ -47,6 +47,12 @@ class NegativeWeightError(RwcError):
     code = "E_NEGATIVE_WEIGHT"
 
 
+class WeightOverflowError(RwcError):
+    """A sum of finite path weights overflowed the float range."""
+
+    code = "E_WEIGHT_OVERFLOW"
+
+
 class EmptyLanguageError(RwcError):
     code = "E_EMPTY_LANGUAGE"
 

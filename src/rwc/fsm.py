@@ -29,7 +29,8 @@ from collections import deque
 from heapq import heappush, heappop
 from operator import itemgetter
 
-from .errors import EmptyLanguageError, UnknownSymbolError, DeadlineExceeded
+from .errors import (DeadlineExceeded, EmptyLanguageError,
+                     UnknownSymbolError, WeightOverflowError)
 
 EPS = 0
 INF = math.inf
@@ -646,6 +647,8 @@ def compose(t1, t2, deadline=None):
     epsilon, 2 = only t2 may keep moving on its input epsilon. A matched
     real symbol resets to 0; a paired epsilon move is allowed only from 0.
     States are numbered in BFS discovery order and the result is trim.
+    Raises E_WEIGHT_OVERFLOW when the weights of a built arc or final
+    state add up past the float range.
     """
     # a state (q1, q2, filter) is keyed by (q1 * n2 + q2) * 3 + filter, and
     # numbered by its position in `keys`, the FIFO of discovered states;
@@ -705,5 +708,10 @@ def compose(t1, t2, deadline=None):
                     keys.append(k)
                 arcs.append((cur, EPS, c, w2, nid))
         ends.append(len(arcs))
+    # sums of finite weights overflow only when both machines carry some
+    if t1.weighted and t2.weighted and (INF in finals.values()
+                                        or INF in map(_weight, arcs)):
+        raise WeightOverflowError("a weight sum in a composition is "
+                                  "past the float range")
     return _product(Transducer, finals, arcs, ends,
                     t1.weighted or t2.weighted)

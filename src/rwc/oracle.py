@@ -13,7 +13,7 @@ from heapq import heapify, heappush, heappop
 
 from . import fsm
 from .boolean_ops import determinize
-from .errors import DivergentError
+from .errors import DivergentError, WeightOverflowError
 from .fsm import EPS, INF, WeightedStringSet
 from .rulespec import compile_regex, series_to_wfsa
 
@@ -43,6 +43,10 @@ def _named(alphabet, outputs):
 _KEY_SLACK = 1e-9
 
 
+def _overflow():
+    return WeightOverflowError("a path weight is past the float range")
+
+
 def _nbest(adj, into, start, finals, limit):
     """The distinct strings of the paths from `start` to a final node, with
     their minimal weights, in order of weight, up to `limit` of them.
@@ -59,7 +63,9 @@ def _nbest(adj, into, start, finals, limit):
     prefixes are never compared. Keys do not increase along a best
     completion and equal keys pop first in, first out, so a popped pair
     reaches a final within a bounded number of pops, even on a
-    zero-weight cycle that writes symbols."""
+    zero-weight cycle that writes symbols. A sum of weights that either
+    pass forms past the float range raises E_WEIGHT_OVERFLOW: read as
+    INF, it would drop a string silently."""
     h = dict.fromkeys(adj, INF)
     h.update(finals)
     heap = [(v, d) for d, v in finals.items()]
@@ -69,9 +75,12 @@ def _nbest(adj, into, start, finals, limit):
         if v > h[d]:
             continue
         for w, c in into.get(d, ()):
-            if v + w < h[c]:
-                h[c] = v + w
-                heappush(heap, (v + w, c))
+            nv = v + w
+            if nv < h[c]:
+                h[c] = nv
+                heappush(heap, (nv, c))
+            elif nv == INF:
+                raise _overflow()
     results = {}
     if h[start] == INF:
         return results, False
@@ -90,6 +99,8 @@ def _nbest(adj, into, start, finals, limit):
                 continue
             if len(results) >= limit:
                 return results, True
+            if g == INF:
+                raise _overflow()
             results[s] = g
             continue
         if g > best[(s, c)]:
@@ -112,6 +123,8 @@ def _nbest(adj, into, start, finals, limit):
                 nf = ng + hd
                 heappush(heap, (f if nf <= tie else nf, count, ng, ns, d))
                 count += 1
+            elif ng == INF:
+                raise _overflow()
     return results, False
 
 

@@ -305,6 +305,37 @@ def rule_corpus(name, count, sizes, depth=2, weighted=True):
     return out
 
 
+def rand_ruleset_text(rng):
+    """A rule file of 1-3 rules over 5-8 symbols. Leaves are symbols,
+    classes and negated classes drawn from a pool of 2-4 of the symbols,
+    so the rest are named only by negated classes; psi takes symbols and
+    classes, and half the targets are weighted alternatives."""
+    names = [chr(ord("a") + j) for j in range(rng.randint(5, 8))]
+    pool = rng.sample(names, rng.randint(2, 4))
+
+    def leaf(kinds=("sym", "cls", "neg")):
+        kind = rng.choice(kinds)
+        if kind == "sym":
+            return rng.choice(pool)
+        body = " ".join(rng.sample(pool, rng.randint(1, len(pool))))
+        return f"[{body}]" if kind == "cls" else f"[^ {body}]"
+
+    def leaves(lo, hi, kinds=("sym", "cls", "neg")):
+        return " ".join(leaf(kinds) for _ in range(rng.randint(lo, hi)))
+
+    rules = []
+    for _ in range(rng.randint(1, 3)):
+        lam = leaves(0, 2)
+        if lam and rng.random() < 0.3:
+            lam += "*"
+        alts = [leaves(1, 2, ("sym", "cls")) for _ in range(rng.randint(1, 2))]
+        if rng.random() < 0.5:
+            alts = [f"<{rng.uniform(0, 3):.3f}> ({a})" for a in alts]
+        rules.append(f"{leaves(1, 2)} -> {' + '.join(alts)} "
+                     f"/ {lam} _ {leaves(0, 2)} ;")
+    return f"alphabet: {' '.join(names)} ;\n" + "\n".join(rules) + "\n"
+
+
 def rand_automaton(rng, labels, max_states=4, p_eps=0.2, weighted=False):
     n = rng.randint(1, max_states)
     arcs = []
@@ -690,3 +721,25 @@ def machine_fields(m):
     """Everything that defines a machine, arcs in order: two machines with
     equal fields format to the same text."""
     return (type(m), m.num_states, m.initial, m.finals, m.weighted, m.arcs)
+
+
+# ---------------------------------------------------------------------------
+# Reference cascade: compile_rule's five factors as a left fold, the order
+# used before r ∘ f was built from the unreversed markers
+# ---------------------------------------------------------------------------
+
+def reference_cascade(rule, alphabet, compact=True):
+    """(((r ∘ f) ∘ replace) ∘ l1) ∘ l2 from the five public builders,
+    compacted unless `compact` is False."""
+    from rwc import compiler as C
+    from rwc import fsm
+    from rwc.boolean_ops import compact_transducer
+    from rwc.rulespec import series_to_wfsa
+    t = fsm.compose(C.build_r(rule.rho, alphabet),
+                    C.build_f(rule.phi, alphabet))
+    for m in (C.build_replace(rule.phi, series_to_wfsa(rule.psi, alphabet),
+                              alphabet),
+              C.build_l1(rule.lam, alphabet),
+              C.build_l2(rule.lam, alphabet)):
+        t = fsm.compose(t, m)
+    return compact_transducer(t) if compact else t

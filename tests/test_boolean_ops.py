@@ -4,6 +4,8 @@ subtraction, minimization, and compaction against enumeration oracles."""
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rwc import boolean_ops as B
 from rwc import fsm
@@ -14,6 +16,7 @@ from rwc.errors import NotDeterministicError
 from rwc.fsm import Alphabet, Automaton, aut_concat, aut_label, \
     aut_sigma_star
 from rwc.rulespec import compile_regex, parse_regex
+from rwc.textio import format_machine
 
 from .helpers import (accepts_by_enum, all_strings, canonical, enum_relation,
                       lang_set, not_dfas, rand_automaton, rand_regex,
@@ -351,3 +354,28 @@ def test_compact_preserves_compiled_rule_relations():
         assert packed.num_states <= raw.num_states
         rep = O.equivalent_on(raw, packed, rs.alphabet, 5)
         assert rep.equivalent, str(rep)
+
+
+@st.composite
+def transducer_and_shuffled_copy(draw):
+    """A weighted transducer with ε on either tape or both, repeated
+    (in, out, weight) triples and weighted finals, and the same machine
+    with its arcs in another order."""
+    n = draw(st.integers(1, 5))
+    state = st.integers(0, n - 1)
+    label = st.sampled_from((fsm.EPS,) + ABC.sigma())
+    weight = st.sampled_from((0.0, 0.5, 1.25))
+    arcs = draw(st.lists(st.tuples(state, label, label, weight, state),
+                         min_size=1, max_size=12))
+    finals = draw(st.dictionaries(state, weight, min_size=1))
+    initial = draw(state)
+    return [fsm.Transducer(n, initial, finals, a, weighted=True)
+            for a in (arcs, draw(st.permutations(arcs)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(transducer_and_shuffled_copy())
+def test_compact_does_not_depend_on_arc_order(pair):
+    t, shuffled = pair
+    assert format_machine(compact_transducer(t), ABC) == \
+        format_machine(compact_transducer(shuffled), ABC)

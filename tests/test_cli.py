@@ -69,6 +69,30 @@ def test_compile_empty_ruleset_is_identity(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == ["ab 0.000000"]
 
 
+def test_compile_weight_overflow_exits_1(tmp_path, capsys):
+    rules = tmp_path / "big.rules"
+    rules.write_text("alphabet: a b ;\n"
+                     "a -> <1e308> b / _ ;\nb -> <1e308> a / _ ;\n")
+    assert main(["compile", str(rules), "-o", str(tmp_path / "big.fst")]) \
+        == 1
+    assert "E_WEIGHT_OVERFLOW" in capsys.readouterr().err
+
+
+def test_apply_weight_overflow_exits_1(tmp_path, capsys):
+    rules = tmp_path / "big.rules"
+    rules.write_text("alphabet: a b ;\na -> <1e308> b / _ ;\n")
+    out = tmp_path / "big.fst"
+    assert main(["compile", str(rules), "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["apply", str(out), "a"]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"b {1e308:.6f}"]
+    # two rewrites cost 2e308: an error, not an empty answer
+    assert main(["apply", str(out), "aa"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "E_WEIGHT_OVERFLOW" in captured.err
+
+
 def test_compile_malformed_file_exits_1(tmp_path, capsys):
     rules = tmp_path / "bad.rules"
     rules.write_text("alphabet a b ;\n")

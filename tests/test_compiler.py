@@ -16,7 +16,10 @@ from rwc.fsm import EPS, Alphabet, Transducer, compose
 from rwc.rulespec import parse_regex, parse_rule_file, parse_series, \
     series_to_wfsa
 
-from .helpers import (canonical, enum_relation, reference_apply, rng_for,
+from rwc.textio import format_machine
+
+from .helpers import (canonical, enum_relation, rand_ruleset_text,
+                      reference_apply, reference_cascade, rng_for,
                       rule_corpus, weights_close)
 
 DEMOS = pathlib.Path(__file__).parent.parent / "demos"
@@ -237,6 +240,51 @@ def test_compile_rule_oracle_equivalence_random_corpus():
         assert rep.equivalent, (R.pretty_rule(rule, alphabet), str(rep))
 
 
+# ---------------------------------------------------------------------------
+# The composition order against the left fold r ∘ f ∘ replace ∘ l1 ∘ l2
+# ---------------------------------------------------------------------------
+
+def assert_same_as_reference_cascade(rule, alphabet, max_in=None, note=None):
+    """The compacted machine formats to the reference's text; with
+    `max_in`, the uncompacted machines also have the same relation on
+    inputs up to that length (their texts may differ: the reversal of
+    tau_r ∘ tau_f adds a super-initial state with ε:ε arcs)."""
+    got = C.compile_rule(rule, alphabet).transducer
+    assert format_machine(got, alphabet) == \
+        format_machine(reference_cascade(rule, alphabet), alphabet), note
+    if max_in is not None:
+        loose = C.compile_rule(rule, alphabet, compact=False).transducer
+        ref = reference_cascade(rule, alphabet, compact=False)
+        # a phi symbol writes at most two psi symbols in these rules
+        assert weights_close(enum_relation(loose, max_in, 2 * max_in),
+                             enum_relation(ref, max_in, 2 * max_in)), note
+
+
+@pytest.mark.parametrize("family", ["left", "right"])
+def test_compile_rule_equals_reference_cascade_bench(family):
+    alphabet = bench_alphabet(194)
+    for k in range(11):
+        assert_same_as_reference_cascade(bench_rule(family, k), alphabet,
+                                         note=k)
+
+
+@pytest.mark.parametrize("demo", ["nasal.rules", "chain.rules"])
+def test_compile_rule_equals_reference_cascade_demos(demo):
+    rs = parse_rule_file((DEMOS / demo).read_text())
+    for rule in rs.rules:
+        assert_same_as_reference_cascade(rule, rs.alphabet, max_in=4)
+
+
+def test_compile_rule_equals_reference_cascade_random_corpus():
+    rng = rng_for("ruleset-blocks")
+    for _ in range(60):
+        text = rand_ruleset_text(rng)
+        rs = parse_rule_file(text)
+        for rule in rs.rules:
+            assert_same_as_reference_cascade(rule, rs.alphabet, max_in=2,
+                                             note=text)
+
+
 def test_compile_ruleset_applies_rules_in_order():
     rs = parse_rule_file("alphabet: a b c ;\n a -> b / _ ;\n b -> c / _ ;\n")
     t = C.compile_ruleset(rs)
@@ -305,37 +353,6 @@ def assert_same_as_full_fold(ruleset, note=None):
     ref = full_fold(ruleset, compact=False)
     assert (loose.num_states, len(loose.arcs), loose.weighted) == \
         (ref.num_states, len(ref.arcs), ref.weighted), note
-
-
-def rand_ruleset_text(rng):
-    """A rule file of 1-3 rules over 5-8 symbols. Leaves are symbols,
-    classes and negated classes drawn from a pool of 2-4 of the symbols,
-    so the rest are named only by negated classes; psi takes symbols and
-    classes, and half the targets are weighted alternatives."""
-    names = [chr(ord("a") + j) for j in range(rng.randint(5, 8))]
-    pool = rng.sample(names, rng.randint(2, 4))
-
-    def leaf(kinds=("sym", "cls", "neg")):
-        kind = rng.choice(kinds)
-        if kind == "sym":
-            return rng.choice(pool)
-        body = " ".join(rng.sample(pool, rng.randint(1, len(pool))))
-        return f"[{body}]" if kind == "cls" else f"[^ {body}]"
-
-    def leaves(lo, hi, kinds=("sym", "cls", "neg")):
-        return " ".join(leaf(kinds) for _ in range(rng.randint(lo, hi)))
-
-    rules = []
-    for _ in range(rng.randint(1, 3)):
-        lam = leaves(0, 2)
-        if lam and rng.random() < 0.3:
-            lam += "*"
-        alts = [leaves(1, 2, ("sym", "cls")) for _ in range(rng.randint(1, 2))]
-        if rng.random() < 0.5:
-            alts = [f"<{rng.uniform(0, 3):.3f}> ({a})" for a in alts]
-        rules.append(f"{leaves(1, 2)} -> {' + '.join(alts)} "
-                     f"/ {lam} _ {leaves(0, 2)} ;")
-    return f"alphabet: {' '.join(names)} ;\n" + "\n".join(rules) + "\n"
 
 
 def test_compile_ruleset_equals_full_fold_random_corpus():

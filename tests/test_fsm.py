@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rwc import fsm
-from rwc.errors import EmptyLanguageError
+from rwc.errors import EmptyLanguageError, WeightOverflowError
 from rwc.fsm import (EPS, INF, Alphabet, Automaton, Transducer, add_loops,
                      aut_class, aut_concat, aut_label, aut_sigma_star,
                      aut_star, aut_string, compose, cross_product,
@@ -285,6 +285,20 @@ def test_compose_single_path_adds_weights():
     t2 = Transducer(2, 0, {1: 0.0}, [(0, B, C, 2.0, 1)], weighted=True)
     assert weights_close(enum_relation(compose(t1, t2), 2),
                          {((A,), (C,)): 3.0})
+
+
+@pytest.mark.parametrize("arc_w, final_w", [(1e308, 0.0), (0.0, 1e308)])
+def test_compose_weight_overflow_is_a_coded_error(arc_w, final_w):
+    # each side is finite; their sum on an arc or a final state is not
+    t1 = Transducer(2, 0, {1: final_w}, [(0, A, B, arc_w, 1)], weighted=True)
+    t2 = Transducer(2, 0, {1: final_w}, [(0, B, C, arc_w, 1)], weighted=True)
+    with pytest.raises(WeightOverflowError):
+        compose(t1, t2)
+    # below the float range the sum stands
+    half = Transducer(2, 0, {1: final_w / 2}, [(0, B, C, arc_w / 2, 1)],
+                      weighted=True)
+    assert weights_close(enum_relation(compose(t1, half), 2),
+                         {((A,), (C,)): 1.5e308})
 
 
 def test_compose_with_identity_is_identity():

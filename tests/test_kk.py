@@ -11,12 +11,14 @@ from rwc import compiler as C
 from rwc import kk as K
 from rwc import oracle as O
 from rwc import rulespec as R
+from rwc.boolean_ops import compact_transducer
 from rwc.errors import PhiNullableError
 from rwc.fsm import Alphabet
 from rwc.rulespec import parse_rule_file
 
-from .helpers import rule_corpus
+from .helpers import rand_ruleset_text, rng_for, rule_corpus
 
+DEMOS = pathlib.Path(__file__).parent.parent / "demos"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
@@ -78,6 +80,31 @@ def test_kk_random_corpus_equivalence():
     for alphabet, rule in rule_corpus("kk-corpus", 8, {2: 5, 3: 3},
                                       weighted=False):
         assert_kk_matches_direct(alphabet, rule, 5)
+
+
+def assert_compacted_kk_sweeps_alike(ruleset, max_len, note=None):
+    """`rwc check` sweeps the compacted KK machine of each unweighted rule:
+    it must have the raw machine's relation."""
+    sigma = ruleset.alphabet.sigma()
+    for rule in ruleset.rules:
+        if not R.is_unweighted(rule.psi):
+            continue
+        raw = K.kk_compile_rule(rule, ruleset.alphabet).transducer
+        assert O._relation(compact_transducer(raw), sigma, max_len) == \
+            O._relation(raw, sigma, max_len), note
+
+
+def test_compacted_kk_machine_has_the_same_relation_demo():
+    # the other demo's one rule is weighted, which KK does not compile
+    assert_compacted_kk_sweeps_alike(
+        parse_rule_file((DEMOS / "chain.rules").read_text()), 5)
+
+
+def test_compacted_kk_machine_has_the_same_relation_random_corpus():
+    rng = rng_for("ruleset-blocks")
+    for _ in range(60):
+        text = rand_ruleset_text(rng)
+        assert_compacted_kk_sweeps_alike(parse_rule_file(text), 3, text)
 
 
 # ---------------------------------------------------------------------------

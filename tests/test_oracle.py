@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rwc import compiler as C
 from rwc import oracle as O
-from rwc.errors import DivergentError
+from rwc.errors import DivergentError, WeightOverflowError
 from rwc.fsm import EPS, Alphabet, Automaton, Transducer, aut_sigma_star, \
     id_transducer, remove_epsilon
 from rwc.rulespec import Cls, Eps, Rule, Sym, parse_rule_file
@@ -204,6 +204,31 @@ def test_apply_truncates_infinite_outputs():
     cr = C.compile_rule(rule, alphabet)
     wss, truncated = O.apply(cr.transducer, "a", alphabet, bound=5)
     assert truncated and len(wss) == 5
+
+
+def test_apply_weight_overflow_is_a_coded_error():
+    alphabet, rule = rule_of("alphabet: a b ;\n a -> <1e308> b / _ ;")
+    t = C.compile_rule(rule, alphabet).transducer
+    wss, _ = O.apply(t, "a", alphabet)
+    assert dict(wss.entries) == {("b",): 1e308}
+    # two rewrites cost 2e308, past the float range
+    with pytest.raises(WeightOverflowError):
+        O.apply(t, "aa", alphabet)
+
+
+@pytest.mark.parametrize("other, finals", [
+    # "ab" overflows on its arc into the final state
+    ([(1, EPS, EPS, 0.0, 2), (1, EPS, 2, 1e308, 2)], {2: 0.0}),
+    # "a" overflows on adding state 1's final weight
+    ([(1, EPS, 2, 0.0, 2)], {1: 1e308, 2: 0.0})])
+def test_apply_overflow_off_the_best_path_is_a_coded_error(other, finals):
+    # "a" has another output that costs 1e308, so the least weights of the
+    # backward pass all stay finite
+    a = AB.id_of("a")
+    t = Transducer(3, 0, finals, [(0, a, a, 1e308, 1)] + other,
+                   weighted=True)
+    with pytest.raises(WeightOverflowError):
+        O.apply(t, "a", AB)
 
 
 def test_relation_upto_agrees_with_apply():
