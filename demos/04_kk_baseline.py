@@ -19,9 +19,9 @@ baseline = kk_compile_rule(rules.rules[0], rules.alphabet)
 print(f"direct:   {direct.stats.states} states, "
       f"{direct.stats.subset_constructions} determinizations")
 print(f"baseline: {baseline.transducer.num_states} states, "
-      f"{baseline.counter.determinizations} determinizations, "
-      f"{baseline.counter.intersections} intersections, "
-      f"{baseline.counter.complementations} complementations")
+      f"{baseline.ops['determinize']} determinizations, "
+      f"{baseline.ops['intersect']} intersections, "
+      f"{baseline.ops['complement']} complementations")
 
 report = equivalent_on(direct.transducer, baseline.transducer,
                        rules.alphabet, 5)

@@ -5,8 +5,8 @@ bracket-cascade reference compiler, a brute-force rewriting oracle, and a
 growth benchmark harness.
 """
 
-from .boolean_ops import (OpCounter, compact_transducer, complement,
-                          complete, determinize, intersect, is_complete,
+from .boolean_ops import (compact_transducer, complement, complete,
+                          count_ops, determinize, intersect, is_complete,
                           minimize, subtract)
 from .compiler import (CompiledRule, build_f, build_l1, build_l2, build_r,
                        build_replace, compile_rule, compile_ruleset)

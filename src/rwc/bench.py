@@ -3,13 +3,17 @@ c^k for k in [0, kmax] with both algorithms over a synthetic alphabet,
 recording compile times, machine sizes, and the right-context
 determinization probe. Results go to CSV (gnuplot-ready).
 
-The `ms` of a `new` (direct compiler) row is CPU time with gc paused,
-the median over repeats run round-robin over k, each repeat divided by a
-fixed pure-Python reference work timed around it and scaled back to CPU ms
-at the run's median reference time, i.e. at the run's median host speed.
-So a slow stretch of a shared host, or a gc pause, does not land on one k
-and bend the growth curve. The `ms` of a `kk` (baseline) row is still the
-wall time of one build under the per-point deadline.
+Both algorithms' rows are timed one way. The `ms` of a row is CPU time
+with gc paused, the median over its samples: repeats run round-robin over
+k for a `new` (direct compiler) row; for a `kk` (baseline) row five in a
+row under the per-point deadline, or one if it takes 1 s or more. Each
+sample is divided by a fixed pure-Python reference work timed around it
+and scaled back to CPU ms at the run's median reference time, i.e. at the
+run's median host speed. So a slow stretch of a shared host, or a gc
+pause, does not land on one k and bend the growth curve. The median, not
+the minimum: the reference correction errs both ways when the host's
+speed changes within a sample, and a minimum keeps just the samples it
+made too fast.
 
 The synthetic alphabet has `alphabet_size` labels s000, s001, ... (the
 default 194 mirrors a realistic text-to-speech symbol set). Absolute
@@ -82,45 +86,27 @@ def _reference_work():
     return len(seen)
 
 
-def _cpu_ns(fn, *args):
-    """(thread CPU ns of fn(*args), its result)."""
-    c0 = time.thread_time_ns()
-    out = fn(*args)
-    return time.thread_time_ns() - c0, out
-
-
-def _time_new(rules, alphabet, rounds):
-    """Direct-compiler timing of each rule in `rules`, in `rounds`
-    round-robin passes of one sample per rule. A sample is the compile's
-    CPU time, with gc collected before and paused during it, divided by
-    the mean CPU time of the reference work just before and after it.
-    Returns (ms, stats) per rule: its median ratio times the run's median
-    reference time. The median, not the minimum: the reference correction
-    errs both ways when the host's speed changes within a sample, and a
-    minimum keeps just the samples it made too fast."""
-    import statistics  # here, so that `rwc.cli` starts without it
-
-    ratios = [[] for _ in rules]
-    stats = [None] * len(rules)
-    refs = []
-    for _ in range(rounds):
-        for i, rule in enumerate(rules):
-            gc.collect()
-            gc_was_enabled = gc.isenabled()
-            gc.disable()
-            try:
-                r0, _ = _cpu_ns(_reference_work)
-                ns, cr = _cpu_ns(compiler.compile_rule, rule, alphabet)
-                r1, _ = _cpu_ns(_reference_work)
-            finally:
-                if gc_was_enabled:
-                    gc.enable()
-            refs += (r0, r1)
-            ratios[i].append(ns / ((r0 + r1) / 2))
-            stats[i] = cr.stats
-    ref_ms = statistics.median(refs) / 1e6
-    return [(statistics.median(r) * ref_ms, st)
-            for r, st in zip(ratios, stats)]
+def _sample(refs, fn, *args):
+    """(CPU ns of fn(*args), that over the mean CPU ns of the reference
+    work run just before and after it, which go to `refs`; fn's result).
+    gc is collected first and paused during the three, even if fn raises."""
+    gc.collect()
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        c0 = time.thread_time_ns()
+        _reference_work()
+        c1 = time.thread_time_ns()
+        out = fn(*args)
+        c2 = time.thread_time_ns()
+        _reference_work()
+        c3 = time.thread_time_ns()
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    ns, r0, r1 = c2 - c1, c1 - c0, c3 - c2
+    refs += (r0, r1)
+    return ns, ns / ((r0 + r1) / 2), out
 
 
 def run_bench(family, kmax, alphabet_size=194, deadline_ms=300_000,
@@ -132,6 +118,8 @@ def run_bench(family, kmax, alphabet_size=194, deadline_ms=300_000,
     slower) KK points are recorded as timeouts without running. Returns a
     list of BenchRecords (2 per k: the `new` row, then the `kk` row).
     Out-of-range arguments raise BadOptionError."""
+    from statistics import median  # here, so `rwc.cli` starts without it
+
     if family not in ("left", "right"):
         raise BadOptionError(f"family must be 'left' or 'right', "
                              f"not {family!r}")
@@ -143,13 +131,21 @@ def run_bench(family, kmax, alphabet_size=194, deadline_ms=300_000,
     at_least("skip_after (--skip-after)", skip_after, 0)
     alphabet = bench_alphabet(alphabet_size)
     rules = [bench_rule(family, k) for k in range(kmax + 1)]
-    new_points = _time_new(rules, alphabet, repeats_new)
+    refs = []
+    new_ratios = [[] for _ in rules]
+    stats = [None] * len(rules)
+    for _ in range(repeats_new):
+        for k, rule in enumerate(rules):
+            _, ratio, cr = _sample(refs, compiler.compile_rule, rule,
+                                   alphabet)
+            new_ratios[k].append(ratio)
+            stats[k] = cr.stats
     records = []
     kk_consecutive_timeouts = 0
     for k, rule in enumerate(rules):
-        ms, stats = new_points[k]
-        records.append(BenchRecord(family, k, "new", ms,
-                                   stats.states, stats.arcs, None, False))
+        records.append(BenchRecord(family, k, "new", median(new_ratios[k]),
+                                   stats[k].states, stats[k].arcs, None,
+                                   False))
         dfa_arcs = None
         if family == "right":
             try:
@@ -157,22 +153,34 @@ def run_bench(family, kmax, alphabet_size=194, deadline_ms=300_000,
                     rule.rho, alphabet, deadline=Deadline(deadline_ms))
             except DeadlineExceeded:
                 dfa_arcs = None
+        timeout = BenchRecord(family, k, "kk", float(deadline_ms), None,
+                              None, dfa_arcs, True)
         if skip_after and kk_consecutive_timeouts >= skip_after:
-            records.append(BenchRecord(family, k, "kk", float(deadline_ms),
-                                       None, None, dfa_arcs, True))
+            records.append(timeout)
             continue
+        ratios = []
         try:
-            compiled = kk.kk_compile_rule(rule, alphabet,
-                                          deadline=Deadline(deadline_ms))
-            records.append(BenchRecord(
-                family, k, "kk", compiled.build_ms,
-                compiled.transducer.num_states,
-                len(compiled.transducer.arcs), dfa_arcs, False))
-            kk_consecutive_timeouts = 0
+            while len(ratios) < 5:
+                ns, ratio, compiled = _sample(
+                    refs, kk.kk_compile_rule, rule, alphabet,
+                    Deadline(deadline_ms))
+                ratios.append(ratio)
+                if ns >= 1e9:
+                    break
         except DeadlineExceeded:
-            records.append(BenchRecord(family, k, "kk", float(deadline_ms),
-                                       None, None, dfa_arcs, True))
+            records.append(timeout)
             kk_consecutive_timeouts += 1
+            continue
+        kk_consecutive_timeouts = 0
+        t = compiled.transducer
+        records.append(BenchRecord(family, k, "kk", median(ratios),
+                                   t.num_states, len(t.arcs), dfa_arcs,
+                                   False))
+    # each `ms` so far is a median ratio: scale it to the run's host speed
+    ref_ms = median(refs) / 1e6
+    for r in records:
+        if not r.timeout:
+            r.ms *= ref_ms
     return records
 
 

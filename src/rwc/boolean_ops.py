@@ -21,8 +21,9 @@ the functions that need the property (``is_complete``, ``complete`` and
 ``minimize``) check it on their input with ``_dfa_out``.
 """
 
-from collections import deque
-from dataclasses import dataclass
+from collections import Counter, deque
+from contextlib import contextmanager
+from contextvars import ContextVar
 from itertools import repeat
 from operator import itemgetter
 
@@ -32,15 +33,23 @@ from .fsm import EPS, Automaton, Transducer
 
 _label_weight = itemgetter(1, 2, 3)
 
+# calls of determinize, complement, intersect and subtract, by name; the
+# default tally, open for the whole process, is never read
+_tally = ContextVar("rwc_op_tally", default=Counter())
 
-@dataclass
-class OpCounter:
-    """Instrumentation for operation-count claims."""
 
-    determinizations: int = 0
-    intersections: int = 0
-    complementations: int = 0
-    subtractions: int = 0
+@contextmanager
+def count_ops():
+    """Yield a fresh tally (a Counter) of the kernel calls made in the
+    block. On exit, also by an exception, the enclosing tally is restored
+    and gets these counts added."""
+    ops = Counter()
+    token = _tally.set(ops)
+    try:
+        yield ops
+    finally:
+        _tally.reset(token)
+        _tally.get().update(ops)
 
 
 def _dfa_out(aut):
@@ -72,7 +81,7 @@ def _dfa_out(aut):
     return out
 
 
-def determinize(a, counter=None, deadline=None):
+def determinize(a, deadline=None):
     """Subset construction. Language preserved, result deterministic and
     accessible; no minimization.
 
@@ -90,8 +99,7 @@ def determinize(a, counter=None, deadline=None):
     costs a few classes, not one set per label."""
     if a.weighted:
         raise ValueError("determinize expects an unweighted acceptor")
-    if counter is not None:
-        counter.determinizations += 1
+    _tally.get()["determinize"] += 1
     finals_in = set(a.finals)
     eps_from = [[] for _ in range(a.num_states)]
     pairs = {}
@@ -189,23 +197,21 @@ def complete(d, labels):
     return Automaton(d.num_states + 1, d.initial, d.finals, arcs)
 
 
-def complement(d, labels, counter=None):
+def complement(d, labels):
     """DFA for the complement of L(d) over `labels`* (completion applied
     internally)."""
-    if counter is not None:
-        counter.complementations += 1
+    _tally.get()["complement"] += 1
     d = complete(d, labels)
     finals = {q: 0.0 for q in range(d.num_states) if q not in d.finals}
     return Automaton(d.num_states, d.initial, finals, d.arcs)
 
 
-def intersect(a, b, counter=None, deadline=None):
+def intersect(a, b, deadline=None):
     """Product construction; L = L(a) ∩ L(b). Inputs unweighted. States
     are numbered in BFS discovery order and the result is trim."""
     if a.weighted or b.weighted:
         raise ValueError("intersect expects unweighted acceptors")
-    if counter is not None:
-        counter.intersections += 1
+    _tally.get()["intersect"] += 1
     a = fsm.remove_epsilon(a)
     b = fsm.remove_epsilon(b)
     b_idx = [None] * b.num_states
@@ -251,12 +257,11 @@ def intersect(a, b, counter=None, deadline=None):
     return fsm._product(Automaton, finals, arcs, ends, False)
 
 
-def subtract(a, b, labels, counter=None, deadline=None):
+def subtract(a, b, labels, deadline=None):
     """L(a) \\ L(b) over `labels`, via intersect(a, complement(det(b)))."""
-    if counter is not None:
-        counter.subtractions += 1
-    b_c = complement(determinize(b, counter, deadline), labels, counter)
-    return intersect(a, b_c, counter, deadline)
+    _tally.get()["subtract"] += 1
+    b_c = complement(determinize(b, deadline), labels)
+    return intersect(a, b_c, deadline)
 
 
 def minimize(d, deadline=None):

@@ -249,10 +249,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except RwcError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (RwcError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -33,11 +33,10 @@ rules cannot tell apart, and is expanded to the full alphabet once at
 the end; `compile_rule` always works over the alphabet it is given.
 """
 
-import time
 from dataclasses import dataclass
 
 from . import fsm
-from .boolean_ops import OpCounter, compact_transducer, determinize
+from .boolean_ops import compact_transducer, count_ops, determinize
 from .errors import PhiNullableError, PsiEmptyError
 from .fsm import EPS, Alphabet, Transducer
 from .marker import MarkerKind, MarkerSpec, marker
@@ -49,7 +48,6 @@ from .rulespec import (Rule, compile_regex, leaf_names, nullable, rename,
 class CompileStats:
     states: int
     arcs: int
-    build_ms: float
     subset_constructions: int
 
 
@@ -59,30 +57,30 @@ class CompiledRule:
     stats: CompileStats
 
 
-def _marker_dfa(beta_nfa, working_labels, counter=None, deadline=None):
+def _marker_dfa(beta_nfa, working_labels, deadline=None):
     """det( working* . beta ), the marker-construction input."""
     nfa = fsm.aut_concat([fsm.aut_sigma_star(working_labels), beta_nfa])
-    return determinize(nfa, counter, deadline)
+    return determinize(nfa, deadline)
 
 
-def _tau_r(rho, alphabet, counter=None, deadline=None):
+def _tau_r(rho, alphabet, deadline=None):
     """The TYPE 1 marker of det(Σ* reverse(rho)): read left to right, it
     inserts RB after every occurrence of reverse(rho)."""
     sigma = alphabet.sigma()
     rho_rev = fsm.reverse(compile_regex(rho, alphabet))
-    dfa = _marker_dfa(rho_rev, sigma, counter, deadline)
+    dfa = _marker_dfa(rho_rev, sigma, deadline)
     return marker(dfa, MarkerSpec(MarkerKind.TYPE1,
                                   insertions=frozenset({alphabet.rb})),
                   sigma)
 
 
-def build_r(rho, alphabet, counter=None, deadline=None):
+def build_r(rho, alphabet, deadline=None):
     """Transducer inserting RB before every occurrence of rho: the reversed
     TYPE 1 marker of det(Σ* reverse(rho))."""
-    return fsm.reverse(_tau_r(rho, alphabet, counter, deadline))
+    return fsm.reverse(_tau_r(rho, alphabet, deadline))
 
 
-def _tau_f(phi, alphabet, counter=None, deadline=None):
+def _tau_f(phi, alphabet, deadline=None):
     """The TYPE 1 marker of det((Σ ∪ {RB})* RB reverse(phi)), phi
     ignoring RB: read left to right, it inserts LB1 or LB2 after every
     occurrence of RB reverse(phi)."""
@@ -91,18 +89,18 @@ def _tau_f(phi, alphabet, counter=None, deadline=None):
     work = alphabet.sigma() + (alphabet.rb,)
     phi_rb = fsm.ignore_labels(compile_regex(phi, alphabet), {alphabet.rb})
     beta = fsm.aut_concat([fsm.aut_label(alphabet.rb), fsm.reverse(phi_rb)])
-    dfa = _marker_dfa(beta, work, counter, deadline)
+    dfa = _marker_dfa(beta, work, deadline)
     return marker(dfa, MarkerSpec(MarkerKind.TYPE1,
                                   insertions=frozenset({alphabet.lb1,
                                                         alphabet.lb2})),
                   work)
 
 
-def build_f(phi, alphabet, counter=None, deadline=None):
+def build_f(phi, alphabet, deadline=None):
     """Transducer inserting one of LB1/LB2 before each phi occurrence
     (RB-ignoring) that sits immediately before an RB; works over Σ ∪ {RB}.
     """
-    return fsm.reverse(_tau_f(phi, alphabet, counter, deadline))
+    return fsm.reverse(_tau_f(phi, alphabet, deadline))
 
 
 def build_replace(phi, psi_wfsa, alphabet, pad_out=EPS, open_label=None,
@@ -139,27 +137,27 @@ def build_replace(phi, psi_wfsa, alphabet, pad_out=EPS, open_label=None,
                       weighted=any(a[3] for a in arcs))
 
 
-def _lambda_dfa(lam, alphabet, counter=None, deadline=None):
+def _lambda_dfa(lam, alphabet, deadline=None):
     return _marker_dfa(compile_regex(lam, alphabet), alphabet.sigma(),
-                       counter, deadline)
+                       deadline)
 
 
-def build_l1(lam, alphabet, counter=None, lam_dfa=None, deadline=None):
+def build_l1(lam, alphabet, lam_dfa=None, deadline=None):
     """Filter admitting LB1 only immediately after a lambda match, deleting
     it; LB2 passes through transparently via added self-loops."""
     if lam_dfa is None:
-        lam_dfa = _lambda_dfa(lam, alphabet, counter, deadline)
+        lam_dfa = _lambda_dfa(lam, alphabet, deadline)
     tau = marker(lam_dfa, MarkerSpec(MarkerKind.TYPE2,
                                      deletions=frozenset({alphabet.lb1})),
                  alphabet.sigma())
     return fsm.add_loops(tau, {(alphabet.lb2, alphabet.lb2)})
 
 
-def build_l2(lam, alphabet, counter=None, lam_dfa=None, deadline=None):
+def build_l2(lam, alphabet, lam_dfa=None, deadline=None):
     """Filter admitting LB2 only after a prefix NOT ending in a lambda
     match, deleting it."""
     if lam_dfa is None:
-        lam_dfa = _lambda_dfa(lam, alphabet, counter, deadline)
+        lam_dfa = _lambda_dfa(lam, alphabet, deadline)
     return marker(lam_dfa, MarkerSpec(MarkerKind.TYPE3,
                                       deletions=frozenset({alphabet.lb2})),
                   alphabet.sigma())
@@ -176,26 +174,24 @@ def assert_no_markers(t, alphabet):
 def compile_rule(rule, alphabet, compact=True, deadline=None):
     """Compose the five transducers for one rule and (by default) compact.
     The caller must ensure the rule does not rewrite its own non-contextual
-    part; that condition is not checked here."""
-    t0 = time.perf_counter()
-    counter = OpCounter()
-    tau_r = _tau_r(rule.rho, alphabet, counter, deadline)
-    tau_f = _tau_f(rule.phi, alphabet, counter, deadline)
-    psi_wfsa = series_to_wfsa(rule.psi, alphabet)
-    rep = build_replace(rule.phi, psi_wfsa, alphabet)
-    lam_dfa = _lambda_dfa(rule.lam, alphabet, counter, deadline)
-    l1 = build_l1(rule.lam, alphabet, lam_dfa=lam_dfa)
-    l2 = build_l2(rule.lam, alphabet, lam_dfa=lam_dfa)
-    rf = fsm.reverse(fsm.compose(tau_r, tau_f, deadline))
-    right = fsm.compose(fsm.compose(rep, l1, deadline), l2, deadline)
-    t = fsm.compose(rf, right, deadline)
+    part; that condition is not checked here. The stats count the subset
+    constructions of the construction proper, not compaction's."""
+    with count_ops() as ops:
+        tau_r = _tau_r(rule.rho, alphabet, deadline)
+        tau_f = _tau_f(rule.phi, alphabet, deadline)
+        psi_wfsa = series_to_wfsa(rule.psi, alphabet)
+        rep = build_replace(rule.phi, psi_wfsa, alphabet)
+        lam_dfa = _lambda_dfa(rule.lam, alphabet, deadline)
+        l1 = build_l1(rule.lam, alphabet, lam_dfa=lam_dfa)
+        l2 = build_l2(rule.lam, alphabet, lam_dfa=lam_dfa)
+        rf = fsm.reverse(fsm.compose(tau_r, tau_f, deadline))
+        right = fsm.compose(fsm.compose(rep, l1, deadline), l2, deadline)
+        t = fsm.compose(rf, right, deadline)
     if compact:
         t = compact_transducer(t, deadline)
     assert_no_markers(t, alphabet)
-    ms = (time.perf_counter() - t0) * 1000.0
-    stats = CompileStats(
-        states=t.num_states, arcs=len(t.arcs), build_ms=ms,
-        subset_constructions=counter.determinizations)
+    stats = CompileStats(states=t.num_states, arcs=len(t.arcs),
+                         subset_constructions=ops["determinize"])
     return CompiledRule(transducer=t, stats=stats)
 
 

@@ -194,9 +194,6 @@ class _Machine:
             self._out = out
         return self._out[state]
 
-    def is_final(self, state):
-        return state in self.finals
-
     def __repr__(self):
         return (f"{type(self).__name__}(states={self.num_states}, "
                 f"arcs={len(self.arcs)}, finals={len(self.finals)}, "
@@ -437,8 +434,8 @@ def cross_product(phi, psi, pad_out=EPS):
     while queue:
         p, q = pq = queue.popleft()
         cur = state_ids[pq]
-        p_final = phi.is_final(p)
-        q_final = psi.is_final(q)
+        p_final = p in phi.finals
+        q_final = q in psi.finals
         if p_final and q_final:
             finals[cur] = psi.finals[q]
         for _, a, _, p2 in phi.out_arcs(p):
@@ -490,6 +487,9 @@ def _eps_closures(num_states, eps_arcs_from):
                 if nd < dist.get(r, INF):
                     dist[r] = nd
                     heappush(heap, (nd, r))
+                elif nd == INF:
+                    raise WeightOverflowError("an epsilon-closure weight is "
+                                              "past the float range")
         closures.append(dist)
     return closures
 

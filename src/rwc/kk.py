@@ -25,15 +25,16 @@ discipline mirrors the direct compiler's markers:
 
 Everything is built from intersections, complementations, and
 subtractions over the bracket-extended alphabet, which is exactly what
-makes this pipeline expensive; the per-rule operation counts are recorded
-in the returned stats.
+makes this pipeline expensive; `KkCompiledRule.ops` is the
+``boolean_ops.count_ops`` tally of one rule's kernel calls.
 """
 
-import time
+from collections import Counter
 from dataclasses import dataclass
 
 from . import fsm
-from .boolean_ops import OpCounter, complement, determinize, intersect, subtract
+from .boolean_ops import (complement, count_ops, determinize, intersect,
+                          subtract)
 from .compiler import build_replace
 from .errors import PhiNullableError
 from .fsm import EPS, Transducer
@@ -64,21 +65,15 @@ class KkBrackets:
 @dataclass
 class KkCompiledRule:
     transducer: Transducer
-    counter: OpCounter
-    build_ms: float
+    ops: Counter
 
 
-def _forbid(pattern_nfa, gamma, counter, deadline):
+def _forbid(pattern_nfa, gamma, deadline):
     """Complement of a forbidden-pattern language over gamma*."""
-    return complement(determinize(pattern_nfa, counter, deadline),
-                      gamma, counter)
+    return complement(determinize(pattern_nfa, deadline), gamma)
 
 
-def _gam_star(gamma):
-    return fsm.aut_sigma_star(gamma)
-
-
-def _constraints(rule, alphabet, br, counter, deadline):
+def _constraints(rule, alphabet, br, deadline):
     """The three Id() constraint stages, as acceptors over the
     bracket-extended alphabet."""
     sigma = alphabet.sigma()
@@ -86,7 +81,7 @@ def _constraints(rule, alphabet, br, counter, deadline):
     gamma = sigma + brackets
     gamma_post = gamma + (br.zero,)
     ignorables = set(brackets) | {br.zero}
-    gs = _gam_star(gamma)
+    gs = fsm.aut_sigma_star(gamma)
     marks = (br.la, br.li)
     no_rc_junk = sorted(ignorables - {br.rc})    # cluster junk without >c
     no_mark_junk = sorted(ignorables - set(marks))
@@ -105,24 +100,23 @@ def _constraints(rule, alphabet, br, counter, deadline):
     # end with <a/<i followed only by >c-free junk.
     marked = fsm.aut_concat([gs, fsm.aut_class(marks),
                              fsm.aut_star(fsm.aut_class(no_rc_junk))])
-    unmarked = subtract(gs, marked, gamma, counter, deadline)
+    unmarked = subtract(gs, marked, gamma, deadline)
     obligatory = _forbid(
         fsm.aut_concat([unmarked, phi_ig,
                         fsm.aut_star(fsm.aut_class(no_mark_junk)),
                         fsm.aut_label(br.rc), gs]),
-        gamma, counter, deadline)
+        gamma, deadline)
     # Unused brackets never occur; at most one >c per cluster.
     nostray = _forbid(
         fsm.aut_concat([gs, fsm.aut_class((br.lc, br.ra, br.ri)), gs]),
-        gamma, counter, deadline)
+        gamma, deadline)
     unique_rc = _forbid(
         fsm.aut_concat([gs, fsm.aut_label(br.rc),
                         fsm.aut_star(fsm.aut_class(no_rc_junk)),
                         fsm.aut_label(br.rc), gs]),
-        gamma, counter, deadline)
-    obligatory_stage = intersect(
-        intersect(obligatory, nostray, counter, deadline),
-        unique_rc, counter, deadline)
+        gamma, deadline)
+    obligatory_stage = intersect(intersect(obligatory, nostray, deadline),
+                                 unique_rc, deadline)
 
     # Rightcontext: >c iff a right-context match starts in the next cluster.
     # Left intersectand: every rho start is preceded, within its cluster,
@@ -131,7 +125,7 @@ def _constraints(rule, alphabet, br, counter, deadline):
     not_after_rc = subtract(
         gs, fsm.aut_concat([gs, fsm.aut_label(br.rc),
                             fsm.aut_star(fsm.aut_class(no_rc_junk))]),
-        gamma, counter, deadline)
+        gamma, deadline)
     if nullable(rule.rho):
         # Every real boundary (including the end of the string) starts an
         # empty rho match; a split inside a bracket cluster does not.
@@ -139,32 +133,29 @@ def _constraints(rule, alphabet, br, counter, deadline):
             fsm.aut_concat([fsm.aut_class(sigma), gs]), fsm.aut_epsilon()])
     else:
         witness = fsm.aut_concat([rho_ig, gs])
-    rc_left = _forbid(fsm.aut_concat([not_after_rc, witness]),
-                      gamma, counter, deadline)
-    rc_right = _forbid(_rc_right_pattern(gs, br, rho_ig_lead, gamma,
-                                         counter, deadline),
-                       gamma, counter, deadline)
-    rightcontext_stage = intersect(rc_left, rc_right, counter, deadline)
+    rc_left = _forbid(fsm.aut_concat([not_after_rc, witness]), gamma, deadline)
+    rc_right = _forbid(_rc_right_pattern(gs, br, rho_ig_lead, gamma, deadline),
+                       gamma, deadline)
+    rightcontext_stage = intersect(rc_left, rc_right, deadline)
 
     # Leftcontext (post-replacement): <a only right after a lambda match,
     # <i only elsewhere.
-    gs_post = _gam_star(gamma_post)
+    gs_post = fsm.aut_sigma_star(gamma_post)
     lam_post = fsm.aut_concat([gs_post, lam_ig_lead])
-    no_lam = subtract(gs_post, lam_post, gamma_post, counter, deadline)
+    no_lam = subtract(gs_post, lam_post, gamma_post, deadline)
     lc_a = _forbid(fsm.aut_concat([no_lam, fsm.aut_label(br.la), gs_post]),
-                   gamma_post, counter, deadline)
+                   gamma_post, deadline)
     lc_i = _forbid(fsm.aut_concat([lam_post, fsm.aut_label(br.li), gs_post]),
-                   gamma_post, counter, deadline)
-    leftcontext_stage = intersect(lc_a, lc_i, counter, deadline)
+                   gamma_post, deadline)
+    leftcontext_stage = intersect(lc_a, lc_i, deadline)
 
     return obligatory_stage, rightcontext_stage, leftcontext_stage
 
 
-def _rc_right_pattern(gs, br, rho_ig_lead, gamma, counter, deadline):
+def _rc_right_pattern(gs, br, rho_ig_lead, gamma, deadline):
     """Forbidden pattern of the right intersectand: a >c followed by
     something that is not a rho match (junk-leading allowed)."""
-    not_rho = subtract(gs, fsm.aut_concat([rho_ig_lead, gs]),
-                       gamma, counter, deadline)
+    not_rho = subtract(gs, fsm.aut_concat([rho_ig_lead, gs]), gamma, deadline)
     return fsm.aut_concat([gs, fsm.aut_label(br.rc), not_rho])
 
 
@@ -188,11 +179,10 @@ def kk_compile_rule(rule, alphabet, deadline=None):
         raise ValueError("the KK baseline compiles unweighted rules only")
     if nullable(rule.phi):
         raise PhiNullableError("phi accepts the empty string")
-    t0 = time.perf_counter()
-    counter = OpCounter()
     br = KkBrackets(alphabet)
-    obligatory, rightcontext, leftcontext = _constraints(
-        rule, alphabet, br, counter, deadline)
+    with count_ops() as ops:
+        obligatory, rightcontext, leftcontext = _constraints(
+            rule, alphabet, br, deadline)
     t = _prologue(alphabet, br)
     for stage in (fsm.id_transducer(obligatory),
                   fsm.id_transducer(rightcontext),
@@ -205,8 +195,7 @@ def kk_compile_rule(rule, alphabet, deadline=None):
     leftovers = t.labels_used() & (set(br.all()) | {br.zero})
     if leftovers:
         raise AssertionError(f"bracket labels leaked: {sorted(leftovers)}")
-    ms = (time.perf_counter() - t0) * 1000.0
-    return KkCompiledRule(transducer=t, counter=counter, build_ms=ms)
+    return KkCompiledRule(transducer=t, ops=ops)
 
 
 def kk_rightcontext_probe(rho, alphabet, deadline=None):
@@ -216,10 +205,9 @@ def kk_rightcontext_probe(rho, alphabet, deadline=None):
     br = KkBrackets(alphabet)
     gamma = alphabet.sigma() + br.all()
     ignorables = set(br.all()) | {br.zero}
-    gs = _gam_star(gamma)
+    gs = fsm.aut_sigma_star(gamma)
     rho_ig_lead = fsm.ignore_labels(compile_regex(rho, alphabet),
                                     ignorables, allow_leading=True)
-    counter = OpCounter()
-    nfa = _rc_right_pattern(gs, br, rho_ig_lead, gamma, counter, deadline)
-    dfa = determinize(nfa, counter, deadline)
+    nfa = _rc_right_pattern(gs, br, rho_ig_lead, gamma, deadline)
+    dfa = determinize(nfa, deadline)
     return len(nfa.arcs), len(dfa.arcs)

@@ -236,6 +236,8 @@ def _relation(t, sigma, max_len, bound_per_input=4096, max_out_len=None,
                     steps += 1
                     if steps > 2_000_000:
                         raise DivergentError("epsilon closure diverged")
+                elif nw == INF:
+                    raise _overflow()
         return configs
 
     results = {}
@@ -247,6 +249,8 @@ def _relation(t, sigma, max_len, bound_per_input=4096, max_out_len=None,
                 tw = w + t.finals[q]
                 if tw < rec.get(out, INF):
                     rec[out] = tw
+                elif tw == INF:
+                    raise _overflow()
         if len(rec) > bound_per_input:
             raise DivergentError("more outputs than the enumeration bound")
         if rec:
@@ -270,6 +274,8 @@ def _relation(t, sigma, max_len, bound_per_input=4096, max_out_len=None,
                         key = (r, no)
                         if nw < moved.get(key, INF):
                             moved[key] = nw
+                        elif nw == INF:
+                            raise _overflow()
                 if moved:
                     nxt[u + (a,)] = eps_close(moved)
         layer = nxt
@@ -321,9 +327,6 @@ class _Matcher:
                 out.append(j - start + 1)
         return out
 
-    def some_prefix_matches(self, ids, start):
-        return bool(self.match_lengths(ids, start))
-
     def ends_with_match(self, out_ids):
         # self must be built with reverse=True; walk the output backwards.
         q = self.initial
@@ -355,7 +358,7 @@ class RewriteOracle:
         """Map input ids -> {output ids: min weight}."""
         n = len(ids)
         bound = self.bound
-        rho_ok = [self.rho.some_prefix_matches(ids, j) for j in range(n + 1)]
+        rho_ok = [bool(self.rho.match_lengths(ids, j)) for j in range(n + 1)]
         # All phi match lengths with a valid right context, per position.
         sites = []
         for i in range(n):
@@ -385,6 +388,8 @@ class RewriteOracle:
                             nw = w + v
                             if nw < tgt.get(no, INF):
                                 tgt[no] = nw
+                            elif nw == INF:
+                                raise _overflow()
                 else:
                     no = out + (ids[i],)
                     tgt = buckets[i + 1]

@@ -8,14 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rwc import boolean_ops as B
+from rwc import compiler as C
 from rwc import fsm
-from rwc.boolean_ops import (OpCounter, compact_transducer, complement,
-                             complete, determinize, intersect, is_complete,
+from rwc.boolean_ops import (compact_transducer, complement, complete,
+                             count_ops, determinize, intersect, is_complete,
                              minimize, subtract)
 from rwc.errors import NotDeterministicError
 from rwc.fsm import Alphabet, Automaton, aut_concat, aut_label, \
     aut_sigma_star
-from rwc.rulespec import compile_regex, parse_regex
+from rwc.rulespec import compile_regex, parse_regex, parse_rule_file
 from rwc.textio import format_machine
 
 from .helpers import (accepts_by_enum, all_strings, canonical, enum_relation,
@@ -52,10 +53,42 @@ def test_determinize_preserves_language_of_dfa_input():
 
 
 def test_determinize_counter_increments():
-    c = OpCounter()
-    determinize(hand_nfa_sigma_star_b(), c)
-    determinize(hand_nfa_sigma_star_b(), c)
-    assert c.determinizations == 2
+    with count_ops() as c:
+        determinize(hand_nfa_sigma_star_b())
+        determinize(hand_nfa_sigma_star_b())
+    assert c["determinize"] == 2
+
+
+def test_nested_count_ops_add_into_the_outer_tally():
+    with count_ops() as outer:
+        determinize(hand_nfa_sigma_star_b())
+        with count_ops() as inner:
+            determinize(hand_nfa_sigma_star_b())
+            complement(determinize(hand_nfa_sigma_star_b()), AB.sigma())
+            assert outer == {"determinize": 1}
+        assert inner == {"determinize": 2, "complement": 1}
+    assert outer == {"determinize": 3, "complement": 1}
+
+
+def test_count_ops_restores_the_tally_when_the_block_raises():
+    before = B._tally.get()
+    with count_ops() as outer:
+        with pytest.raises(ValueError):
+            with count_ops():
+                determinize(hand_nfa_sigma_star_b())
+                determinize(Automaton(1, 0, {0: 0.0}, (), weighted=True))
+        assert B._tally.get() is outer
+    assert B._tally.get() is before
+    assert outer == {"determinize": 1}
+
+
+def test_compile_rule_counts_construction_apart_from_compaction():
+    rs = parse_rule_file("alphabet: a b c ;\na -> b / c _ c ;\n")
+    with count_ops() as ops:
+        cr = C.compile_rule(rs.rules[0], rs.alphabet)
+    # three subset constructions build the rule; compaction runs a fourth
+    assert ops["determinize"] == 4
+    assert cr.stats.subset_constructions == 3
 
 
 def test_determinize_rejects_weighted():
@@ -196,11 +229,11 @@ def test_de_morgan_union_of_parts():
 
 
 def test_subtract_counts_component_operations():
-    c = OpCounter()
-    subtract(aut_label(A), aut_label(B_), AB.sigma(), c)
-    assert c.subtractions == 1
-    assert c.intersections == 1 and c.complementations == 1
-    assert c.determinizations == 1
+    with count_ops() as c:
+        subtract(aut_label(A), aut_label(B_), AB.sigma())
+    assert c["subtract"] == 1
+    assert c["intersect"] == 1 and c["complement"] == 1
+    assert c["determinize"] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,28 @@ def test_apply_weight_overflow_exits_1(tmp_path, capsys):
     assert "E_WEIGHT_OVERFLOW" in captured.err
 
 
+def test_compile_overflow_in_an_epsilon_closure_exits_1(tmp_path, capsys):
+    # psi is the one string b at weight 2e308, summed over an epsilon path
+    rules = tmp_path / "big.rules"
+    rules.write_text("alphabet: a b ;\na -> <1e308> (<1e308> b) / _ ;\n")
+    assert main(["compile", str(rules), "-o", str(tmp_path / "big.fst")]) \
+        == 1
+    assert "E_WEIGHT_OVERFLOW" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rules_text", [
+    "alphabet: a b ;\na a -> <1e308> b / _ ;\na -> <1e308> b / _ ;\n",
+    "alphabet: a b ;\na -> <1e308> b / _ ;\n"])
+def test_check_weight_overflow_exits_1(tmp_path, capsys, rules_text):
+    # "aa" costs 2e308: an error, not an oracle without output
+    rules = tmp_path / "big.rules"
+    rules.write_text(rules_text)
+    assert main(["check", str(rules), "--max-len", "3"]) == 1
+    captured = capsys.readouterr()
+    assert "E_WEIGHT_OVERFLOW" in captured.err
+    assert "no output" not in captured.out + captured.err
+
+
 def test_compile_malformed_file_exits_1(tmp_path, capsys):
     rules = tmp_path / "bad.rules"
     rules.write_text("alphabet a b ;\n")

@@ -301,6 +301,14 @@ def test_compose_weight_overflow_is_a_coded_error(arc_w, final_w):
                          {((A,), (C,)): 1.5e308})
 
 
+def test_epsilon_closure_weight_overflow_is_a_coded_error():
+    # two epsilon arcs of 1e308 in a row
+    aut = Automaton(3, 0, {2: 0.0}, [(0, EPS, 1e308, 1), (1, EPS, 1e308, 2)],
+                    weighted=True)
+    with pytest.raises(WeightOverflowError):
+        remove_epsilon(aut)
+
+
 def test_compose_with_identity_is_identity():
     rng = rng_for("compose-id")
     ident = id_transducer(remove_epsilon(aut_sigma_star(ABC.sigma())))

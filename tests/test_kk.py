@@ -72,8 +72,8 @@ def test_kk_rejects_weighted_and_nullable():
 def test_kk_operation_count_floor():
     alphabet, rule = rule_of("alphabet: a b c ;\n a -> b / c _ c ;")
     kkc = K.kk_compile_rule(rule, alphabet)
-    assert kkc.counter.intersections >= 4
-    assert kkc.counter.complementations >= 11
+    assert kkc.ops["intersect"] >= 4
+    assert kkc.ops["complement"] >= 11
 
 
 def test_kk_random_corpus_equivalence():

@@ -231,6 +231,28 @@ def test_apply_overflow_off_the_best_path_is_a_coded_error(other, finals):
         O.apply(t, "a", AB)
 
 
+def test_oracle_weight_overflow_is_a_coded_error():
+    alphabet, rule = rule_of("alphabet: a b ;\n a -> <1e308> b / _ ;")
+    orc = O.RewriteOracle(rule, alphabet)
+    a, b = alphabet.ids_of(["a", "b"])
+    assert orc.rewrite_ids((a,)) == {(b,): 1e308}
+    with pytest.raises(WeightOverflowError):
+        orc.rewrite_ids((a, a))
+
+
+@pytest.mark.parametrize("arcs, finals", [
+    # two symbol arcs
+    ([(0, 1, 1, 1e308, 1), (1, 1, 1, 1e308, 2)], {2: 0.0}),
+    # a symbol arc, then an epsilon-input arc
+    ([(0, 1, 1, 1e308, 1), (1, EPS, 2, 1e308, 2)], {2: 0.0}),
+    # a symbol arc, then a final weight
+    ([(0, 1, 1, 1e308, 1)], {1: 1e308})])
+def test_relation_weight_overflow_is_a_coded_error(arcs, finals):
+    t = Transducer(3, 0, finals, arcs, weighted=True)
+    with pytest.raises(WeightOverflowError):
+        O._relation(t, AB.sigma(), 2)
+
+
 def test_relation_upto_agrees_with_apply():
     rng = rng_for("relation-vs-apply")
     alphabet, rule = rule_of(
