@@ -2,8 +2,9 @@
 
 A rule phi -> psi / lambda _ rho rewrites phi to psi wherever lambda
 precedes and rho follows, obligatorily, scanning left to right. The
-compiler builds it as a composition of five transducers; this demo only
-looks at the result.
+compiler builds it as a composition of four transducers (the paper's
+five, with the two left-context filters fused); this demo only looks at
+the result.
 """
 
 import math

@@ -12,11 +12,11 @@ from .compiler import (CompiledRule, build_f, build_l1, build_l2, build_r,
                        build_replace, compile_rule, compile_ruleset)
 from .errors import RwcError
 from .fsm import (EPS, INF, Alphabet, Automaton, Deadline, Transducer,
-                  WeightedStringSet, add_loops, aut_class, aut_concat,
-                  aut_epsilon, aut_label, aut_sigma_star, aut_star,
-                  aut_string, aut_union, aut_weighted, compose,
-                  cross_product, id_transducer, ignore_labels,
-                  remove_epsilon, reverse, trim)
+                  WeightedStringSet, aut_class, aut_concat, aut_epsilon,
+                  aut_label, aut_sigma_star, aut_star, aut_string,
+                  aut_union, aut_weighted, compose, cross_product,
+                  id_transducer, ignore_labels, remove_epsilon, reverse,
+                  trim)
 from .kk import KkBrackets, kk_compile_rule, kk_rightcontext_probe
 from .marker import MarkerKind, MarkerSpec, marker
 from .oracle import (RewriteOracle, apply, check_rule, equivalent_on,

@@ -3,8 +3,9 @@ determinization, completion, complementation, intersection, subtraction,
 DFA minimization, and label-encoded transducer compaction.
 
 Epsilon closures come from the core machinery: determinization takes its
-subsets from ``fsm._eps_closures``, and intersection trims its product
-with ``fsm._product``, the backward pass it shares with composition.
+subsets from ``fsm._eps_closures``. Intersection trims its product with
+``fsm._product``, and minimization drops dead states with
+``fsm._coaccessible``: both are the backward pass composition uses.
 Compaction hands a zero-weight arc that is epsilon on both tapes to
 determinization as an acceptor epsilon, and runs ``fsm.remove_epsilon``
 first only when such an arc or a final state carries a weight.
@@ -282,15 +283,7 @@ def minimize(d, deadline=None):
     for q, o in enumerate(out):
         for t in o.values():
             into[t].append(q)
-    live = bytearray(n)
-    stack = list(d.finals)
-    for q in stack:
-        live[q] = 1
-    while stack:
-        for q in into[stack.pop()]:
-            if not live[q]:
-                live[q] = 1
-                stack.append(q)
+    live = fsm._coaccessible(d.finals, into)
     states = [q for q in range(n) if live[q]]
     first = {}
     cls = [0] * n

@@ -5,7 +5,7 @@
     rwc apply OUT.fst INPUT [--stdin] [--nbest N]
     rwc check RULES [--max-len L] [--against OUT.fst] [--deadline-ms D]
     rwc bench --family left|right [--kmax K] [--alphabet-size N]
-              [--deadline-ms D] [--no-skip] OUT.csv
+              [--deadline-ms D] [--skip-after N] OUT.csv
 
 `check` exhaustively compares each compiled rule against the brute-force
 rewriting oracle (and, for unweighted rules, against the KK baseline
@@ -185,8 +185,7 @@ def cmd_check(args):
 def cmd_bench(args):
     records = bench_mod.run_bench(
         args.family, args.kmax, alphabet_size=args.alphabet_size,
-        deadline_ms=args.deadline_ms,
-        skip_after=0 if args.no_skip else args.skip_after)
+        deadline_ms=args.deadline_ms, skip_after=args.skip_after)
     bench_mod.write_csv(args.out, records)
     n_timeouts = sum(r.timeout for r in records)
     print(f"wrote {args.out}: {len(records)} rows, {n_timeouts} timeouts")
@@ -237,9 +236,7 @@ def build_parser():
     b.add_argument("--deadline-ms", type=int, default=300_000)
     b.add_argument("--skip-after", type=int, default=2,
                    help="skip remaining KK points after this many "
-                        "consecutive timeouts")
-    b.add_argument("--no-skip", action="store_true",
-                   help="always run every KK point to its deadline")
+                        "consecutive timeouts (0: never skip)")
     b.set_defaults(func=cmd_bench)
     return ap
 

@@ -1,5 +1,5 @@
 """Compilation of obligatory left-to-right rewrite rules into weighted
-transducers by composing five machines:
+transducers. The paper composes five machines:
 
     r ∘ f ∘ replace ∘ l1 ∘ l2
 
@@ -13,20 +13,22 @@ the left context does NOT match and deletes it.
 Because r and f run before replace and l1/l2 after, the right context is
 matched against the input side and the left context against the already
 rewritten output side. Only three subset constructions are needed per
-rule: the r automaton, the f automaton, and one shared Σ*λ automaton for
-l1 and l2.
+rule: the r automaton, the f automaton, and one Σ*λ automaton.
 
-`compile_rule` composes the five factors in this order:
+`compile_rule` composes four machines:
 
-    reverse(tau_r ∘ tau_f) ∘ ((replace ∘ l1) ∘ l2)
+    reverse(tau_r ∘ tau_f) ∘ (replace ∘ tau_l)
 
 r and f are the reversals of the TYPE 1 markers tau_r and tau_f, and
 r ∘ f = reverse(tau_r ∘ tau_f). Built forward from the deterministic
 markers, the product visits only live pairs, where r ∘ f built forward
-from the reversed machines mostly reaches no final. replace, l1 and l2
-are small beside it, so their product is built first and the |Σ|-wide
-product is built once. The relation is that of the left fold; after
-compaction so is the machine.
+from the reversed machines mostly reaches no final. l1 and l2 step the
+same Σ*λ DFA and neither moves on a marker, so their product is that DFA
+with LB1 deleted at its finals and LB2 elsewhere: tau_l builds it with
+no |Σ|-wide product. replace ∘ tau_l is small, so it is built first and
+the |Σ|-wide product once. After compaction the machine is that of the
+paper's left fold. `build_r`, `build_f`, `build_l1` and `build_l2`, the
+paper's factors, serve only as that reference and for tracing by name.
 
 A rule set compiles over one representative per block of symbols its
 rules cannot tell apart, and is expanded to the full alphabet once at
@@ -116,6 +118,16 @@ def build_replace(phi, psi_wfsa, alphabet, pad_out=EPS, open_label=None,
     psi_t = fsm.trim(psi_wfsa)
     if not psi_t.finals:
         raise PsiEmptyError("psi denotes the empty language")
+    if psi_t.weighted:
+        # psi's weights are never summed later; on a trim psi each shortest
+        # distance (final weights included) is part of some path's weight
+        n = psi_t.num_states
+        succ = [[] for _ in range(n + 1)]
+        for s, _, w, d in psi_t.arcs:
+            succ[s].append((w, d))
+        for q, fw in psi_t.finals.items():
+            succ[q].append((fw, n))
+        fsm._eps_closures(n + 1, succ)
     phi_aut = compile_regex(phi, alphabet)
     cp = fsm.cross_product(phi_aut, psi_wfsa, pad_out=pad_out)
     if open_label is None:
@@ -142,25 +154,38 @@ def _lambda_dfa(lam, alphabet, deadline=None):
                        deadline)
 
 
-def build_l1(lam, alphabet, lam_dfa=None, deadline=None):
+def build_l1(lam, alphabet, deadline=None):
     """Filter admitting LB1 only immediately after a lambda match, deleting
-    it; LB2 passes through transparently via added self-loops."""
-    if lam_dfa is None:
-        lam_dfa = _lambda_dfa(lam, alphabet, deadline)
-    tau = marker(lam_dfa, MarkerSpec(MarkerKind.TYPE2,
-                                     deletions=frozenset({alphabet.lb1})),
+    it; LB2 passes through transparently on a self-loop at every state."""
+    tau = marker(_lambda_dfa(lam, alphabet, deadline),
+                 MarkerSpec(MarkerKind.TYPE2, deletions={alphabet.lb1}),
                  alphabet.sigma())
-    return fsm.add_loops(tau, {(alphabet.lb2, alphabet.lb2)})
+    lb2 = alphabet.lb2
+    loops = [(q, lb2, lb2, 0.0, q) for q in range(tau.num_states)]
+    return Transducer(tau.num_states, tau.initial, tau.finals,
+                      tau.arcs + tuple(loops))
 
 
-def build_l2(lam, alphabet, lam_dfa=None, deadline=None):
+def build_l2(lam, alphabet, deadline=None):
     """Filter admitting LB2 only after a prefix NOT ending in a lambda
     match, deleting it."""
-    if lam_dfa is None:
-        lam_dfa = _lambda_dfa(lam, alphabet, deadline)
-    return marker(lam_dfa, MarkerSpec(MarkerKind.TYPE3,
-                                      deletions=frozenset({alphabet.lb2})),
+    return marker(_lambda_dfa(lam, alphabet, deadline),
+                  MarkerSpec(MarkerKind.TYPE3, deletions={alphabet.lb2}),
                   alphabet.sigma())
+
+
+def _tau_l(lam_dfa, alphabet):
+    """l1 ∘ l2 as one filter over det(Σ* lambda): the TYPE 2 marker
+    deleting LB1 at each final (lambda-matching) state, plus an LB2:ε
+    self-loop at each non-final state."""
+    tau = marker(lam_dfa, MarkerSpec(MarkerKind.TYPE2,
+                                     deletions={alphabet.lb1}),
+                 alphabet.sigma())
+    lb2 = alphabet.lb2
+    loops = [(q, lb2, EPS, 0.0, q) for q in range(tau.num_states)
+             if q not in lam_dfa.finals]
+    return Transducer(tau.num_states, tau.initial, tau.finals,
+                      tau.arcs + tuple(loops))
 
 
 def assert_no_markers(t, alphabet):
@@ -172,7 +197,7 @@ def assert_no_markers(t, alphabet):
 
 
 def compile_rule(rule, alphabet, compact=True, deadline=None):
-    """Compose the five transducers for one rule and (by default) compact.
+    """Compose the four transducers for one rule and (by default) compact.
     The caller must ensure the rule does not rewrite its own non-contextual
     part; that condition is not checked here. The stats count the subset
     constructions of the construction proper, not compaction's."""
@@ -181,11 +206,9 @@ def compile_rule(rule, alphabet, compact=True, deadline=None):
         tau_f = _tau_f(rule.phi, alphabet, deadline)
         psi_wfsa = series_to_wfsa(rule.psi, alphabet)
         rep = build_replace(rule.phi, psi_wfsa, alphabet)
-        lam_dfa = _lambda_dfa(rule.lam, alphabet, deadline)
-        l1 = build_l1(rule.lam, alphabet, lam_dfa=lam_dfa)
-        l2 = build_l2(rule.lam, alphabet, lam_dfa=lam_dfa)
+        tau_l = _tau_l(_lambda_dfa(rule.lam, alphabet, deadline), alphabet)
         rf = fsm.reverse(fsm.compose(tau_r, tau_f, deadline))
-        right = fsm.compose(fsm.compose(rep, l1, deadline), l2, deadline)
+        right = fsm.compose(rep, tau_l, deadline)
         t = fsm.compose(rf, right, deadline)
     if compact:
         t = compact_transducer(t, deadline)

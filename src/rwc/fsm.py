@@ -1,7 +1,7 @@
 """Core finite-state machinery: alphabets, acceptors, weighted transducers,
 and the elementary constructions everything else builds on (regex-style
-combinators, identity, cross product, reversal, loop-adding, epsilon
-removal, trimming, weighted composition).
+combinators, identity, cross product, reversal, epsilon removal,
+trimming, weighted composition).
 
 Acceptors and transducers share one validating base class; reversal,
 epsilon removal and trimming take either kind. ``_eps_closures`` is the
@@ -461,17 +461,6 @@ def reverse(m):
                    weighted=m.weighted)
 
 
-def add_loops(t, pairs):
-    """Add a weight-0 self-loop (i, o) at every state for each pair."""
-    pairs = sorted(set(pairs))
-    arcs = list(t.arcs)
-    for q in range(t.num_states):
-        for i, o in pairs:
-            arcs.append((q, i, o, 0.0, q))
-    return Transducer(t.num_states, t.initial, t.finals, arcs,
-                      weighted=t.weighted)
-
-
 def _eps_closures(num_states, eps_arcs_from):
     """Min-plus epsilon closure of every state (Dijkstra; weights >= 0)."""
     closures = []
@@ -488,8 +477,8 @@ def _eps_closures(num_states, eps_arcs_from):
                     dist[r] = nd
                     heappush(heap, (nd, r))
                 elif nd == INF:
-                    raise WeightOverflowError("an epsilon-closure weight is "
-                                              "past the float range")
+                    raise WeightOverflowError("a path weight is past the "
+                                              "float range")
         closures.append(dist)
     return closures
 

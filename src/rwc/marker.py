@@ -84,16 +84,13 @@ def marker(alpha, spec, working_labels):
         finals = {q: 0.0 for q in range(n) if q not in finals_in}
         finals.update({q2: 0.0 for q2 in copy_of.values()})
         out = Transducer(nxt, aut.initial, finals, arcs)
-    elif spec.kind is MarkerKind.TYPE2:
-        mark = next(iter(spec.deletions))
-        arcs = [(s, l, l, 0.0, t) for s, l, _, t in aut.arcs]
-        arcs.extend((q, mark, EPS, 0.0, q) for q in sorted(finals_in))
-        out = Transducer(n, aut.initial, {q: 0.0 for q in range(n)}, arcs)
     else:
-        mark = next(iter(spec.deletions))
+        # TYPE 2 deletes the marker at the final states, TYPE 3 elsewhere
+        mark, = spec.deletions
+        at_finals = spec.kind is MarkerKind.TYPE2
         arcs = [(s, l, l, 0.0, t) for s, l, _, t in aut.arcs]
         arcs.extend((q, mark, EPS, 0.0, q) for q in range(n)
-                    if q not in finals_in)
+                    if (q in finals_in) == at_finals)
         out = Transducer(n, aut.initial, {q: 0.0 for q in range(n)}, arcs)
 
     _assert_size_bound(aut, spec, out)

@@ -102,6 +102,19 @@ def test_compile_overflow_in_an_epsilon_closure_exits_1(tmp_path, capsys):
     assert "E_WEIGHT_OVERFLOW" in capsys.readouterr().err
 
 
+def test_compile_overflow_split_over_two_psi_arcs_exits_1(tmp_path, capsys):
+    # psi is b b at weight 2e308, carried by two arcs that no later sum adds
+    rules = tmp_path / "big.rules"
+    rules.write_text("alphabet: a b ;\na -> (<1e308> b) (<1e308> b) / _ ;\n")
+    assert main(["compile", str(rules), "-o", str(tmp_path / "big.fst")]) \
+        == 1
+    assert "E_WEIGHT_OVERFLOW" in capsys.readouterr().err
+    # below the float range the rule compiles
+    rules.write_text("alphabet: a b ;\na -> (<1e307> b) (<1e307> b) / _ ;\n")
+    assert main(["compile", str(rules), "-o", str(tmp_path / "ok.fst")]) \
+        == 0
+
+
 @pytest.mark.parametrize("rules_text", [
     "alphabet: a b ;\na a -> <1e308> b / _ ;\na -> <1e308> b / _ ;\n",
     "alphabet: a b ;\na -> <1e308> b / _ ;\n"])

@@ -1,5 +1,6 @@
-"""The five-transducer construction: each factor against its definition,
-then whole-rule compilation against the rewriting oracle."""
+"""The paper's five factors and the fused left-context filter, each
+against its definition, then whole-rule compilation against the rewriting
+oracle."""
 
 import math
 import pathlib
@@ -18,9 +19,9 @@ from rwc.rulespec import parse_regex, parse_rule_file, parse_series, \
 
 from rwc.textio import format_machine
 
-from .helpers import (canonical, enum_relation, rand_ruleset_text,
-                      reference_apply, reference_cascade, rng_for,
-                      rule_corpus, weights_close)
+from .helpers import (canonical, enum_relation, rand_regex,
+                      rand_ruleset_text, reference_apply, reference_cascade,
+                      rng_for, rule_corpus, weights_close)
 
 DEMOS = pathlib.Path(__file__).parent.parent / "demos"
 
@@ -42,7 +43,7 @@ def names(alphabet, text):
 
 
 # ---------------------------------------------------------------------------
-# r, f, replace, l1, l2 in isolation
+# r, f, replace, l1, l2 and tau_l in isolation
 # ---------------------------------------------------------------------------
 
 def test_build_r_marks_before_every_rho_instance():
@@ -140,6 +141,21 @@ def test_build_l2_empty_language_lambda_accepts_everything():
     l2 = C.build_l2(R.Cls(()), ABC)
     a = ABC.id_of("a")
     assert outputs_for(l2, (ABC.lb2, a, ABC.lb2)) == {(a,)}
+
+
+def test_tau_l_is_l1_composed_with_l2():
+    # the empty language and epsilon first, then random lambdas; inputs mix
+    # Σ with LB1 and LB2 up to length 4
+    rng = rng_for("tau-l")
+    lams = [R.Cls(()), R.Eps()] + [rand_regex(rng, ABC, 2) for _ in range(30)]
+    markers_read = set()
+    for lam in lams:
+        tau_l = C._tau_l(C._lambda_dfa(lam, ABC), ABC)
+        got = enum_relation(tau_l, 4)
+        assert got == enum_relation(
+            compose(C.build_l1(lam, ABC), C.build_l2(lam, ABC)), 4), lam
+        markers_read.update(l for i, _ in got for l in i)
+    assert {ABC.lb1, ABC.lb2} <= markers_read
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from rwc import fsm
 from rwc.errors import EmptyLanguageError, WeightOverflowError
-from rwc.fsm import (EPS, INF, Alphabet, Automaton, Transducer, add_loops,
-                     aut_class, aut_concat, aut_label, aut_sigma_star,
-                     aut_star, aut_string, compose, cross_product,
-                     id_transducer, remove_epsilon, reverse, trim)
+from rwc.fsm import (EPS, INF, Alphabet, Automaton, Transducer, aut_class,
+                     aut_concat, aut_label, aut_sigma_star, aut_star,
+                     aut_string, compose, cross_product, id_transducer,
+                     remove_epsilon, reverse, trim)
 from rwc.rulespec import compile_regex, parse_regex
 
 from .helpers import (all_strings, enum_language, enum_relation, naive_match,
@@ -179,7 +179,7 @@ def test_cross_product_rejects_weighted_phi():
 
 
 # ---------------------------------------------------------------------------
-# reverse / add_loops
+# reverse
 # ---------------------------------------------------------------------------
 
 def test_reverse_reverses_strings():
@@ -200,23 +200,6 @@ def test_reverse_transducer_reverses_both_tapes():
     t = Transducer(3, 0, {2: 0.0},
                    [(0, A, B, 0.0, 1), (1, B, C, 0.0, 2)])
     assert enum_relation(reverse(t), 3) == {((B, A), (C, B)): 0.0}
-
-
-def test_add_loops_adds_one_loop_per_state_and_pair():
-    t = Transducer(3, 0, {2: 0.0},
-                   [(0, A, A, 0.0, 1), (1, B, B, 0.0, 2)])
-    t2 = add_loops(t, {(ABC.lb2, ABC.lb2)})
-    assert len(t2.arcs) == len(t.arcs) + 3
-    t3 = add_loops(t, set())
-    assert t3.arcs == t.arcs
-
-
-def test_add_loops_marker_ignoring_pairs():
-    t = Transducer(1, 0, {0: 0.0}, [(0, A, A, 0.0, 0)])
-    pairs = {(ABC.rb, EPS), (ABC.lb1, EPS), (ABC.lb2, EPS)}
-    t2 = add_loops(t, pairs)
-    rel = enum_relation(t2, 2)
-    assert ((ABC.rb,), ()) in rel and ((ABC.lb1, A), (A,)) in rel
 
 
 # ---------------------------------------------------------------------------
