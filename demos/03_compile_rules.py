@@ -50,7 +50,7 @@ for names, w in out.sorted_items():
 print("\noracle says:", dict(oracle_rewrite(nasal.rules[0], nasal.alphabet,
                                             "Nb").entries))
 
-# Rule sets compose in file order (with compaction after each step).
+# Rule sets compose in file order (compacted rules, one final compaction).
 two = parse_rule_file("alphabet: a b c ;\n a -> b / _ ;\n b -> c / _ ;\n")
 t = compile_ruleset(two)
 out, _ = apply(t, "a", two.alphabet)

@@ -31,8 +31,9 @@ paper's left fold. `build_r`, `build_f`, `build_l1` and `build_l2`, the
 paper's factors, serve only as that reference and for tracing by name.
 
 A rule set compiles over one representative per block of symbols its
-rules cannot tell apart, and is expanded to the full alphabet once at
-the end; `compile_rule` always works over the alphabet it is given.
+rules cannot tell apart: its compacted rules are composed in order, the
+product is compacted once and expanded to the full alphabet once at the
+end. `compile_rule` always works over the alphabet it is given.
 """
 
 from dataclasses import dataclass
@@ -266,9 +267,11 @@ def _expand(t, members, reduced):
 
 def compile_ruleset(ruleset, compact=True, deadline=None):
     """Left fold of weighted composition over the rules in file order,
-    compacting after each composition. The fold runs over one
+    compacted once after the last composition. The fold runs over one
     representative per block of `symbol_blocks`, and the result is
-    expanded back to the full alphabet once at the end."""
+    expanded back to the full alphabet once at the end. The compacted
+    rules' products barely shrink when compacted, so compacting after each
+    step gives the same (canonical) machine for more work."""
     alphabet = ruleset.alphabet
     blocks = symbol_blocks(ruleset)
     rep = {x: block[0] for block in blocks for x in block}
@@ -279,7 +282,7 @@ def compile_ruleset(ruleset, compact=True, deadline=None):
                       for ast in (rule.phi, rule.psi, rule.lam, rule.rho)))
         cr = compile_rule(rule, reduced, compact=compact, deadline=deadline)
         t = fsm.compose(t, cr.transducer, deadline)
-        if compact:
-            t = compact_transducer(t, deadline=deadline)
+    if compact:
+        t = compact_transducer(t, deadline=deadline)
     members = [(EPS,)] + [alphabet.ids_of(block) for block in blocks]
     return _expand(t, members, reduced)

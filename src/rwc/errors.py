@@ -47,7 +47,7 @@ class NegativeWeightError(RwcError):
     code = "E_NEGATIVE_WEIGHT"
 
 
-class WeightOverflowError(RwcError):
+class WeightOverflowError(RwcError, ValueError):
     """A sum of finite path weights overflowed the float range."""
 
     code = "E_WEIGHT_OVERFLOW"

@@ -12,7 +12,8 @@ accessible by construction, run only it (through ``_product``).
 
 Weights live in the tropical semiring (min, +) over finite non-negative
 64-bit floats; ``math.inf`` plays the role of the absorbing "no path"
-value and never appears on an arc or a final state. Machines are
+value and never appears on an arc or a final state: a constructor
+refuses it as a sum past the float range (E_WEIGHT_OVERFLOW). Machines are
 immutable once constructed: an operation returns a new machine, or its
 input when there is nothing to change, so machines can be shared freely
 between threads.
@@ -155,6 +156,13 @@ _ends = itemgetter(0, -1)
 _dst = itemgetter(-1)
 
 
+def _bad_weight(w, message):
+    """An infinite weight is a sum past the float range; else ValueError."""
+    if w == INF:
+        raise WeightOverflowError(f"weight {w!r} is past the float range")
+    raise ValueError(message)
+
+
 class _Machine:
     """State-numbered machine: `num_states` states 0..n-1, an initial
     state, finals mapping state -> final weight, and a tuple of arcs whose
@@ -174,8 +182,8 @@ class _Machine:
             if not (0 <= q < num_states):
                 raise ValueError("final state out of range")
             if not 0.0 <= w < INF:
-                raise ValueError(f"final weight {w!r} is not finite and "
-                                 "non-negative")
+                _bad_weight(w, f"final weight {w!r} is not finite and "
+                               "non-negative")
         if not weighted and (any(map(_weight, arcs))
                              or any(finals.values())):
             raise ValueError("unweighted machine carries a nonzero weight")
@@ -213,7 +221,7 @@ class Automaton(_Machine):
         for s, l, w, d in arcs:
             if not (0 <= s < num_states and 0 <= d < num_states
                     and 0.0 <= w < INF):
-                raise ValueError(f"bad endpoint or weight: {(s, l, w, d)}")
+                _bad_weight(w, f"bad endpoint or weight: {(s, l, w, d)}")
 
 
 class Transducer(_Machine):
@@ -228,7 +236,7 @@ class Transducer(_Machine):
         for s, i, o, w, d in arcs:
             if not (0 <= s < num_states and 0 <= d < num_states
                     and 0.0 <= w < INF):
-                raise ValueError(f"bad endpoint or weight: {(s, i, o, w, d)}")
+                _bad_weight(w, f"bad endpoint or weight: {(s, i, o, w, d)}")
 
     def in_index(self, state):
         """Outgoing arcs of `state` grouped by input label, as
@@ -636,8 +644,8 @@ def compose(t1, t2, deadline=None):
     epsilon, 2 = only t2 may keep moving on its input epsilon. A matched
     real symbol resets to 0; a paired epsilon move is allowed only from 0.
     States are numbered in BFS discovery order and the result is trim.
-    Raises E_WEIGHT_OVERFLOW when the weights of a built arc or final
-    state add up past the float range.
+    Raises E_WEIGHT_OVERFLOW, from the machine's constructor, when the
+    weights of a kept arc or final state add up past the float range.
     """
     # a state (q1, q2, filter) is keyed by (q1 * n2 + q2) * 3 + filter, and
     # numbered by its position in `keys`, the FIFO of discovered states;
@@ -697,10 +705,5 @@ def compose(t1, t2, deadline=None):
                     keys.append(k)
                 arcs.append((cur, EPS, c, w2, nid))
         ends.append(len(arcs))
-    # sums of finite weights overflow only when both machines carry some
-    if t1.weighted and t2.weighted and (INF in finals.values()
-                                        or INF in map(_weight, arcs)):
-        raise WeightOverflowError("a weight sum in a composition is "
-                                  "past the float range")
     return _product(Transducer, finals, arcs, ends,
                     t1.weighted or t2.weighted)

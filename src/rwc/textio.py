@@ -38,24 +38,26 @@ def format_machine(m, alphabet):
     _check_size(m.num_states)
     kind = "acceptor" if m.tapes == 1 else "transducer"
     wtag = "weighted" if m.weighted else "unweighted"
-    lines = [f"{_HEADER} {wtag} {kind}", f"states {m.num_states}"]
-    lines.append("sym 0 <eps>")
-    for i, name in enumerate(alphabet.symbols, start=1):
-        lines.append(f"sym {i} {name}")
-    for off, name in enumerate(RESERVED_NAMES[1:], start=1):
-        lines.append(f"sym {alphabet.n + off} {name}")
-    max_label = alphabet.num_labels - 1
+    lines = [f"{_HEADER} {wtag} {kind}", f"states {m.num_states}",
+             "sym 0 <eps>"]
+    lines += [f"sym {i} {name}"
+              for i, name in enumerate(alphabet.symbols, start=1)]
+    lines += [f"sym {alphabet.n + off} {name}"
+              for off, name in enumerate(RESERVED_NAMES[1:], start=1)]
     lines.append(f"init {m.initial}")
-    for q in sorted(m.finals):
-        lines.append(f"final {q} {float(m.finals[q])!r}")
-    for a in m.arcs:
-        labs = a[1:-2]
-        for l in labs:
-            if not (0 <= l <= max_label):
-                raise FormatError(
-                    f"label {l} has no name in the symbol table")
-        lines.append(f"arc {a[0]} {a[-1]} " + " ".join(map(str, labs))
-                     + f" {float(a[-2])!r}")
+    lines += [f"final {q} {float(m.finals[q])!r}" for q in sorted(m.finals)]
+    # one pass; an arc with an unnamed label is left out and then reported
+    top = alphabet.num_labels - 1
+    if m.tapes == 1:
+        arcs = [f"arc {s} {d} {l} {float(w)!r}"
+                for s, l, w, d in m.arcs if 0 <= l <= top]
+    else:
+        arcs = [f"arc {s} {d} {i} {o} {float(w)!r}"
+                for s, i, o, w, d in m.arcs if 0 <= i <= top and 0 <= o <= top]
+    if len(arcs) < len(m.arcs):
+        bad = next(l for a in m.arcs for l in a[1:-2] if not 0 <= l <= top)
+        raise FormatError(f"label {bad} has no name in the symbol table")
+    lines += arcs
     return "\n".join(lines) + "\n"
 
 

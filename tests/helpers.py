@@ -743,3 +743,59 @@ def reference_cascade(rule, alphabet, compact=True):
               C.build_l2(rule.lam, alphabet)):
         t = fsm.compose(t, m)
     return compact_transducer(t) if compact else t
+
+
+# ---------------------------------------------------------------------------
+# Reference fold and writer: compile_ruleset compacting after every
+# composition, and format_machine writing one arc at a time
+# ---------------------------------------------------------------------------
+
+def reference_ruleset(ruleset, compact=True):
+    """compile_ruleset's left fold over the block representatives, with
+    the fold compacted after each composition."""
+    from rwc import compiler as C
+    from rwc import fsm
+    from rwc.boolean_ops import compact_transducer
+    alphabet = ruleset.alphabet
+    blocks = C.symbol_blocks(ruleset)
+    rep = {x: block[0] for block in blocks for x in block}
+    reduced = Alphabet([block[0] for block in blocks])
+    t = C.identity_over_sigma(reduced)
+    for rule in ruleset.rules:
+        rule = R.Rule(*(R.rename(ast, rep)
+                        for ast in (rule.phi, rule.psi, rule.lam, rule.rho)))
+        t = fsm.compose(t, C.compile_rule(rule, reduced, compact).transducer)
+        if compact:
+            t = compact_transducer(t)
+    members = [(EPS,)] + [alphabet.ids_of(block) for block in blocks]
+    return C._expand(t, members, reduced)
+
+
+def reference_format_machine(m, alphabet):
+    """format_machine's text, built line by line with a label check on
+    each arc label in turn."""
+    from rwc.errors import FormatError
+    from rwc.fsm import RESERVED_NAMES
+    from rwc.textio import _check_size
+    _check_size(m.num_states)
+    kind = "acceptor" if m.tapes == 1 else "transducer"
+    wtag = "weighted" if m.weighted else "unweighted"
+    lines = [f"WFST v1 {wtag} {kind}", f"states {m.num_states}"]
+    lines.append("sym 0 <eps>")
+    for i, name in enumerate(alphabet.symbols, start=1):
+        lines.append(f"sym {i} {name}")
+    for off, name in enumerate(RESERVED_NAMES[1:], start=1):
+        lines.append(f"sym {alphabet.n + off} {name}")
+    max_label = alphabet.num_labels - 1
+    lines.append(f"init {m.initial}")
+    for q in sorted(m.finals):
+        lines.append(f"final {q} {float(m.finals[q])!r}")
+    for a in m.arcs:
+        labs = a[1:-2]
+        for l in labs:
+            if not (0 <= l <= max_label):
+                raise FormatError(
+                    f"label {l} has no name in the symbol table")
+        lines.append(f"arc {a[0]} {a[-1]} " + " ".join(map(str, labs))
+                     + f" {float(a[-2])!r}")
+    return "\n".join(lines) + "\n"

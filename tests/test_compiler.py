@@ -21,9 +21,10 @@ from rwc.textio import format_machine
 
 from .helpers import (canonical, enum_relation, rand_regex,
                       rand_ruleset_text, reference_apply, reference_cascade,
-                      rng_for, rule_corpus, weights_close)
+                      reference_ruleset, rng_for, rule_corpus, weights_close)
 
 DEMOS = pathlib.Path(__file__).parent.parent / "demos"
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 ABC = Alphabet(["a", "b", "c"])
 ABCD = Alphabet(["a", "b", "c", "d"])
@@ -389,6 +390,43 @@ def test_compile_ruleset_equals_full_fold_acceptance_corpora():
                             weighted=False))
     for alphabet, rule in corpus:
         assert_same_as_full_fold(R.RuleSet(alphabet, (rule,)))
+
+
+def assert_same_text_as_reference_fold(ruleset, note=None):
+    assert format_machine(C.compile_ruleset(ruleset), ruleset.alphabet) == \
+        format_machine(reference_ruleset(ruleset), ruleset.alphabet), note
+
+
+def test_compile_ruleset_text_equals_stepwise_compacted_fold_random_corpus():
+    rng = rng_for("ruleset-blocks")
+    for _ in range(60):
+        text = rand_ruleset_text(rng)
+        assert_same_text_as_reference_fold(parse_rule_file(text), text)
+
+
+@pytest.mark.parametrize("demo", ["nasal", "chain"])
+def test_compile_ruleset_demo_text_is_golden(demo):
+    rs = parse_rule_file((DEMOS / f"{demo}.rules").read_text())
+    assert_same_text_as_reference_fold(rs)
+    assert format_machine(C.compile_ruleset(rs), rs.alphabet) == \
+        (GOLDEN / f"{demo}.fst").read_text()
+
+
+@pytest.mark.parametrize("compact", [True, False])
+def test_compile_ruleset_compacts_each_rule_and_the_fold_once(monkeypatch,
+                                                              compact):
+    calls = []
+
+    def counting(t, deadline=None):
+        calls.append(t)
+        return compact_transducer(t, deadline)
+
+    monkeypatch.setattr(C, "compact_transducer", counting)
+    for demo in ("nasal.rules", "chain.rules"):
+        rs = parse_rule_file((DEMOS / demo).read_text())
+        calls.clear()
+        C.compile_ruleset(rs, compact=compact)
+        assert len(calls) == (len(rs.rules) + 1 if compact else 0), demo
 
 
 def assert_apply_matches_reference(t, alphabet, inputs, note=None):

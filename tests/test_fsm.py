@@ -107,6 +107,17 @@ def test_machines_reject_bad_final_weights(cls, w):
         _one_arc_machine(cls, final_w=w)
 
 
+@pytest.mark.parametrize("cls", [Automaton, Transducer])
+@pytest.mark.parametrize("where", ["arc_w", "final_w"])
+def test_machines_refuse_infinite_weights_as_overflow(cls, where):
+    with pytest.raises(WeightOverflowError):
+        _one_arc_machine(cls, **{where: INF})
+    for w in (math.nan, -1.0):
+        with pytest.raises(ValueError) as e:
+            _one_arc_machine(cls, **{where: w})
+        assert not isinstance(e.value, WeightOverflowError)
+
+
 # ---------------------------------------------------------------------------
 # Regex compilation vs the naive matcher
 # ---------------------------------------------------------------------------
@@ -282,6 +293,16 @@ def test_compose_weight_overflow_is_a_coded_error(arc_w, final_w):
                       weighted=True)
     assert weights_close(enum_relation(compose(t1, half), 2),
                          {((A,), (C,)): 1.5e308})
+
+
+def test_compose_overflow_into_a_dead_state_is_no_error():
+    # t1's state 2 reaches no final, so the product drops the arc whose
+    # weights add up to 2e308 before any machine holds it
+    t1 = Transducer(3, 0, {1: 0.0},
+                    [(0, A, B, 0.0, 1), (0, A, B, 1e308, 2)], weighted=True)
+    t2 = Transducer(2, 0, {1: 0.0}, [(0, B, C, 1e308, 1)], weighted=True)
+    assert weights_close(enum_relation(compose(t1, t2), 2),
+                         {((A,), (C,)): 1e308})
 
 
 def test_epsilon_closure_weight_overflow_is_a_coded_error():

@@ -1,5 +1,7 @@
 """FST text format round trips and error handling."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,7 +14,9 @@ from rwc.fsm import Alphabet, Automaton, Transducer
 from rwc.rulespec import parse_rule_file
 from rwc.textio import format_machine, parse_machine
 
-from .helpers import enum_language, enum_relation, weights_close
+from .helpers import (enum_language, enum_relation, rand_automaton,
+                      rand_transducer, reference_format_machine,
+                      weights_close)
 
 AB = Alphabet(["a", "b"])
 A, B = AB.ids_of(["a", "b"])
@@ -158,3 +162,36 @@ def test_state_count_is_bounded():
     # the writer refuses what the reader would, so every file round-trips
     with pytest.raises(FormatError):
         format_machine(Automaton(big, 0, {}, ()), AB)
+
+
+# -0.0 is written as such; 5e-324 and 1e308 sit near the float range's ends
+_WRITER_WEIGHTS = (0.0, -0.0, 5e-324, 1 / 3, 0.1, 1e308)
+
+
+@given(st.integers(0, 2 ** 32), st.booleans(), st.booleans(), st.data())
+def test_format_machine_equals_reference_writer(seed, acceptor, weighted,
+                                                data):
+    rng = random.Random(seed)
+    labels = list(range(AB.num_labels))
+    m = (rand_automaton(rng, labels) if acceptor
+         else rand_transducer(rng, labels))
+    weight = st.sampled_from(_WRITER_WEIGHTS if weighted else (0.0, -0.0))
+    arcs = [a[:-2] + (data.draw(weight), a[-1]) for a in m.arcs]
+    finals = {q: data.draw(weight) for q in m.finals}
+    m = type(m)(m.num_states, m.initial, finals, arcs, weighted=weighted)
+    assert format_machine(m, AB) == reference_format_machine(m, AB)
+
+
+@pytest.mark.parametrize("m", [
+    Automaton(2, 0, {1: 0.0}, [(0, A, 0.0, 1), (0, 6, 0.0, 1),
+                               (1, 9, 0.0, 1)]),
+    Transducer(2, 0, {1: 0.0}, [(0, A, B, 0.0, 1), (0, -1, 7, 0.0, 1)]),
+    Transducer(2, 0, {1: 0.0}, [(0, A, B, 0.0, 1), (0, B, 6, 0.0, 1),
+                                (1, 8, 0, 0.0, 1)]),
+], ids=["acceptor", "transducer-input", "transducer-output"])
+def test_format_machine_names_the_first_unnamed_label(m):
+    with pytest.raises(FormatError) as want:
+        reference_format_machine(m, AB)
+    with pytest.raises(FormatError) as got:
+        format_machine(m, AB)
+    assert str(got.value) == str(want.value)
