@@ -99,8 +99,10 @@ def _check_one_rule(idx, rule, alphabet, max_len, deadline=None):
     orc = oracle.RewriteOracle(rule, alphabet)
     rel = oracle._relation(cr.transducer, alphabet.sigma(), max_len,
                            deadline=deadline)
-    rep = oracle._compare(rel, orc.rewrite_ids, alphabet, max_len,
-                          need_output=True, deadline=deadline)
+    rep = oracle._compare(rel, orc.relation(alphabet.sigma(), max_len,
+                                            deadline).get,
+                          alphabet, max_len, need_output=True,
+                          deadline=deadline)
     failures = [f"rule {idx}: input {u!r}: compiled {got!r} != "
                 f"oracle {exp!r}" if exp else
                 f"rule {idx}: oracle produced no output for {u!r}"

@@ -342,7 +342,9 @@ class _Matcher:
 
 
 class RewriteOracle:
-    """Reusable interpreter for one rule (matchers are built once)."""
+    """Reusable interpreter for one rule (matchers are built once).
+    `rewrite_ids` rewrites one string and `relation` every string up to a
+    length, in one sweep; both run one dynamic program, `_rewrite`."""
 
     def __init__(self, rule, alphabet, bound=1000):
         self.alphabet = alphabet
@@ -357,14 +359,44 @@ class RewriteOracle:
     def rewrite_ids(self, ids):
         """Map input ids -> {output ids: min weight}."""
         n = len(ids)
-        bound = self.bound
         rho_ok = [bool(self.rho.match_lengths(ids, j)) for j in range(n + 1)]
         # All phi match lengths with a valid right context, per position.
-        sites = []
-        for i in range(n):
-            ms = [m for m in self.phi.match_lengths(ids, i)
-                  if m > 0 and rho_ok[i + m]]
-            sites.append(ms)
+        sites = [[m for m in self.phi.match_lengths(ids, i)
+                  if m > 0 and rho_ok[i + m]] for i in range(n)]
+        return self._rewrite(ids, sites)
+
+    def relation(self, sigma, max_len, deadline=None):
+        """{input ids: {output ids: weight}} for every input over `sigma` up
+        to max_len, equal to `rewrite_ids` on each. The tables of u = (a,) +
+        t are t's with one new entry at position 0, so an input costs one
+        rho walk and one phi walk; only the previous length's tables are
+        kept. The deadline is checked once per input length."""
+        rho, phi = self.rho, self.phi
+        layer = {(): ((bool(rho.match_lengths((), 0)),), ())}
+        results = {(): self._rewrite((), ())}
+        for _ in range(max_len):
+            if deadline is not None:
+                deadline.check()
+            nxt = {}
+            for t, (rho_ok, sites) in layer.items():
+                for a in sigma:
+                    u = (a,) + t
+                    rok = (bool(rho.match_lengths(u, 0)),) + rho_ok
+                    ms = ([m for m in phi.match_lengths(u, 0)
+                           if m > 0 and rok[m]],) + sites
+                    nxt[u] = (rok, ms)
+                    results[u] = self._rewrite(u, ms)
+            layer = nxt
+        return results
+
+    def _rewrite(self, ids, sites):
+        """Obligatory left-to-right rewriting of `ids`, given sites[i]: the
+        phi match lengths at position i with a valid right context."""
+        if not any(sites):
+            # what the copy loop below builds; errors arise only at sites
+            return {tuple(ids): 0.0}
+        n = len(ids)
+        bound = self.bound
         buckets = [dict() for _ in range(n + 1)]
         buckets[0][()] = 0.0
         results = {}
@@ -468,7 +500,8 @@ def _compare(rel, expected, alphabet, max_len, need_output=False,
             deadline.check()
         o1 = rel.get(u, {})
         o2 = expected(u) or {}
-        ok = o1.keys() == o2.keys() and all(
+        # exact equality first, in C; the tolerance only when that fails
+        ok = o1 == o2 or o1.keys() == o2.keys() and all(
             abs(w - o2[k]) <= tol for k, w in o1.items())
         if not ok or (need_output and not o2):
             counterexamples.append((_names(alphabet, u), _named(alphabet, o1),
@@ -494,4 +527,5 @@ def check_rule(rule, t, alphabet, max_len):
     input the oracle maps to nothing is one too."""
     orc = RewriteOracle(rule, alphabet)
     return _compare(_relation(t, alphabet.sigma(), max_len),
-                    orc.rewrite_ids, alphabet, max_len, need_output=True)
+                    orc.relation(alphabet.sigma(), max_len).get, alphabet,
+                    max_len, need_output=True)

@@ -539,6 +539,51 @@ def reference_equivalent_on(t1, t2, alphabet, max_len, tol=1e-9,
                              tol=tol, max_report=max_report)
 
 
+def reference_rewrite_ids(orc, ids):
+    """`RewriteOracle.rewrite_ids` as it was before the oracle's sweep
+    shared its tables: both tables built from scratch for the one string,
+    and the dynamic program run on every input, site or no site."""
+    from rwc.errors import DivergentError
+    from rwc.oracle import _overflow
+    n = len(ids)
+    bound = orc.bound
+    rho_ok = [bool(orc.rho.match_lengths(ids, j)) for j in range(n + 1)]
+    sites = []
+    for i in range(n):
+        ms = [m for m in orc.phi.match_lengths(ids, i)
+              if m > 0 and rho_ok[i + m]]
+        sites.append(ms)
+    buckets = [dict() for _ in range(n + 1)]
+    buckets[0][()] = 0.0
+    results = {}
+    for i in range(n + 1):
+        for out, w in buckets[i].items():
+            if i == n:
+                if w < results.get(out, INF):
+                    results[out] = w
+                continue
+            ms = sites[i]
+            if ms and orc.lam_rev.ends_with_match(out):
+                if orc.psi_truncated:
+                    raise DivergentError(
+                        f"psi admits more than {bound} strings")
+                for m in ms:
+                    tgt = buckets[i + m]
+                    for s, v in orc.psi_strings.items():
+                        no = out + s
+                        nw = w + v
+                        if nw < tgt.get(no, INF):
+                            tgt[no] = nw
+                        elif nw == INF:
+                            raise _overflow()
+            else:
+                no = out + (ids[i],)
+                tgt = buckets[i + 1]
+                if w < tgt.get(no, INF):
+                    tgt[no] = w
+    return results
+
+
 # ---------------------------------------------------------------------------
 # Reference kernels: determinization, composition, intersection and trimming
 # as they were before label classes and integer state keys, less the counter

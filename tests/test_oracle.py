@@ -2,6 +2,8 @@
 equivalence checker."""
 
 import math
+import pathlib
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -9,14 +11,16 @@ from hypothesis import strategies as st
 
 from rwc import compiler as C
 from rwc import oracle as O
-from rwc.errors import DivergentError, WeightOverflowError
-from rwc.fsm import EPS, Alphabet, Automaton, Transducer, aut_sigma_star, \
-    id_transducer, remove_epsilon
+from rwc.errors import (DeadlineExceeded, DivergentError, RwcError,
+                        WeightOverflowError)
+from rwc.fsm import EPS, Alphabet, Automaton, Deadline, Transducer, \
+    aut_sigma_star, id_transducer, remove_epsilon
 from rwc.rulespec import Cls, Eps, Rule, Sym, parse_rule_file
 
 from .helpers import (reference_apply, reference_compare,
                       reference_equivalent_on, reference_relation_upto,
-                      rng_for, rule_corpus, time_limit, weights_close)
+                      reference_rewrite_ids, rng_for, rule_corpus,
+                      time_limit, weights_close)
 
 ABC = Alphabet(["a", "b", "c"])
 AB = Alphabet(["a", "b"])
@@ -381,3 +385,82 @@ def test_check_rule_matches_named_reference():
                                      expected, alphabet, 3, need_output=True)
             assert (rep.equivalent, rep.counterexamples,
                     rep.strings_checked) == want
+
+
+def _coded(fn, *args):
+    """fn(*args), or the code of the toolkit error it raises."""
+    try:
+        return fn(*args)
+    except RwcError as e:
+        return e.code
+
+
+DEMOS = pathlib.Path(__file__).parent.parent / "demos"
+
+
+def _relation_cases():
+    """(alphabet, rule, the code of the error the oracle raises or None)"""
+    for weighted in (True, False):
+        tag = "weighted" if weighted else "unweighted"
+        for k, (alphabet, rule) in enumerate(rule_corpus(
+                f"oracle-relation-{tag}", 16, {2: 8, 3: 8},
+                weighted=weighted)):
+            yield pytest.param(alphabet, rule, None, id=f"corpus-{tag}-{k}")
+    for demo in ("nasal", "chain"):
+        rs = parse_rule_file((DEMOS / f"{demo}.rules").read_text())
+        for k, rule in enumerate(rs.rules):
+            yield pytest.param(rs.alphabet, rule, None, id=f"demo-{demo}-{k}")
+    yield pytest.param(AB, Rule(phi=Sym("a"), psi=Cls(()), lam=Eps(),
+                                rho=Eps()), None, id="psi-empty")
+    for text, error, tag in (
+            ("a -> b / _ ;", None, "empty-contexts"),
+            ("[a b] -> <0.5> c + a / a _ b? ;", None, "overlapping"),
+            ("a -> b* c / _ ;", "E_DIVERGENT", "psi-past-bound"),
+            ("a -> <1e308> b / _ ;", "E_WEIGHT_OVERFLOW", "overflow")):
+        alphabet, rule = rule_of(f"alphabet: a b c ;\n{text}")
+        yield pytest.param(alphabet, rule, error, id=tag)
+
+
+@pytest.mark.parametrize("alphabet, rule, error", _relation_cases())
+def test_oracle_relation_equals_reference_rewrite(alphabet, rule, error):
+    # one sweep with suffix-shared tables and the no-site shortcut gives
+    # exactly what the per-string oracle gave, or raises its coded error
+    orc = O.RewriteOracle(rule, alphabet)
+    sigma = alphabet.sigma()
+    want = {u: _coded(reference_rewrite_ids, orc, u)
+            for u in O._strings(sigma, 4)}
+    for u, w in want.items():
+        assert _coded(orc.rewrite_ids, u) == w, u
+        # callers may pass a list; outputs are keyed by tuples all the same
+        assert _coded(orc.rewrite_ids, list(u)) == w, u
+    errors = {w for w in want.values() if isinstance(w, str)}
+    assert errors == ({error} if error else set())
+    assert _coded(orc.relation, sigma, 4) == (error or want)
+
+
+def test_oracle_relation_checks_its_deadline():
+    alphabet, rule = rule_of("alphabet: a b c ;\n a -> b / c _ ;")
+    orc = O.RewriteOracle(rule, alphabet)
+    deadline = Deadline(0)
+    time.sleep(0.01)
+    with pytest.raises(DeadlineExceeded) as e:
+        orc.relation(alphabet.sigma(), 3, deadline=deadline)
+    assert e.value.code == "E_TIMEOUT"
+
+
+@pytest.mark.parametrize("raise_by, equivalent", [(5e-10, True),
+                                                  (2e-9, False)])
+def test_equivalent_on_tolerance_edge(raise_by, equivalent):
+    # weights within 1e-9 of each other are equal; exact equality is only
+    # the sweep's fast path
+    alphabet, rule = rule_of("alphabet: a b c ;\n a -> <0.5> b / c _ ;")
+    t = C.compile_rule(rule, alphabet).transducer
+    arcs = list(t.arcs)
+    k = next(j for j, arc in enumerate(arcs) if arc[3] > 0)
+    s, i, o, w, d = arcs[k]
+    arcs[k] = (s, i, o, w + raise_by, d)
+    t2 = Transducer(t.num_states, t.initial, t.finals, arcs, weighted=True)
+    rep = O.equivalent_on(t, t2, alphabet, 3)
+    assert rep.equivalent is equivalent
+    for _, lhs, rhs in rep.counterexamples:
+        assert lhs.keys() == rhs.keys() and lhs != rhs
