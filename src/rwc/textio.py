@@ -19,7 +19,8 @@ is refused by the reader and by the writer alike.
 """
 
 from .errors import FormatError
-from .fsm import RESERVED_NAMES, Alphabet, Automaton, Transducer
+from .fsm import (RESERVED_NAMES, Alphabet, Automaton, Transducer,
+                  id_transducer)
 
 _HEADER = "WFST v1"
 
@@ -144,3 +145,11 @@ def parse_machine(text):
 def read_machine(path):
     with open(path, encoding="utf-8") as f:
         return parse_machine(f.read())
+
+
+def read_transducer(path):
+    """`read_machine`, with an acceptor read as its identity transducer."""
+    m, alphabet = read_machine(path)
+    if isinstance(m, Automaton):
+        m = id_transducer(m)
+    return m, alphabet

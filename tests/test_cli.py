@@ -9,15 +9,16 @@ from hypothesis import strategies as st
 
 from rwc import cli
 from rwc import compiler as C
-from rwc import oracle
+from rwc import kk, oracle
 from rwc import rulespec as R
 from rwc import textio
 from rwc.bench import CSV_HEADER, run_bench
+from rwc.boolean_ops import compact_transducer
 from rwc.cli import main
 from rwc.errors import BadOptionError
-from rwc.fsm import EPS, Alphabet, Transducer
+from rwc.fsm import EPS, Alphabet, Transducer, aut_sigma_star
 
-from .helpers import time_limit
+from .helpers import reference_compare, time_limit
 
 RULE9 = ("alphabet: b m n p N a ;\n"
          f"N -> <{-math.log(0.9)!r}> m + <{-math.log(0.1)!r}> n"
@@ -373,14 +374,7 @@ THREE_RULES = ("alphabet: a b c ;\n"
                "c -> a / _ b ;\n")
 
 
-def test_check_sweeps_each_relation_once(tmp_path, capsys, monkeypatch):
-    # 3 compiled rules, 2 KK machines and the two machines of --against:
-    # 7 sweeps, where sweeping the compiled rule for the oracle and again
-    # for the KK cross-check took 9
-    rules = tmp_path / "three.rules"
-    rules.write_text(THREE_RULES)
-    fst = tmp_path / "three.fst"
-    assert main(["compile", str(rules), "-o", str(fst)]) == 0
+def _count_sweeps(monkeypatch):
     calls = []
     sweep = oracle._relation
 
@@ -389,12 +383,109 @@ def test_check_sweeps_each_relation_once(tmp_path, capsys, monkeypatch):
         return sweep(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "_relation", counted)
+    return calls
+
+
+def test_check_sweeps_each_relation_once(tmp_path, capsys, monkeypatch):
+    # 3 compiled rules and the --against FST: the 2 compacted KK machines
+    # and the composed set are identical to machines already swept, so
+    # 4 sweeps, where sweeping every machine took 7
+    rules = tmp_path / "three.rules"
+    rules.write_text(THREE_RULES)
+    fst = tmp_path / "three.fst"
+    assert main(["compile", str(rules), "-o", str(fst)]) == 0
+    calls = _count_sweeps(monkeypatch)
     assert main(["check", str(rules), "--max-len", "3",
                  "--against", str(fst)]) == 0
-    assert len(calls) == 7
+    assert len(calls) == 4
     out = capsys.readouterr().out
     assert out.count("kk cross-check: ok") == 2
     assert "ruleset vs" in out and "all checks passed" in out
+
+
+def test_check_sweeps_machines_that_differ(tmp_path, capsys, monkeypatch):
+    # uncompacted KK machines and an uncompacted FST are not identical to
+    # the compiled ones: R + U + 2 sweeps, all agreeing
+    rules = tmp_path / "three.rules"
+    rules.write_text(THREE_RULES)
+    fst = tmp_path / "loose.fst"
+    assert main(["compile", str(rules), "--no-compact", "-o", str(fst)]) == 0
+    monkeypatch.setattr(cli, "compact_transducer", lambda t, deadline: t)
+    calls = _count_sweeps(monkeypatch)
+    assert main(["check", str(rules), "--max-len", "3",
+                 "--against", str(fst)]) == 0
+    assert len(calls) == 3 + 2 + 2
+    out = capsys.readouterr().out
+    assert out.count("kk cross-check: ok") == 2 and "all checks passed" in out
+
+
+@pytest.mark.parametrize("edit", ["arc", "final"])
+def test_check_against_nearly_equal_fst_reports_each_mismatch(
+        edit, rule9_file, tmp_path, capsys):
+    # one weight 1e-6 above the compiled one is past the 1e-9 tolerance:
+    # the failures are those of comparing the two full relations
+    fst = tmp_path / "rule9.fst"
+    assert main(["compile", str(rule9_file), "-o", str(fst)]) == 0
+    lines = fst.read_text().splitlines()
+    k = next(i for i, ln in enumerate(lines) if ln.startswith(edit + " "))
+    parts = lines[k].split()
+    parts[-1] = repr(float(parts[-1]) + 1e-6)
+    lines[k] = " ".join(parts)
+    fst.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["check", str(rule9_file), "--max-len", "3",
+                 "--against", str(fst)]) == 2
+    ruleset = R.parse_rule_file(rule9_file.read_text())
+    alphabet = ruleset.alphabet
+    got = oracle.relation_upto(C.compile_ruleset(ruleset), alphabet, 3)
+    want = oracle.relation_upto(textio.read_machine(fst)[0], alphabet, 3)
+    _, cex, _ = reference_compare(got, lambda u: want.get(u, {}), alphabet, 3)
+    assert cex
+    assert capsys.readouterr().err == "".join(
+        [f"{len(cex)} failure(s):\n"] +
+        [f"  against: mismatch on {u!r}: {a!r} vs {b!r}\n"
+         for u, a, b in cex])
+
+
+def test_check_reports_kk_machine_of_another_relation(tmp_path, capsys,
+                                                      monkeypatch):
+    # the compiled machine with one arc reweighted: as many states and arcs
+    # after compaction, but another relation
+    rules = tmp_path / "small.rules"
+    rules.write_text(SMALL)
+
+    def reweighted_kk(rule, alphabet, deadline=None):
+        t = C.compile_rule(rule, alphabet).transducer
+        s, i, o, w, d = t.arcs[0]
+        arcs = ((s, i, o, w + 1.0, d),) + t.arcs[1:]
+        return kk.KkCompiledRule(Transducer(t.num_states, t.initial, t.finals,
+                                            arcs, weighted=True), None)
+
+    ruleset = R.parse_rule_file(SMALL)
+    t = C.compile_rule(ruleset.rules[0], ruleset.alphabet).transducer
+    fake = compact_transducer(
+        reweighted_kk(ruleset.rules[0], ruleset.alphabet).transducer)
+    assert (fake.num_states, len(fake.arcs)) == (t.num_states, len(t.arcs))
+    monkeypatch.setattr(cli.kk, "kk_compile_rule", reweighted_kk)
+    assert main(["check", str(rules), "--max-len", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert "rule 0: kk cross-check: FAIL" in out
+    assert "rule 0: kk mismatch on" in err
+
+
+def test_check_against_acceptor_compares_its_identity(tmp_path, capsys):
+    # `apply` reads an acceptor as its identity transducer; so does check
+    alphabet = R.parse_rule_file((DEMOS / "chain.rules").read_text()).alphabet
+    acc = tmp_path / "acc.fst"
+    textio.write_machine(acc, aut_sigma_star(alphabet.sigma()), alphabet)
+    assert acc.read_text().startswith("WFST v1 unweighted acceptor")
+    assert main(["check", str(DEMOS / "chain.rules"), "--max-len", "2",
+                 "--against", str(acc)]) == 2
+    out, err = capsys.readouterr()
+    assert f"ruleset vs {acc}: FAIL" in out
+    # chain rewrites b before d, the one input up to length 2 it changes
+    assert err == ("1 failure(s):\n  against: mismatch on ('b', 'd'): "
+                   "{('c', 'd'): 0.0} vs {('b', 'd'): 0.0}\n")
 
 
 def test_check_divergent_sweep_exits_1(tmp_path, capsys):

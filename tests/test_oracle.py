@@ -387,6 +387,51 @@ def test_check_rule_matches_named_reference():
                     rep.strings_checked) == want
 
 
+@st.composite
+def relation_pairs(draw):
+    """(rel, expected, max_len): `expected` a relation on some inputs over
+    a, b, some of them mapped to {}; `rel` it as `_relation` would record
+    it (no empty output sets), maybe with one weight moved by 5e-10 or by
+    0.5, or with one input dropped."""
+    max_len = draw(st.integers(0, 3))
+    full = draw(st.booleans())  # every input with an output
+    outputs = st.dictionaries(st.lists(st.sampled_from((1, 2)), max_size=2)
+                              .map(tuple), st.floats(0.0, 4.0),
+                              min_size=int(full), max_size=2)
+    expected = {}
+    for u in O._strings(AB.sigma(), max_len):
+        if full or draw(st.booleans()):
+            expected[u] = draw(outputs)
+    rel = {u: dict(o) for u, o in expected.items() if o}
+    how = draw(st.sampled_from(("equal", "tolerance", "weight", "drop")))
+    if rel and how != "equal":
+        u = draw(st.sampled_from(sorted(rel)))
+        if how == "drop":
+            del rel[u]
+        else:
+            k = next(iter(rel[u]))
+            rel[u][k] += 5e-10 if how == "tolerance" else 0.5
+    return rel, expected, max_len
+
+
+@settings(max_examples=300, deadline=None)
+@given(relation_pairs(), st.booleans(), st.integers(1, 10))
+def test_compare_matches_named_reference(pair, need_output, max_report):
+    # the dict-equality fast path reports what the ordered loop does
+    rel, expected, max_len = pair
+    rep = O._compare(rel, expected, AB, max_len, need_output=need_output,
+                     max_report=max_report)
+
+    def named(r):
+        return {O._names(AB, u): O._named(AB, o) for u, o in r.items()}
+
+    want_exp = named(expected)
+    want = reference_compare(named(rel), lambda u: want_exp.get(u, {}), AB,
+                             max_len, need_output=need_output,
+                             max_report=max_report)
+    assert (rep.equivalent, rep.counterexamples, rep.strings_checked) == want
+
+
 def _coded(fn, *args):
     """fn(*args), or the code of the toolkit error it raises."""
     try:
