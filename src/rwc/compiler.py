@@ -33,7 +33,9 @@ paper's factors, serve only as that reference and for tracing by name.
 A rule set compiles over one representative per block of symbols its
 rules cannot tell apart: its compacted rules are composed in order, the
 product is compacted once and expanded to the full alphabet once at the
-end. `compile_rule` always works over the alphabet it is given.
+end. Each rule is compiled over the fewer blocks it alone tells apart and
+widened to the file's representatives before it enters the fold.
+`compile_rule` always works over the alphabet it is given.
 """
 
 from dataclasses import dataclass
@@ -43,8 +45,8 @@ from .boolean_ops import compact_transducer, count_ops, determinize
 from .errors import PhiNullableError, PsiEmptyError
 from .fsm import EPS, Alphabet, Transducer
 from .marker import MarkerKind, MarkerSpec, marker
-from .rulespec import (Rule, compile_regex, leaf_names, nullable, rename,
-                       series_to_wfsa)
+from .rulespec import (Rule, RuleSet, compile_regex, leaf_names, nullable,
+                       rename, series_to_wfsa)
 
 
 @dataclass
@@ -265,23 +267,36 @@ def _expand(t, members, reduced):
                       weighted=t.weighted)
 
 
+def _renamed(rule, blocks):
+    """The rule with every symbol replaced by its block's first member."""
+    rep = {x: block[0] for block in blocks for x in block}
+    return Rule(*(rename(ast, rep)
+                  for ast in (rule.phi, rule.psi, rule.lam, rule.rho)))
+
+
 def compile_ruleset(ruleset, compact=True, deadline=None):
     """Left fold of weighted composition over the rules in file order,
     compacted once after the last composition. The fold runs over one
     representative per block of `symbol_blocks`, and the result is
-    expanded back to the full alphabet once at the end. The compacted
-    rules' products barely shrink when compacted, so compacting after each
-    step gives the same (canonical) machine for more work."""
+    expanded back to the full alphabet once at the end. Each rule is
+    compiled over one representative per block of its own, and `_expand`
+    widens it to the file's representatives: every file block lies inside
+    one rule block, whose members share the rule's phi, lambda and rho
+    leaves and no psi leaf. The compacted rules' products barely shrink
+    when compacted, so compacting after each step gives the same
+    (canonical) machine for more work."""
     alphabet = ruleset.alphabet
     blocks = symbol_blocks(ruleset)
-    rep = {x: block[0] for block in blocks for x in block}
     reduced = Alphabet([block[0] for block in blocks])
     t = identity_over_sigma(reduced)
     for rule in ruleset.rules:
-        rule = Rule(*(rename(ast, rep)
-                      for ast in (rule.phi, rule.psi, rule.lam, rule.rho)))
-        cr = compile_rule(rule, reduced, compact=compact, deadline=deadline)
-        t = fsm.compose(t, cr.transducer, deadline)
+        rule = _renamed(rule, blocks)
+        own = symbol_blocks(RuleSet(reduced, (rule,)))
+        small = Alphabet([block[0] for block in own])
+        cr = compile_rule(_renamed(rule, own), small, compact=compact,
+                          deadline=deadline)
+        widen = [(EPS,)] + [reduced.ids_of(block) for block in own]
+        t = fsm.compose(t, _expand(cr.transducer, widen, small), deadline)
     if compact:
         t = compact_transducer(t, deadline=deadline)
     members = [(EPS,)] + [alphabet.ids_of(block) for block in blocks]

@@ -336,6 +336,40 @@ def rand_ruleset_text(rng):
     return f"alphabet: {' '.join(names)} ;\n" + "\n".join(rules) + "\n"
 
 
+def rand_phonology_text(rng):
+    """An 8-rule file over the paper's 194 symbols, drawn from 40 of them.
+    Contexts take 0-3 atoms, each a class of 2-3 symbols a quarter of the
+    time; two rules rewrite a class, three have weighted 2-way targets and
+    one has a negated class in its left context."""
+    names = [f"s{j:03d}" for j in range(194)]
+    active = rng.sample(names, 40)
+
+    def atom():
+        if rng.random() < 0.25:
+            return f"[{' '.join(rng.sample(active, rng.randint(2, 3)))}]"
+        return rng.choice(active)
+
+    def context(lo=0):
+        return [atom() for _ in range(rng.randint(lo, 3))]
+
+    kinds = rng.sample(["cls"] * 2 + ["weighted"] * 3 + ["neg"] + [None] * 2,
+                       8)
+    rules = []
+    for kind in kinds:
+        phi = (f"[{' '.join(rng.sample(active, rng.randint(2, 3)))}]"
+               if kind == "cls" else rng.choice(active))
+        psi = rng.choice(active)
+        if kind == "weighted":
+            psi = " + ".join(f"<{rng.uniform(0, 3):.4f}> {s}"
+                             for s in rng.sample(active, 2))
+        lam = context(lo=1 if kind == "neg" else 0)
+        if kind == "neg":
+            lam[rng.randrange(len(lam))] = \
+                f"[^ {' '.join(rng.sample(active, rng.randint(1, 3)))}]"
+        rules.append(f"{phi} -> {psi} / {' '.join(lam + ['_'] + context())} ;")
+    return f"alphabet: {' '.join(names)} ;\n" + "\n".join(rules) + "\n"
+
+
 def rand_automaton(rng, labels, max_states=4, p_eps=0.2, weighted=False):
     n = rng.randint(1, max_states)
     arcs = []
@@ -797,7 +831,8 @@ def reference_cascade(rule, alphabet, compact=True):
 
 def reference_ruleset(ruleset, compact=True):
     """compile_ruleset's left fold over the block representatives, with
-    the fold compacted after each composition."""
+    every rule compiled over all of the file's representatives and the
+    fold compacted after each composition."""
     from rwc import compiler as C
     from rwc import fsm
     from rwc.boolean_ops import compact_transducer

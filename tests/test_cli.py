@@ -1,5 +1,7 @@
 """CLI subcommands: exit codes, printed output, and file round trips."""
 
+import hashlib
+import json
 import math
 import pathlib
 
@@ -27,6 +29,7 @@ RULE9 = ("alphabet: b m n p N a ;\n"
 SMALL = "alphabet: a b c d ;\na -> b / c _ d ;\n"
 
 DEMOS = pathlib.Path(__file__).parent.parent / "demos"
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -157,6 +160,24 @@ def test_compile_kk_algorithm(tmp_path, capsys):
     capsys.readouterr()
     assert main(["apply", str(out), "cad"]) == 0
     assert capsys.readouterr().out.splitlines() == ["cbd 0.000000"]
+
+
+def test_compile_kk_chain_demo_is_golden(tmp_path, capsys):
+    out = tmp_path / "chain.kk.fst"
+    assert main(["compile", str(DEMOS / "chain.rules"), "-o", str(out),
+                 "--algorithm", "kk"]) == 0
+    assert out.read_bytes() == (GOLDEN / "chain.kk.fst").read_bytes()
+
+
+def test_compile_paper_scale_file_is_golden(tmp_path, capsys):
+    out = tmp_path / "phonology194.fst"
+    assert main(["compile", str(GOLDEN / "phonology194.rules"),
+                 "-o", str(out)]) == 0
+    golden = json.loads((GOLDEN / "phonology194.json").read_text())
+    assert capsys.readouterr().out == (
+        f"wrote {out}: states={golden['states']} arcs={golden['arcs']} "
+        "weighted=yes\n")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == golden["sha256"]
 
 
 def test_compile_kk_rejects_weighted(rule9_file, tmp_path, capsys):

@@ -19,9 +19,10 @@ from rwc.rulespec import parse_regex, parse_rule_file, parse_series, \
 
 from rwc.textio import format_machine
 
-from .helpers import (canonical, enum_relation, rand_regex,
-                      rand_ruleset_text, reference_apply, reference_cascade,
-                      reference_ruleset, rng_for, rule_corpus, weights_close)
+from .helpers import (canonical, enum_relation, rand_phonology_text,
+                      rand_regex, rand_ruleset_text, reference_apply,
+                      reference_cascade, reference_ruleset, rng_for,
+                      rule_corpus, weights_close)
 
 DEMOS = pathlib.Path(__file__).parent.parent / "demos"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -402,6 +403,35 @@ def test_compile_ruleset_text_equals_stepwise_compacted_fold_random_corpus():
     for _ in range(60):
         text = rand_ruleset_text(rng)
         assert_same_text_as_reference_fold(parse_rule_file(text), text)
+
+
+def test_compile_ruleset_text_equals_file_block_fold_paper_scale():
+    rng = rng_for("ruleset-paper-scale")
+    for _ in range(12):
+        text = rand_phonology_text(rng)
+        assert_same_text_as_reference_fold(parse_rule_file(text), text)
+
+
+def test_compile_ruleset_compiles_each_rule_over_its_own_blocks(monkeypatch):
+    rs = parse_rule_file(rand_phonology_text(rng_for("ruleset-own-blocks")))
+    blocks = C.symbol_blocks(rs)
+    rep = {x: block[0] for block in blocks for x in block}
+    reduced = Alphabet([block[0] for block in blocks])
+    renamed = [R.Rule(*(R.rename(ast, rep)
+                        for ast in (r.phi, r.psi, r.lam, r.rho)))
+               for r in rs.rules]
+    want = [len(C.symbol_blocks(R.RuleSet(reduced, (r,)))) for r in renamed]
+    sizes = []
+    compile_rule = C.compile_rule
+
+    def spy(rule, alphabet, **kwargs):
+        sizes.append(alphabet.n)
+        return compile_rule(rule, alphabet, **kwargs)
+
+    monkeypatch.setattr(C, "compile_rule", spy)
+    C.compile_ruleset(rs)
+    assert sizes == want
+    assert max(sizes) < len(blocks)
 
 
 @pytest.mark.parametrize("demo", ["nasal", "chain"])

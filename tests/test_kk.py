@@ -135,12 +135,6 @@ def test_probe_log_arcs_affine_in_k():
 def test_probe_k0_golden_regression():
     alphabet = Alphabet(["a", "b", "c"])
     nfa_arcs, dfa_arcs = K.kk_rightcontext_probe(cpow(0), alphabet)
-    path = GOLDEN / "probe_k0.json"
-    if not path.exists():
-        GOLDEN.mkdir(exist_ok=True)
-        path.write_text(json.dumps(
-            {"alphabet_size": 3, "nfa_arcs": nfa_arcs,
-             "dfa_arcs": dfa_arcs}))
-    golden = json.loads(path.read_text())
+    golden = json.loads((GOLDEN / "probe_k0.json").read_text())
     assert golden == {"alphabet_size": 3, "nfa_arcs": nfa_arcs,
                       "dfa_arcs": dfa_arcs}
