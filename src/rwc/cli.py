@@ -7,9 +7,10 @@
     rwc bench --family left|right [--kmax K] [--alphabet-size N]
               [--deadline-ms D] [--skip-after N] OUT.csv
 
-`check` exhaustively compares each compiled rule against the brute-force
-rewriting oracle (and, for unweighted rules, against the KK baseline
-compiler) on every string up to the length bound; it exits 2 with
+`compile --algorithm kk` folds the KK baseline's compacted rules through
+the same rule-set fold. `check` exhaustively compares each compiled rule
+against the brute-force rewriting oracle and against the KK baseline
+compiler on every string up to the length bound; it exits 2 with
 counterexamples on any mismatch. It refuses (exit 1) a sweep of more than
 CHECK_BUDGET input strings. `compile` and `check` given --deadline-ms exit
 1 with E_TIMEOUT once that many milliseconds of wall time have passed.
@@ -26,7 +27,7 @@ import sys
 from . import bench as bench_mod
 from . import compiler, kk, oracle, rulespec, textio
 from .errors import InputBudgetError, RwcError, at_least
-from .fsm import Deadline, compose
+from .fsm import Deadline
 from .boolean_ops import compact_transducer
 
 
@@ -44,22 +45,10 @@ def _deadline(args):
 def cmd_compile(args):
     deadline = _deadline(args)
     ruleset = _load_rules(args.rules)
-    alphabet = ruleset.alphabet
-    compact = not args.no_compact
-    if args.algorithm == "new":
-        t = compiler.compile_ruleset(ruleset, compact=compact,
-                                     deadline=deadline)
-    else:
-        t = compiler.identity_over_sigma(alphabet)
-        for rule in ruleset.rules:
-            if not rulespec.is_unweighted(rule.psi):
-                raise RwcError(
-                    "the kk algorithm compiles unweighted rules only")
-            cr = kk.kk_compile_rule(rule, alphabet, deadline=deadline)
-            t = compose(t, cr.transducer, deadline)
-            if compact:
-                t = compact_transducer(t, deadline)
-    textio.write_machine(args.out, t, alphabet)
+    compile_one = (kk if args.algorithm == "kk" else compiler).rule_transducer
+    t = compiler.compile_ruleset(ruleset, compact=not args.no_compact,
+                                 deadline=deadline, compile_one=compile_one)
+    textio.write_machine(args.out, t, ruleset.alphabet)
     print(f"wrote {args.out}: states={t.num_states} arcs={len(t.arcs)} "
           f"weighted={'yes' if t.weighted else 'no'}")
     return 0
@@ -90,10 +79,10 @@ def cmd_apply(args):
 
 
 def _check_one_rule(idx, rule, alphabet, max_len, deadline=None):
-    """Oracle equivalence (and KK cross-check for unweighted rules) for one
-    rule; returns a list of failure strings. The compiled rule's relation
-    is swept once and serves both comparisons, and a KK machine identical
-    to the compiled one is not swept at all."""
+    """Oracle equivalence and KK cross-check for one rule; returns a list
+    of failure strings. The compiled rule's relation is swept once and
+    serves both comparisons, and a KK machine identical to the compiled
+    one is not swept at all."""
     cr = compiler.compile_rule(rule, alphabet, deadline=deadline)
     orc = oracle.RewriteOracle(rule, alphabet)
     rel = oracle._relation(cr.transducer, alphabet.sigma(), max_len,
@@ -108,25 +97,19 @@ def _check_one_rule(idx, rule, alphabet, max_len, deadline=None):
                 for u, got, exp in rep.counterexamples]
     print(f"rule {idx}: oracle equivalence on {rep.strings_checked} "
           f"strings: {'ok' if rep.equivalent else 'FAIL'}")
-    if rulespec.is_unweighted(rule.psi):
-        kkc = kk.kk_compile_rule(rule, alphabet, deadline=deadline)
-        # compaction keeps the relation and drops the KK machine's many
-        # ε:ε arcs; its result depends only on the encoded (in, out,
-        # weight) language, so it is mostly the compiled machine, whose
-        # relation `rel` is and whose sweep raised any error
-        kt = compact_transducer(kkc.transducer, deadline)
-        kk_rel = rel if oracle._same_machine(kt, cr.transducer) else \
-            oracle._relation(kt, alphabet.sigma(), max_len, deadline=deadline)
-        rep = oracle._compare(rel, kk_rel, alphabet, max_len,
-                              deadline=deadline)
-        print(f"rule {idx}: kk cross-check: "
-              f"{'ok' if rep.equivalent else 'FAIL'}")
-        if not rep.equivalent:
-            failures.extend(
-                f"rule {idx}: kk mismatch on {inp!r}: {a!r} vs {b!r}"
-                for inp, a, b in rep.counterexamples)
-    else:
-        print(f"rule {idx}: kk cross-check skipped (weighted rule)")
+    kkc = kk.kk_compile_rule(rule, alphabet, deadline=deadline)
+    # compaction keeps the relation and drops the KK machine's many ε:ε
+    # arcs; its result depends only on the encoded (in, out, weight)
+    # language, so it is mostly the compiled machine, whose relation `rel`
+    # is and whose sweep raised any error
+    kt = compact_transducer(kkc.transducer, deadline)
+    kk_rel = rel if oracle._same_machine(kt, cr.transducer) else \
+        oracle._relation(kt, alphabet.sigma(), max_len, deadline=deadline)
+    rep = oracle._compare(rel, kk_rel, alphabet, max_len, deadline=deadline)
+    print(f"rule {idx}: kk cross-check: "
+          f"{'ok' if rep.equivalent else 'FAIL'}")
+    failures.extend(f"rule {idx}: kk mismatch on {inp!r}: {a!r} vs {b!r}"
+                    for inp, a, b in rep.counterexamples)
     return failures
 
 
@@ -163,21 +146,12 @@ def cmd_check(args):
                             "alphabet")
         else:
             composed = compiler.compile_ruleset(ruleset, deadline=deadline)
-            sigma = alphabet.sigma()
-            # the FST is always swept; a composed machine identical to it
-            # has its relation and would raise the same errors
-            r2 = oracle._relation(t, sigma, args.max_len, deadline=deadline)
-            r1 = r2 if oracle._same_machine(composed, t) else \
-                oracle._relation(composed, sigma, args.max_len,
-                                 deadline=deadline)
-            rep = oracle._compare(r1, r2, alphabet, args.max_len,
-                                  deadline=deadline)
+            rep = oracle.equivalent_on(composed, t, alphabet, args.max_len,
+                                       deadline=deadline)
             print(f"ruleset vs {args.against}: "
                   f"{'ok' if rep.equivalent else 'FAIL'}")
-            if not rep.equivalent:
-                failures.extend(
-                    f"against: mismatch on {inp!r}: {a!r} vs {b!r}"
-                    for inp, a, b in rep.counterexamples)
+            failures.extend(f"against: mismatch on {inp!r}: {a!r} vs {b!r}"
+                            for inp, a, b in rep.counterexamples)
     if failures:
         print(f"{len(failures)} failure(s):", file=sys.stderr)
         for f in failures:

@@ -274,17 +274,28 @@ def _renamed(rule, blocks):
                   for ast in (rule.phi, rule.psi, rule.lam, rule.rho)))
 
 
-def compile_ruleset(ruleset, compact=True, deadline=None):
+def rule_transducer(rule, alphabet, compact, deadline):
+    """`compile_ruleset`'s default per-rule compiler: `compile_rule`'s
+    machine."""
+    return compile_rule(rule, alphabet, compact=compact,
+                        deadline=deadline).transducer
+
+
+def compile_ruleset(ruleset, compact=True, deadline=None,
+                    compile_one=rule_transducer):
     """Left fold of weighted composition over the rules in file order,
     compacted once after the last composition. The fold runs over one
     representative per block of `symbol_blocks`, and the result is
     expanded back to the full alphabet once at the end. Each rule is
-    compiled over one representative per block of its own, and `_expand`
-    widens it to the file's representatives: every file block lies inside
-    one rule block, whose members share the rule's phi, lambda and rho
-    leaves and no psi leaf. The compacted rules' products barely shrink
-    when compacted, so compacting after each step gives the same
-    (canonical) machine for more work."""
+    compiled by `compile_one(rule, alphabet, compact, deadline)` over one
+    representative per block of its own, and `_expand` widens it to the
+    file's representatives: every file block lies inside one rule block,
+    whose members share the rule's phi, lambda and rho leaves and no psi
+    leaf. The compacted rules' products barely shrink when compacted, so
+    compacting after each step gives the same (canonical) machine for
+    more work. `kk.rule_transducer` compacts each KK rule even when
+    compact is False: its raw bracket-cascade machine is mostly ε:ε arcs,
+    and their products in the fold can outgrow memory."""
     alphabet = ruleset.alphabet
     blocks = symbol_blocks(ruleset)
     reduced = Alphabet([block[0] for block in blocks])
@@ -293,10 +304,9 @@ def compile_ruleset(ruleset, compact=True, deadline=None):
         rule = _renamed(rule, blocks)
         own = symbol_blocks(RuleSet(reduced, (rule,)))
         small = Alphabet([block[0] for block in own])
-        cr = compile_rule(_renamed(rule, own), small, compact=compact,
-                          deadline=deadline)
+        m = compile_one(_renamed(rule, own), small, compact, deadline)
         widen = [(EPS,)] + [reduced.ids_of(block) for block in own]
-        t = fsm.compose(t, _expand(cr.transducer, widen, small), deadline)
+        t = fsm.compose(t, _expand(m, widen, small), deadline)
     if compact:
         t = compact_transducer(t, deadline=deadline)
     members = [(EPS,)] + [alphabet.ids_of(block) for block in blocks]

@@ -1,6 +1,7 @@
 """Reference bracket-cascade compiler in the Kaplan–Kay style, for
-unweighted obligatory left-to-right rules. Used for relation-equivalence
-cross-checks against the direct compiler and for the growth benchmarks.
+weighted obligatory left-to-right rules. Used for relation-equivalence
+cross-checks against the direct compiler, as `rwc compile --algorithm kk`
+and for the growth benchmarks.
 
 The pipeline composes six transducers:
 
@@ -23,6 +24,10 @@ discipline mirrors the direct compiler's markers:
   * post-replacement, <a demands a left-context match and <i demands its
     absence; <c, >a, >i are never licensed.
 
+The constraint stages are unweighted acceptors applied as identities;
+weight enters only through Replace, the direct compiler's
+`build_replace`, and tropical composition adds it along each path.
+
 Everything is built from intersections, complementations, and
 subtractions over the bracket-extended alphabet, which is exactly what
 makes this pipeline expensive; `KkCompiledRule.ops` is the
@@ -33,13 +38,12 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import fsm
-from .boolean_ops import (complement, count_ops, determinize, intersect,
-                          subtract)
+from .boolean_ops import (compact_transducer, complement, count_ops,
+                          determinize, intersect, subtract)
 from .compiler import build_replace
 from .errors import PhiNullableError
 from .fsm import EPS, Transducer
-from .rulespec import (compile_regex, is_unweighted, nullable,
-                       series_to_wfsa)
+from .rulespec import compile_regex, nullable, series_to_wfsa
 
 
 class KkBrackets:
@@ -173,10 +177,9 @@ def _prologue_inv(alphabet, br):
 
 
 def kk_compile_rule(rule, alphabet, deadline=None):
-    """Compile one unweighted rule through the bracket cascade. Returns a
-    KkCompiledRule carrying the transducer and the operation counts."""
-    if not is_unweighted(rule.psi):
-        raise ValueError("the KK baseline compiles unweighted rules only")
+    """Compile one weighted rule through the bracket cascade. Returns a
+    KkCompiledRule carrying the (uncompacted) transducer and the operation
+    counts."""
     if nullable(rule.phi):
         raise PhiNullableError("phi accepts the empty string")
     br = KkBrackets(alphabet)
@@ -196,6 +199,14 @@ def kk_compile_rule(rule, alphabet, deadline=None):
     if leftovers:
         raise AssertionError(f"bracket labels leaked: {sorted(leftovers)}")
     return KkCompiledRule(transducer=t, ops=ops)
+
+
+def rule_transducer(rule, alphabet, compact, deadline):
+    """`compiler.compile_ruleset`'s per-rule compiler for the KK baseline:
+    the compacted KK machine, also when compact is False, since a fold of
+    the raw cascade machines can outgrow memory."""
+    return compact_transducer(kk_compile_rule(rule, alphabet,
+                                              deadline).transducer, deadline)
 
 
 def kk_rightcontext_probe(rho, alphabet, deadline=None):

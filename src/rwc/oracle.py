@@ -526,14 +526,17 @@ def _same_machine(a, b):
             and (a.arcs == b.arcs or sorted(a.arcs) == sorted(b.arcs)))
 
 
-def equivalent_on(t1, t2, alphabet, max_len, tol=1e-9, max_report=10):
+def equivalent_on(t1, t2, alphabet, max_len, tol=1e-9, max_report=10,
+                  deadline=None):
     """Compare two transducers as weighted relations on every input over
-    the user alphabet up to max_len; identical machines are swept once."""
+    the user alphabet up to max_len. t2 is always swept, so its errors are
+    raised; a t1 identical to it shares its relation."""
     sigma = alphabet.sigma()
-    r2 = _relation(t2, sigma, max_len)
-    r1 = r2 if _same_machine(t1, t2) else _relation(t1, sigma, max_len)
+    r2 = _relation(t2, sigma, max_len, deadline=deadline)
+    r1 = r2 if _same_machine(t1, t2) else \
+        _relation(t1, sigma, max_len, deadline=deadline)
     return _compare(r1, r2, alphabet, max_len, tol=tol,
-                    max_report=max_report)
+                    max_report=max_report, deadline=deadline)
 
 
 def check_rule(rule, t, alphabet, max_len):

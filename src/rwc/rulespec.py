@@ -144,17 +144,6 @@ def rename(ast, new_name):
     return ast
 
 
-def is_unweighted(ast):
-    """True when no subterm carries a nonzero weight."""
-    if isinstance(ast, Weighted):
-        return ast.weight == 0.0 and is_unweighted(ast.child)
-    if isinstance(ast, (Cat, Alt)):
-        return all(is_unweighted(p) for p in ast.parts)
-    if isinstance(ast, (Star, Plus, Opt)):
-        return is_unweighted(ast.child)
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Lexer
 # ---------------------------------------------------------------------------

@@ -163,10 +163,19 @@ def test_compile_kk_algorithm(tmp_path, capsys):
 
 
 def test_compile_kk_chain_demo_is_golden(tmp_path, capsys):
-    out = tmp_path / "chain.kk.fst"
-    assert main(["compile", str(DEMOS / "chain.rules"), "-o", str(out),
-                 "--algorithm", "kk"]) == 0
-    assert out.read_bytes() == (GOLDEN / "chain.kk.fst").read_bytes()
+    # both compilers fold compacted rules over the same blocks, so they
+    # write the same machine: one golden per rule file
+    for rules in (DEMOS / "nasal.rules", DEMOS / "chain.rules"):
+        out = tmp_path / "demo.kk.fst"
+        assert main(["compile", str(rules), "-o", str(out),
+                     "--algorithm", "kk"]) == 0
+        assert out.read_bytes() == \
+            (GOLDEN / f"{rules.stem}.fst").read_bytes(), rules
+    out = tmp_path / "phonology194.kk.fst"
+    assert main(["compile", str(GOLDEN / "phonology194.rules"),
+                 "-o", str(out), "--algorithm", "kk"]) == 0
+    golden = json.loads((GOLDEN / "phonology194.json").read_text())
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == golden["sha256"]
 
 
 def test_compile_paper_scale_file_is_golden(tmp_path, capsys):
@@ -180,10 +189,14 @@ def test_compile_paper_scale_file_is_golden(tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == golden["sha256"]
 
 
-def test_compile_kk_rejects_weighted(rule9_file, tmp_path, capsys):
-    out = tmp_path / "x.fst"
-    assert main(["compile", str(rule9_file), "-o", str(out),
-                 "--algorithm", "kk"]) == 1
+def test_compile_kk_weighted_rule_writes_the_direct_bytes(rule9_file,
+                                                          tmp_path, capsys):
+    direct, baseline = tmp_path / "new.fst", tmp_path / "kk.fst"
+    assert main(["compile", str(rule9_file), "-o", str(direct)]) == 0
+    assert main(["compile", str(rule9_file), "-o", str(baseline),
+                 "--algorithm", "kk"]) == 0
+    assert baseline.read_bytes() == direct.read_bytes()
+    assert "weighted=yes" in capsys.readouterr().out
 
 
 def test_check_passes_on_good_rules(tmp_path, capsys):
@@ -194,9 +207,10 @@ def test_check_passes_on_good_rules(tmp_path, capsys):
     assert "oracle equivalence" in out and "kk cross-check: ok" in out
 
 
-def test_check_weighted_skips_kk(rule9_file, capsys):
+def test_check_weighted_rule_gets_kk_check(rule9_file, capsys):
     assert main(["check", str(rule9_file), "--max-len", "3"]) == 0
-    assert "skipped (weighted rule)" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "rule 0: kk cross-check: ok" in out and "skipped" not in out
 
 
 def test_check_against_corrupted_fst_exits_2(tmp_path, capsys):
@@ -408,9 +422,9 @@ def _count_sweeps(monkeypatch):
 
 
 def test_check_sweeps_each_relation_once(tmp_path, capsys, monkeypatch):
-    # 3 compiled rules and the --against FST: the 2 compacted KK machines
+    # 3 compiled rules and the --against FST: the 3 compacted KK machines
     # and the composed set are identical to machines already swept, so
-    # 4 sweeps, where sweeping every machine took 7
+    # 4 sweeps, where sweeping every machine took 8
     rules = tmp_path / "three.rules"
     rules.write_text(THREE_RULES)
     fst = tmp_path / "three.fst"
@@ -420,13 +434,13 @@ def test_check_sweeps_each_relation_once(tmp_path, capsys, monkeypatch):
                  "--against", str(fst)]) == 0
     assert len(calls) == 4
     out = capsys.readouterr().out
-    assert out.count("kk cross-check: ok") == 2
+    assert out.count("kk cross-check: ok") == 3
     assert "ruleset vs" in out and "all checks passed" in out
 
 
 def test_check_sweeps_machines_that_differ(tmp_path, capsys, monkeypatch):
     # uncompacted KK machines and an uncompacted FST are not identical to
-    # the compiled ones: R + U + 2 sweeps, all agreeing
+    # the compiled ones: 3 + 3 + 2 sweeps, all agreeing
     rules = tmp_path / "three.rules"
     rules.write_text(THREE_RULES)
     fst = tmp_path / "loose.fst"
@@ -435,9 +449,9 @@ def test_check_sweeps_machines_that_differ(tmp_path, capsys, monkeypatch):
     calls = _count_sweeps(monkeypatch)
     assert main(["check", str(rules), "--max-len", "3",
                  "--against", str(fst)]) == 0
-    assert len(calls) == 3 + 2 + 2
+    assert len(calls) == 3 + 3 + 2
     out = capsys.readouterr().out
-    assert out.count("kk cross-check: ok") == 2 and "all checks passed" in out
+    assert out.count("kk cross-check: ok") == 3 and "all checks passed" in out
 
 
 @pytest.mark.parametrize("edit", ["arc", "final"])

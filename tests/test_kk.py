@@ -15,8 +15,10 @@ from rwc.boolean_ops import compact_transducer
 from rwc.errors import PhiNullableError
 from rwc.fsm import Alphabet
 from rwc.rulespec import parse_rule_file
+from rwc.textio import format_machine
 
-from .helpers import rand_ruleset_text, rng_for, rule_corpus
+from .helpers import (rand_phonology_text, rand_ruleset_text, rng_for,
+                      rule_corpus)
 
 DEMOS = pathlib.Path(__file__).parent.parent / "demos"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -59,10 +61,8 @@ def test_kk_context_power_rules():
             assert_kk_matches_direct(alphabet, rule, 6)
 
 
-def test_kk_rejects_weighted_and_nullable():
-    alphabet, rule = rule_of("alphabet: a b ;\n a -> <1> b ;")
-    with pytest.raises(ValueError):
-        K.kk_compile_rule(rule, alphabet)
+def test_kk_rejects_nullable_phi():
+    alphabet = Alphabet(["a", "b"])
     bad = R.Rule(phi=R.Opt(R.Sym("a")), psi=R.Sym("b"),
                  lam=R.Eps(), rho=R.Eps())
     with pytest.raises(PhiNullableError):
@@ -82,22 +82,36 @@ def test_kk_random_corpus_equivalence():
         assert_kk_matches_direct(alphabet, rule, 5)
 
 
+def test_kk_weighted_corpus_matches_oracle():
+    # weight enters the cascade only through its replace stage; the rules
+    # whose psi carries a nonzero weight are kept
+    checked = 0
+    for alphabet, rule in rule_corpus("kk-weighted-corpus", 48,
+                                      {2: 24, 3: 14, 4: 10}, weighted=True):
+        psi = R.series_to_wfsa(rule.psi, alphabet)
+        if not (any(a[2] for a in psi.arcs) or any(psi.finals.values())):
+            continue
+        kkc = K.kk_compile_rule(rule, alphabet)
+        rep = O.check_rule(rule, kkc.transducer, alphabet, 5)
+        assert rep.equivalent, f"{R.pretty_rule(rule, alphabet)}\n{rep}"
+        checked += 1
+    assert checked >= 8
+
+
 def assert_compacted_kk_sweeps_alike(ruleset, max_len, note=None):
-    """`rwc check` sweeps the compacted KK machine of each unweighted rule:
-    it must have the raw machine's relation."""
+    """`rwc check` sweeps the compacted KK machine of each rule: it must
+    have the raw machine's relation."""
     sigma = ruleset.alphabet.sigma()
     for rule in ruleset.rules:
-        if not R.is_unweighted(rule.psi):
-            continue
         raw = K.kk_compile_rule(rule, ruleset.alphabet).transducer
         assert O._relation(compact_transducer(raw), sigma, max_len) == \
             O._relation(raw, sigma, max_len), note
 
 
 def test_compacted_kk_machine_has_the_same_relation_demo():
-    # the other demo's one rule is weighted, which KK does not compile
-    assert_compacted_kk_sweeps_alike(
-        parse_rule_file((DEMOS / "chain.rules").read_text()), 5)
+    for demo in ("nasal.rules", "chain.rules"):
+        assert_compacted_kk_sweeps_alike(
+            parse_rule_file((DEMOS / demo).read_text()), 5, demo)
 
 
 def test_compacted_kk_machine_has_the_same_relation_random_corpus():
@@ -105,6 +119,16 @@ def test_compacted_kk_machine_has_the_same_relation_random_corpus():
     for _ in range(60):
         text = rand_ruleset_text(rng)
         assert_compacted_kk_sweeps_alike(parse_rule_file(text), 3, text)
+
+
+def test_compile_ruleset_with_kk_rules_writes_the_same_text_paper_scale():
+    rng = rng_for("ruleset-paper-scale")
+    for _ in range(12):
+        text = rand_phonology_text(rng)
+        rs = parse_rule_file(text)
+        kk_fold = C.compile_ruleset(rs, compile_one=K.rule_transducer)
+        assert format_machine(kk_fold, rs.alphabet) == \
+            format_machine(C.compile_ruleset(rs), rs.alphabet), text
 
 
 # ---------------------------------------------------------------------------
