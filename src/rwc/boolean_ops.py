@@ -3,9 +3,9 @@ determinization, completion, complementation, intersection, subtraction,
 DFA minimization, and label-encoded transducer compaction.
 
 Epsilon closures come from the core machinery: determinization takes its
-subsets from ``fsm._eps_closures``. Intersection trims its product with
-``fsm._product``, and minimization drops dead states with
-``fsm._coaccessible``: both are the backward pass composition uses.
+subsets from ``fsm._eps_closures``. Intersection reads ``in_index``, the
+arc index composition reads, and trims its product with ``fsm._product``;
+minimization and complementation drop states with ``fsm._reachable``.
 Compaction hands a zero-weight arc that is epsilon on both tapes to
 determinization as an acceptor epsilon, and runs ``fsm.remove_epsilon``
 first only when such an arc or a final state carries a weight.
@@ -13,13 +13,15 @@ first only when such an arc or a final state carries a weight.
 The working alphabet for completion and complementation is always an
 explicit parameter (a sequence of label ids), never inferred from the
 machine's arcs: the marker constructions operate over extended alphabets
-and the right answer depends on which one.
+and the right answer depends on which one. A complement holds only
+strings over its alphabet: arcs on other labels are dropped.
 
 A DFA is a plain ``Automaton``: unweighted, epsilon-free, at most one arc
 per (state, label) and every state accessible. ``determinize``,
 ``complete``, ``complement`` and ``minimize`` return such machines, and
-the functions that need the property (``is_complete``, ``complete`` and
-``minimize``) check it on their input with ``_dfa_out``.
+the functions that need the property (``is_complete``, ``complete``,
+``complement`` and ``minimize``) check it on their input with
+``_dfa_out``.
 """
 
 from collections import Counter, deque
@@ -199,12 +201,33 @@ def complete(d, labels):
 
 
 def complement(d, labels):
-    """DFA for the complement of L(d) over `labels`* (completion applied
-    internally)."""
+    """DFA for labels* \\ L(d): d's arcs on other labels are dropped, with
+    the states only they reach, and the rest is completed over `labels`
+    and its finality flipped."""
     _tally.get()["complement"] += 1
-    d = complete(d, labels)
-    finals = {q: 0.0 for q in range(d.num_states) if q not in d.finals}
-    return Automaton(d.num_states, d.initial, finals, d.arcs)
+    out = _dfa_out(d)
+    states = range(d.num_states)
+    initial = d.initial
+    arcs = d.arcs
+    keep = set(labels)
+    if not all(map(keep.issuperset, out)):
+        live = fsm._reachable((initial,), [
+            [t for l, t in o.items() if l in keep] for o in out])
+        states = [q for q in states if live[q]]
+        new = dict(zip(states, range(len(states))))
+        initial = new[initial]
+        # a kept arc from a live state reaches a live one
+        arcs = [(new[s], l, 0.0, new[t]) for s, l, _, t in arcs
+                if l in keep and live[s]]
+    # a non-final sink, flipped to final, takes the labels a state lacks
+    sink = len(states)
+    missing = [(i, l, 0.0, sink) for i, q in enumerate(states)
+               for l in labels if l not in out[q]]
+    finals = {i: 0.0 for i, q in enumerate(states) if q not in d.finals}
+    if missing:
+        missing.extend((sink, l, 0.0, sink) for l in labels)
+        finals[sink] = 0.0
+    return Automaton(sink + bool(missing), initial, finals, [*arcs, *missing])
 
 
 def intersect(a, b, deadline=None):
@@ -215,17 +238,6 @@ def intersect(a, b, deadline=None):
     _tally.get()["intersect"] += 1
     a = fsm.remove_epsilon(a)
     b = fsm.remove_epsilon(b)
-    b_idx = [None] * b.num_states
-
-    def bi(q):
-        d = b_idx[q]
-        if d is None:
-            d = {}
-            for _, l, _, t in b.out_arcs(q):
-                d.setdefault(l, []).append(t)
-            b_idx[q] = d
-        return d
-
     # a state (p, q) is keyed by p * nb + q, and numbered by its position
     # in `keys`, the FIFO of discovered states; ends[p] is the number of
     # arcs built once state p is done
@@ -245,9 +257,9 @@ def intersect(a, b, deadline=None):
             deadline.check()
         if p in a.finals and q in b.finals:
             finals[cur] = 0.0
-        idx = bi(q)
+        idx = b.in_index(q)
         for _, l, _, p2 in a.out_arcs(p):
-            for q2 in idx.get(l, ()):
+            for _, _, _, q2 in idx.get(l, ()):
                 key = p2 * nb + q2
                 nid = ids.get(key)
                 if nid is None:
@@ -283,7 +295,7 @@ def minimize(d, deadline=None):
     for q, o in enumerate(out):
         for t in o.values():
             into[t].append(q)
-    live = fsm._coaccessible(d.finals, into)
+    live = fsm._reachable(d.finals, into)
     states = [q for q in range(n) if live[q]]
     first = {}
     cls = [0] * n

@@ -28,7 +28,6 @@ from . import bench as bench_mod
 from . import compiler, kk, oracle, rulespec, textio
 from .errors import InputBudgetError, RwcError, at_least
 from .fsm import Deadline
-from .boolean_ops import compact_transducer
 
 
 def _load_rules(path):
@@ -97,12 +96,10 @@ def _check_one_rule(idx, rule, alphabet, max_len, deadline=None):
                 for u, got, exp in rep.counterexamples]
     print(f"rule {idx}: oracle equivalence on {rep.strings_checked} "
           f"strings: {'ok' if rep.equivalent else 'FAIL'}")
-    kkc = kk.kk_compile_rule(rule, alphabet, deadline=deadline)
-    # compaction keeps the relation and drops the KK machine's many ε:ε
-    # arcs; its result depends only on the encoded (in, out, weight)
-    # language, so it is mostly the compiled machine, whose relation `rel`
-    # is and whose sweep raised any error
-    kt = compact_transducer(kkc.transducer, deadline)
+    # the compacted KK machine: its compaction depends only on the encoded
+    # (in, out, weight) language, so it is mostly the compiled machine,
+    # whose relation `rel` is and whose sweep raised any error
+    kt = kk.rule_transducer(rule, alphabet, True, deadline)
     kk_rel = rel if oracle._same_machine(kt, cr.transducer) else \
         oracle._relation(kt, alphabet.sigma(), max_len, deadline=deadline)
     rep = oracle._compare(rel, kk_rel, alphabet, max_len, deadline=deadline)

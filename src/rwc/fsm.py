@@ -3,12 +3,13 @@ and the elementary constructions everything else builds on (regex-style
 combinators, identity, cross product, reversal, epsilon removal,
 trimming, weighted composition).
 
-Acceptors and transducers share one validating base class; reversal,
-epsilon removal and trimming take either kind. ``_eps_closures`` is the
-one epsilon-closure routine; determinization reuses it. ``_coaccessible``
-is the one backward (co-accessibility) pass: ``trim`` runs it after its
-forward pass, and composition and intersection, whose states are all
-accessible by construction, run only it (through ``_product``).
+Acceptors and transducers share one validating base class and one arc
+index by state and label (``in_index``); reversal, epsilon removal and
+trimming take either kind. ``_eps_closures`` is the one epsilon-closure
+routine; determinization reuses it. ``_reachable`` is the one reachability
+pass: ``trim`` runs it forward and backward, and composition and
+intersection, whose states are all accessible by construction, run only
+the backward pass (through ``_product``).
 
 Weights live in the tropical semiring (min, +) over finite non-negative
 64-bit floats; ``math.inf`` plays the role of the absorbing "no path"
@@ -170,7 +171,8 @@ class _Machine:
     second-to-last the weight. Weights are finite and non-negative; an
     unweighted machine carries only zeros."""
 
-    __slots__ = ("num_states", "initial", "finals", "arcs", "weighted", "_out")
+    __slots__ = ("num_states", "initial", "finals", "arcs", "weighted", "_out",
+                 "_in_idx")
 
     def __init__(self, num_states, initial, finals, arcs, weighted=False):
         if not (0 <= initial < num_states):
@@ -193,6 +195,7 @@ class _Machine:
         self.arcs = arcs
         self.weighted = weighted
         self._out = None
+        self._in_idx = None
 
     def out_arcs(self, state):
         if self._out is None:
@@ -201,6 +204,24 @@ class _Machine:
                 out[a[0]].append(a)
             self._out = out
         return self._out[state]
+
+    def in_index(self, state):
+        """Outgoing arcs of `state` grouped by their (input) label a[1], as
+        label -> [arc, ...] in arc order; one index for both machine
+        kinds, built per state on first use."""
+        if self._in_idx is None:
+            self._in_idx = [None] * self.num_states
+        d = self._in_idx[state]
+        if d is None:
+            d = {}
+            for a in self.out_arcs(state):
+                e = d.get(a[1])
+                if e is None:
+                    d[a[1]] = [a]
+                else:
+                    e.append(a)
+            self._in_idx[state] = d
+        return d
 
     def __repr__(self):
         return (f"{type(self).__name__}(states={self.num_states}, "
@@ -228,7 +249,7 @@ class Transducer(_Machine):
     """Weighted finite-state transducer. Arcs are
     (src, ilabel, olabel, weight, dst) tuples."""
 
-    __slots__ = ("_in_idx",)
+    __slots__ = ()
     tapes = 2
 
     @staticmethod
@@ -237,25 +258,6 @@ class Transducer(_Machine):
             if not (0 <= s < num_states and 0 <= d < num_states
                     and 0.0 <= w < INF):
                 _bad_weight(w, f"bad endpoint or weight: {(s, i, o, w, d)}")
-
-    def in_index(self, state):
-        """Outgoing arcs of `state` grouped by input label, as
-        ilabel -> [arc, ...] in arc order."""
-        try:
-            d = self._in_idx[state]
-        except AttributeError:
-            self._in_idx = [None] * self.num_states
-            d = None
-        if d is None:
-            d = {}
-            for a in self.out_arcs(state):
-                e = d.get(a[1])
-                if e is None:
-                    d[a[1]] = [a]
-                else:
-                    e.append(a)
-            self._in_idx[state] = d
-        return d
 
     def labels_used(self):
         labs = set()
@@ -469,7 +471,7 @@ def reverse(m):
                    weighted=m.weighted)
 
 
-def _eps_closures(num_states, eps_arcs_from):
+def _eps_closures(num_states, eps_from):
     """Min-plus epsilon closure of every state (Dijkstra; weights >= 0)."""
     closures = []
     for s in range(num_states):
@@ -479,7 +481,7 @@ def _eps_closures(num_states, eps_arcs_from):
             d, q = heappop(heap)
             if d > dist.get(q, INF):
                 continue
-            for w, r in eps_arcs_from[q]:
+            for w, r in eps_from[q]:
                 nd = d + w
                 if nd < dist.get(r, INF):
                     dist[r] = nd
@@ -523,20 +525,20 @@ def remove_epsilon(m):
                    weighted=m.weighted)
 
 
-def _coaccessible(finals, into):
-    """Marks (a bytearray) of the states from which some state of
-    `finals` is reachable, given each state's predecessors `into`: one
-    backward pass."""
-    coreach = bytearray(len(into))
-    stack = list(finals)
+def _reachable(starts, adj):
+    """Marks (a bytearray) of the states reachable from `starts` along
+    adj[q], each state's neighbours: over successors the accessible
+    states, over predecessors (from the finals) the co-accessible ones."""
+    marks = bytearray(len(adj))
+    stack = list(starts)
     for q in stack:
-        coreach[q] = 1
+        marks[q] = 1
     while stack:
-        for r in into[stack.pop()]:
-            if not coreach[r]:
-                coreach[r] = 1
+        for r in adj[stack.pop()]:
+            if not marks[r]:
+                marks[r] = 1
                 stack.append(r)
-    return coreach
+    return marks
 
 
 def _restrict(cls, n, initial, finals, arcs, weighted, live):
@@ -575,7 +577,7 @@ def _product(cls, finals, arcs, ends, weighted):
             into[d].append(q)
         lo = hi
     return _restrict(cls, len(ends), 0, finals, arcs, weighted,
-                     _coaccessible(finals, into))
+                     _reachable(finals, into))
 
 
 def trim(m):
@@ -590,15 +592,8 @@ def trim(m):
     for s, d in set(map(_ends, m.arcs)):
         fwd[s].append(d)
         into[d].append(s)
-    reach = bytearray(n)
-    stack = [m.initial]
-    reach[m.initial] = 1
-    while stack:
-        for r in fwd[stack.pop()]:
-            if not reach[r]:
-                reach[r] = 1
-                stack.append(r)
-    coreach = _coaccessible([q for q in m.finals if reach[q]], into)
+    reach = _reachable((m.initial,), fwd)
+    coreach = _reachable([q for q in m.finals if reach[q]], into)
     # a kept state reaches a final, so the initial state, which reaches
     # every kept state, is kept whenever any is
     live = [r and c for r, c in zip(reach, coreach)]

@@ -6,6 +6,8 @@ The interpreter never touches the marker/composition pipeline: it scans the
 input with plain DFA matchers. Right contexts are matched against the raw
 input; left contexts against the output built so far (newly written
 material feeds later left contexts), mirroring the compiled semantics.
+Application and the relation sweep read a transducer through the arc
+index composition reads (``in_index``).
 """
 
 from dataclasses import dataclass
@@ -194,23 +196,20 @@ def apply(t, input_seq, alphabet, bound=1000):
     return wss, truncated
 
 
-def _relation(t, sigma, max_len, bound_per_input=4096, max_out_len=None,
-              deadline=None):
+# the most outputs one input may have in a sweep
+_OUTPUTS_PER_INPUT = 4096
+
+
+def _relation(t, sigma, max_len, deadline=None):
     """The full relation of `t` on inputs over the symbol ids `sigma` up to
     max_len, as {input ids: {output ids: weight}}, by one batched
     breadth-first traversal (equivalent to calling apply on every string).
+    An output longer than 8 * max_len + 32 symbols, or more than
+    _OUTPUTS_PER_INPUT outputs for one input, raises E_DIVERGENT.
     """
-    if max_out_len is None:
-        max_out_len = 8 * max_len + 32
-    n = t.num_states
-    eps_arcs = [[] for _ in range(n)]
-    sym_arcs = [dict() for _ in range(n)]
-    for s, i, o, w, d in t.arcs:
-        if i == EPS:
-            eps_arcs[s].append((o, w, d))
-        else:
-            sym_arcs[s].setdefault(i, []).append((o, w, d))
-    eps_states = {q for q in range(n) if eps_arcs[q]}
+    max_out_len = 8 * max_len + 32
+    idx = list(map(t.in_index, range(t.num_states)))
+    eps_states = {q for q, d in enumerate(idx) if EPS in d}
 
     def eps_close(configs):
         # only configurations on a state with an epsilon-input arc move
@@ -222,7 +221,7 @@ def _relation(t, sigma, max_len, bound_per_input=4096, max_out_len=None,
             (q, out), w = work.pop()
             if w > configs.get((q, out), INF):
                 continue
-            for o, aw, r in eps_arcs[q]:
+            for _, _, o, aw, r in idx[q].get(EPS, ()):
                 no = out + (o,) if o != EPS else out
                 if len(no) > max_out_len:
                     raise DivergentError(
@@ -251,7 +250,7 @@ def _relation(t, sigma, max_len, bound_per_input=4096, max_out_len=None,
                     rec[out] = tw
                 elif tw == INF:
                     raise _overflow()
-        if len(rec) > bound_per_input:
+        if len(rec) > _OUTPUTS_PER_INPUT:
             raise DivergentError("more outputs than the enumeration bound")
         if rec:
             results[u] = rec
@@ -266,7 +265,7 @@ def _relation(t, sigma, max_len, bound_per_input=4096, max_out_len=None,
             for a in sigma:
                 moved = {}
                 for (q, out), w in configs.items():
-                    for o, aw, r in sym_arcs[q].get(a, ()):
+                    for _, _, o, aw, r in idx[q].get(a, ()):
                         no = out + (o,) if o != EPS else out
                         if len(no) > max_out_len:
                             raise DivergentError("output grew past bound")
@@ -284,13 +283,11 @@ def _relation(t, sigma, max_len, bound_per_input=4096, max_out_len=None,
     return results
 
 
-def relation_upto(t, alphabet, max_len, bound_per_input=4096,
-                  max_out_len=None, deadline=None):
+def relation_upto(t, alphabet, max_len, deadline=None):
     """The full relation of `t` on inputs over the user alphabet up to
     max_len, as {input names: {output names: weight}} (see `_relation`).
     """
-    rel = _relation(t, alphabet.sigma(), max_len, bound_per_input,
-                    max_out_len, deadline)
+    rel = _relation(t, alphabet.sigma(), max_len, deadline)
     return {_names(alphabet, u): _named(alphabet, rec)
             for u, rec in rel.items()}
 

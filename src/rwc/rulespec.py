@@ -572,14 +572,11 @@ def series_to_wfsa(ast, alphabet):
 def evaluate_series(wfsa, ids):
     """Min over accepting paths of the summed weights (tropical value)."""
     a = fsm.remove_epsilon(wfsa)
-    by_label = [{} for _ in range(a.num_states)]
-    for s, l, w, d in a.arcs:
-        by_label[s].setdefault(l, []).append((w, d))
     cur = {a.initial: 0.0}
     for sym in ids:
         nxt = {}
         for q, w in cur.items():
-            for aw, d in by_label[q].get(sym, ()):
+            for _, _, aw, d in a.in_index(q).get(sym, ()):
                 nw = w + aw
                 if nw < nxt.get(d, fsm.INF):
                     nxt[d] = nw

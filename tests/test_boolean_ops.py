@@ -184,6 +184,28 @@ def test_complement_involution_and_membership():
         assert lang_set(complement(comp, ABC.sigma()), 5) == lang
 
 
+def test_complement_drops_labels_outside_its_alphabet():
+    # L(d) = {ε}; its arc on c reaches a state of its own, which goes too
+    C_ = ABC.id_of("c")
+    d = Automaton(2, 0, {0: 0.0}, [(0, C_, 0.0, 1)])
+    comp = complement(d, AB.sigma())
+    assert comp.num_states == 2 and is_complete(comp, AB.sigma())
+    assert {a[1] for a in comp.arcs} == set(AB.sigma())
+    assert lang_set(comp, 3) == set(all_strings(AB.sigma(), 3)) - {()}
+
+
+def test_complement_over_a_sub_alphabet_is_its_star_minus_the_language():
+    rng = rng_for("complement-sub")
+    sub = AB.sigma()
+    sig = set(all_strings(sub, 5))
+    for _ in range(30):
+        d = determinize(rand_automaton(rng, ABC.sigma(), p_eps=0.2))
+        comp = complement(d, sub)
+        assert is_complete(comp, sub)
+        assert {a[1] for a in comp.arcs} <= set(sub)
+        assert lang_set(comp, 5) == sig - lang_set(d, 5)
+
+
 # ---------------------------------------------------------------------------
 # intersect / subtract
 # ---------------------------------------------------------------------------

@@ -445,7 +445,7 @@ def test_check_sweeps_machines_that_differ(tmp_path, capsys, monkeypatch):
     rules.write_text(THREE_RULES)
     fst = tmp_path / "loose.fst"
     assert main(["compile", str(rules), "--no-compact", "-o", str(fst)]) == 0
-    monkeypatch.setattr(cli, "compact_transducer", lambda t, deadline: t)
+    monkeypatch.setattr(kk, "compact_transducer", lambda t, deadline: t)
     calls = _count_sweeps(monkeypatch)
     assert main(["check", str(rules), "--max-len", "3",
                  "--against", str(fst)]) == 0

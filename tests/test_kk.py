@@ -162,3 +162,21 @@ def test_probe_k0_golden_regression():
     golden = json.loads((GOLDEN / "probe_k0.json").read_text())
     assert golden == {"alphabet_size": 3, "nfa_arcs": nfa_arcs,
                       "dfa_arcs": dfa_arcs}
+
+
+def test_growth_machine_sizes_at_194_labels_are_golden():
+    # the raw cascade machines of the paper's growth rules and the probe's
+    # DFA: their arcs sum to growth-kk's out_arcs (454,398)
+    from rwc.bench import bench_alphabet, bench_rule
+
+    golden = json.loads((GOLDEN / "kk_growth194.json").read_text())
+    alphabet = bench_alphabet(golden["alphabet_size"])
+    for family in ("left", "right"):
+        sizes = []
+        for k in range(len(golden[f"kk_{family}"])):
+            t = K.kk_compile_rule(bench_rule(family, k), alphabet).transducer
+            sizes.append([t.num_states, len(t.arcs)])
+        assert sizes == golden[f"kk_{family}"], family
+    assert [K.kk_rightcontext_probe(bench_rule("right", k).rho, alphabet)[1]
+            for k in range(len(golden["probe_dfa_arcs"]))] \
+        == golden["probe_dfa_arcs"]
