@@ -5,7 +5,8 @@ DFA minimization, and label-encoded transducer compaction.
 Epsilon closures come from the core machinery: determinization takes its
 subsets from ``fsm._eps_closures``. Intersection reads ``in_index``, the
 arc index composition reads, and trims its product with ``fsm._product``;
-minimization and complementation drop states with ``fsm._reachable``.
+minimization and complementation drop states with ``fsm._reachable``,
+and ``_dfa_out`` finds inaccessible ones with it.
 Compaction hands a zero-weight arc that is epsilon on both tapes to
 determinization as an acceptor epsilon, and runs ``fsm.remove_epsilon``
 first only when such an arc or a final state carries a weight.
@@ -62,8 +63,7 @@ def _dfa_out(aut):
     inaccessible state."""
     if aut.weighted:
         raise NotDeterministicError("weighted machines are not DFAs here")
-    n = aut.num_states
-    out = [{} for _ in range(n)]
+    out = [{} for _ in range(aut.num_states)]
     for s, l, _, d in aut.arcs:
         if l == EPS:
             raise NotDeterministicError("epsilon arc in DFA")
@@ -72,14 +72,7 @@ def _dfa_out(aut):
             raise NotDeterministicError(
                 f"two arcs with label {l} leave state {s}")
         o[l] = d
-    seen = {aut.initial}
-    stack = [aut.initial]
-    while stack:
-        for d in out[stack.pop()].values():
-            if d not in seen:
-                seen.add(d)
-                stack.append(d)
-    if len(seen) != n:
+    if 0 in fsm._reachable((aut.initial,), [o.values() for o in out]):
         raise NotDeterministicError("DFA has inaccessible states")
     return out
 

@@ -13,6 +13,8 @@ Grammar (see README for the full EBNF)::
 an atom (no whitespace) is the postfix one-or-more operator; with
 whitespace before it, "+" is union. A weight prefix applies to the whole
 following factor including its postfix operator.
+
+The lexer has one token tail; its branches only pick kind, value and width.
 """
 
 from dataclasses import dataclass
@@ -148,8 +150,9 @@ def rename(ast, new_name):
 # Lexer
 # ---------------------------------------------------------------------------
 
-_PUNCT = {";": "SEMI", ":": "COLON", "/": "SLASH", "*": "STAR",
-          "?": "QMARK", "(": "LPAREN", ")": "RPAREN", "]": "RBRACK"}
+_CHAR_TOKENS = {";": "SEMI", ":": "COLON", "/": "SLASH", "*": "STAR",
+                "?": "QMARK", "(": "LPAREN", ")": "RPAREN", "]": "RBRACK",
+                "_": "USCORE", "0": "ZERO"}
 _ATOM_END = {"NAME", "ZERO", "RPAREN", "RBRACK"}
 
 
@@ -159,6 +162,7 @@ class _Tok:
     value: object
     line: int
     col: int
+    end: int  # offset just past the token's text
 
 
 def _lex(text):
@@ -166,14 +170,9 @@ def _lex(text):
     i, line, col = 0, 1, 1
     n = len(text)
 
-    def err(msg, l=None, c=None):
-        raise RuleSyntaxError(msg, l if l is not None else line,
-                              c if c is not None else col)
+    def err(msg):
+        raise RuleSyntaxError(msg, line, col)
 
-    def adjacent_atom():
-        return toks and toks[-1].kind in _ATOM_END and prev_end == i
-
-    prev_end = -1
     while i < n:
         ch = text[i]
         if ch == "\n":
@@ -189,93 +188,52 @@ def _lex(text):
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        start_line, start_col = line, col
+        value, width = ch, 1
         if ch == "-":
-            if i + 1 < n and text[i + 1] == ">":
-                toks.append(_Tok("ARROW", "->", line, col))
-                i += 2
-                col += 2
-                prev_end = i
-                continue
-            err("stray '-' (expected '->')")
-        if ch == "+":
-            kind = "PLUSPOST" if adjacent_atom() else "PLUSUNION"
-            toks.append(_Tok(kind, "+", line, col))
-            i += 1
-            col += 1
-            prev_end = i
-            continue
-        if ch == "[":
-            if i + 1 < n and text[i + 1] == "^":
-                toks.append(_Tok("LBRACKNEG", "[^", line, col))
-                i += 2
-                col += 2
-            else:
-                toks.append(_Tok("LBRACK", "[", line, col))
-                i += 1
-                col += 1
-            prev_end = i
-            continue
-        if ch == "<":
-            j = i + 1
-            if j < n and text[j] == "-":
+            if not text.startswith(">", i + 1):
+                err("stray '-' (expected '->')")
+            kind, value, width = "ARROW", "->", 2
+        elif ch == "+":  # postfix right after an atom, union otherwise
+            kind = ("PLUSPOST" if toks and toks[-1].kind in _ATOM_END
+                    and toks[-1].end == i else "PLUSUNION")
+        elif ch == "[":
+            kind, value, width = (("LBRACKNEG", "[^", 2)
+                                  if text.startswith("^", i + 1)
+                                  else ("LBRACK", ch, 1))
+        elif ch == "<":
+            if text.startswith("-", i + 1):
                 raise NegativeWeightError(
-                    f"negative weight at line {start_line}, "
-                    f"col {start_col}")
-            k = j
+                    f"negative weight at line {line}, col {col}")
+            j = k = i + 1
             while k < n and (text[k].isdigit() or text[k] in ".eE"
-                             or (text[k] in "+-" and k > j
-                                 and text[k - 1] in "eE")):
+                             or text[k] in "+-" and text[k - 1] in "eE"):
                 k += 1
-            if k == j or k >= n or text[k] != ">":
+            if k == j or text[k:k + 1] != ">":
                 err("expected '<number>' weight")
+            literal = text[j:k]
             try:
-                w = float(text[j:k])
+                value = float(literal)
             except ValueError:
-                err(f"bad weight literal {text[j:k]!r}",
-                    start_line, start_col)
-            if w < 0:
-                raise NegativeWeightError(
-                    f"negative weight at line {start_line}")
-            if w == fsm.INF:
-                err(f"weight {text[j:k]!r} is too large",
-                    start_line, start_col)
-            toks.append(_Tok("WEIGHT", w, line, col))
-            col += k + 1 - i
-            i = k + 1
-            prev_end = i
-            continue
-        if ch in _PUNCT:
-            toks.append(_Tok(_PUNCT[ch], ch, line, col))
-            i += 1
-            col += 1
-            prev_end = i
-            continue
-        if ch == "_":
-            toks.append(_Tok("USCORE", "_", line, col))
-            i += 1
-            col += 1
-            prev_end = i
-            continue
-        if ch == "0":
-            if i + 1 < n and (text[i + 1].isalnum() or text[i + 1] == "_"):
-                err("names may not start with a digit")
-            toks.append(_Tok("ZERO", "0", line, col))
-            i += 1
-            col += 1
-            prev_end = i
-            continue
-        if ch.isalpha():
+                err(f"bad weight literal {literal!r}")
+            if value == fsm.INF:
+                err(f"weight {literal!r} is too large")
+            kind, width = "WEIGHT", k + 1 - i
+        elif ch == "0" and (text[i + 1:i + 2].isalnum()
+                            or text.startswith("_", i + 1)):
+            err("names may not start with a digit")
+        elif ch in _CHAR_TOKENS:
+            kind = _CHAR_TOKENS[ch]
+        elif ch.isalpha():
             j = i + 1
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            toks.append(_Tok("NAME", text[i:j], line, col))
-            col += j - i
-            i = j
-            prev_end = i
-            continue
-        err(f"unexpected character {ch!r}")
-    toks.append(_Tok("EOF", None, line, col))
+            kind, value, width = "NAME", text[i:j], j - i
+        else:
+            err(f"unexpected character {ch!r}")
+        toks.append(_Tok(kind, value, line, col, i + width))
+        i += width
+        col += width
+    toks.append(_Tok("EOF", None, line, col, i))
     return toks
 
 

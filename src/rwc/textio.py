@@ -7,15 +7,17 @@
     final <state> <weight>
     arc <src> <dst> <in> <out> <weight>   # acceptors omit <out>
 
-Arc labels are symbol-table ids. Weights are written as ``repr(float)``,
-the shortest text that reads back as the same float, so a write/read
-round trip is lossless; the reader accepts any float syntax and rejects
-weights that are not finite and non-negative. Reserved names are <eps>,
-<rb>, <lb1>, <lb2>; user symbols occupy ids 1..n. The ``states`` line
-keeps states that no other line mentions; a file without it has
-1 + the highest state mentioned. A machine has at most ``MAX_STATES``
-states: readers of a file allocate per-state tables, so a larger count
-is refused by the reader and by the writer alike.
+Arc labels are symbol-table ids, 0..n+3: the reader and the writer
+refuse any other label with E_FORMAT, so every machine read can be
+written back. Weights are written as ``repr(float)``, the shortest text
+that reads back as the same float, so a write/read round trip is
+lossless; the reader accepts any float syntax and rejects weights that
+are not finite and non-negative. Reserved names are <eps>, <rb>, <lb1>,
+<lb2>; user symbols occupy ids 1..n. The ``states`` line keeps states
+that no other line mentions; a file without it has 1 + the highest state
+mentioned. A machine has at most ``MAX_STATES`` states: readers of a
+file allocate per-state tables, so a larger count is refused by the
+reader and by the writer alike.
 """
 
 from .errors import FormatError
@@ -32,6 +34,13 @@ def _check_size(num_states):
     if num_states > MAX_STATES:
         raise FormatError(f"states {num_states} is more than the limit of "
                           f"{MAX_STATES}")
+
+
+def _check_labels(arcs, top):
+    """Raise E_FORMAT on the first arc label outside 0..top."""
+    bad = next((l for a in arcs for l in a[1:-2] if not 0 <= l <= top), None)
+    if bad is not None:
+        raise FormatError(f"label {bad} has no name in the symbol table")
 
 
 def format_machine(m, alphabet):
@@ -56,8 +65,7 @@ def format_machine(m, alphabet):
         arcs = [f"arc {s} {d} {i} {o} {float(w)!r}"
                 for s, i, o, w, d in m.arcs if 0 <= i <= top and 0 <= o <= top]
     if len(arcs) < len(m.arcs):
-        bad = next(l for a in m.arcs for l in a[1:-2] if not 0 <= l <= top)
-        raise FormatError(f"label {bad} has no name in the symbol table")
+        _check_labels(m.arcs, top)
     lines += arcs
     return "\n".join(lines) + "\n"
 
@@ -126,6 +134,7 @@ def parse_machine(text):
         alphabet = Alphabet(user)
     except ValueError as e:
         raise FormatError(str(e)) from None
+    _check_labels(arcs, alphabet.num_labels - 1)
     highest = max([initial] + list(finals)
                   + [x for a in arcs for x in (a[0], a[-1])])
     if num_states is None:

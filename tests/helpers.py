@@ -12,10 +12,12 @@ import math
 import os
 import random
 import signal
-from collections import deque
+from collections import deque, namedtuple
 from heapq import heappush, heappop
 
+from rwc import fsm
 from rwc import rulespec as R
+from rwc.errors import NegativeWeightError, RuleSyntaxError
 from rwc.fsm import EPS, INF, Alphabet
 
 
@@ -879,3 +881,133 @@ def reference_format_machine(m, alphabet):
         lines.append(f"arc {a[0]} {a[-1]} " + " ".join(map(str, labs))
                      + f" {float(a[-2])!r}")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Reference lexer: rulespec._lex before its branches shared one token tail
+# ---------------------------------------------------------------------------
+
+_Tok = namedtuple("_Tok", "kind value line col")
+_PUNCT = {";": "SEMI", ":": "COLON", "/": "SLASH", "*": "STAR",
+          "?": "QMARK", "(": "LPAREN", ")": "RPAREN", "]": "RBRACK"}
+_ATOM_END = {"NAME", "ZERO", "RPAREN", "RBRACK"}
+
+
+def reference_lex(text):
+    """The rule-file lexer as it was when every token branch appended its
+    own token and advanced the offset, the column and `prev_end`."""
+    toks = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+
+    def err(msg, l=None, c=None):
+        raise RuleSyntaxError(msg, l if l is not None else line,
+                              c if c is not None else col)
+
+    def adjacent_atom():
+        return toks and toks[-1].kind in _ATOM_END and prev_end == i
+
+    prev_end = -1
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch.isspace():
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        start_line, start_col = line, col
+        if ch == "-":
+            if i + 1 < n and text[i + 1] == ">":
+                toks.append(_Tok("ARROW", "->", line, col))
+                i += 2
+                col += 2
+                prev_end = i
+                continue
+            err("stray '-' (expected '->')")
+        if ch == "+":
+            kind = "PLUSPOST" if adjacent_atom() else "PLUSUNION"
+            toks.append(_Tok(kind, "+", line, col))
+            i += 1
+            col += 1
+            prev_end = i
+            continue
+        if ch == "[":
+            if i + 1 < n and text[i + 1] == "^":
+                toks.append(_Tok("LBRACKNEG", "[^", line, col))
+                i += 2
+                col += 2
+            else:
+                toks.append(_Tok("LBRACK", "[", line, col))
+                i += 1
+                col += 1
+            prev_end = i
+            continue
+        if ch == "<":
+            j = i + 1
+            if j < n and text[j] == "-":
+                raise NegativeWeightError(
+                    f"negative weight at line {start_line}, "
+                    f"col {start_col}")
+            k = j
+            while k < n and (text[k].isdigit() or text[k] in ".eE"
+                             or (text[k] in "+-" and k > j
+                                 and text[k - 1] in "eE")):
+                k += 1
+            if k == j or k >= n or text[k] != ">":
+                err("expected '<number>' weight")
+            try:
+                w = float(text[j:k])
+            except ValueError:
+                err(f"bad weight literal {text[j:k]!r}",
+                    start_line, start_col)
+            if w < 0:
+                raise NegativeWeightError(
+                    f"negative weight at line {start_line}")
+            if w == fsm.INF:
+                err(f"weight {text[j:k]!r} is too large",
+                    start_line, start_col)
+            toks.append(_Tok("WEIGHT", w, line, col))
+            col += k + 1 - i
+            i = k + 1
+            prev_end = i
+            continue
+        if ch in _PUNCT:
+            toks.append(_Tok(_PUNCT[ch], ch, line, col))
+            i += 1
+            col += 1
+            prev_end = i
+            continue
+        if ch == "_":
+            toks.append(_Tok("USCORE", "_", line, col))
+            i += 1
+            col += 1
+            prev_end = i
+            continue
+        if ch == "0":
+            if i + 1 < n and (text[i + 1].isalnum() or text[i + 1] == "_"):
+                err("names may not start with a digit")
+            toks.append(_Tok("ZERO", "0", line, col))
+            i += 1
+            col += 1
+            prev_end = i
+            continue
+        if ch.isalpha():
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(_Tok("NAME", text[i:j], line, col))
+            col += j - i
+            i = j
+            prev_end = i
+            continue
+        err(f"unexpected character {ch!r}")
+    toks.append(_Tok("EOF", None, line, col))
+    return toks

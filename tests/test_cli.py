@@ -638,6 +638,20 @@ def test_huge_state_count_is_a_format_error(tmp_path, capsys, command):
     assert capsys.readouterr().err.startswith("error: E_FORMAT")
 
 
+def test_apply_refuses_an_arc_label_outside_the_symbol_table(tmp_path,
+                                                             capsys):
+    # a machine with label 999 could not be written back, so no file may
+    # hold one
+    fst = tmp_path / "bad.fst"
+    fst.write_text("WFST v1 unweighted transducer\nsym 0 <eps>\nsym 1 a\n"
+                   "sym 2 <rb>\nsym 3 <lb1>\nsym 4 <lb2>\ninit 0\n"
+                   "final 1 0.0\narc 0 1 1 999 0.0\n")
+    assert main(["apply", str(fst), "a"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: E_FORMAT: label 999 has no name")
+
+
 RULE_TOKENS = ["a", "b", "c", "z", "0", "(", ")", "[", "[^", "]", "*", "+",
                "?", "<1.5>", "<-1>", "<nan>", "<", ">", "->", "/", "_", ";",
                "#", ":", "alphabet"]

@@ -1,14 +1,21 @@
 """The construction kernels against their reference versions in helpers:
 determinization over label classes, and the products on integer state
 keys with one backward pass, must build the same machines, state for
-state and arc for arc."""
+state and arc for arc. Each kernel that takes a deadline must also stop
+with E_TIMEOUT once it has expired."""
 
+import time
+
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rwc import fsm
-from rwc.boolean_ops import determinize, intersect
-from rwc.fsm import EPS, Automaton, Transducer
+from rwc import oracle as O
+from rwc.boolean_ops import (compact_transducer, determinize, intersect,
+                             minimize)
+from rwc.errors import DeadlineExceeded
+from rwc.fsm import EPS, Alphabet, Automaton, Deadline, Transducer
 
 from .helpers import (machine_fields, reference_compose,
                       reference_determinize, reference_intersect,
@@ -106,3 +113,40 @@ def test_trim_matches_reference(m):
     assert machine_fields(got) == machine_fields(want)
     # a machine with nothing to drop comes back as it is
     assert (got is m) == (want is m)
+
+
+def _chain(n, tapes):
+    """The string of n - 1 labels 1 on n states, as an acceptor or as an
+    identity transducer."""
+    if tapes == 1:
+        return Automaton(n, 0, {n - 1: 0.0},
+                         [(q, 1, 0.0, q + 1) for q in range(n - 1)])
+    return Transducer(n, 0, {n - 1: 0.0},
+                      [(q, 1, 1, 0.0, q + 1) for q in range(n - 1)])
+
+
+# each input is large enough to reach its kernel's deadline check: the
+# products check every 256 states and determinize every 64 subsets;
+# minimize checks every round, and _relation every input length. _compare
+# checks every 4096 inputs, and only when the relations differ: here on
+# the empty input alone, of the 8191 inputs over two symbols up to 12
+KERNEL_CALLS = {
+    "compose": lambda d: fsm.compose(_chain(300, 2), _chain(300, 2), d),
+    "intersect": lambda d: intersect(_chain(300, 1), _chain(300, 1), d),
+    "determinize": lambda d: determinize(_chain(100, 1), d),
+    "minimize": lambda d: minimize(_chain(3, 1), d),
+    "compact_transducer": lambda d: compact_transducer(_chain(3, 2), d),
+    "_relation": lambda d: O._relation(_chain(3, 2), [1], 2, d),
+    "_compare": lambda d: O._compare({(): {(): 0.0}}, {},
+                                     Alphabet(["a", "b"]), 12, deadline=d),
+}
+
+
+@pytest.mark.parametrize("call", KERNEL_CALLS.values(), ids=KERNEL_CALLS)
+def test_kernel_stops_at_an_expired_deadline(call):
+    call(None)
+    deadline = Deadline(0)
+    time.sleep(0.01)
+    with pytest.raises(DeadlineExceeded) as e:
+        call(deadline)
+    assert e.value.code == "E_TIMEOUT"

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rwc import compiler as C
 from rwc import rulespec as R
@@ -13,7 +15,7 @@ from rwc.rulespec import (evaluate_series, parse_regex, parse_rule_file,
                           parse_series, pretty, pretty_rule, series_to_wfsa)
 
 from .helpers import all_strings, naive_series_value, rand_regex, \
-    rand_series, rng_for
+    rand_series, reference_lex, rng_for
 
 AB = Alphabet(["a", "b"])
 NASAL = Alphabet(["b", "m", "n", "p", "N", "a"])
@@ -161,6 +163,39 @@ def test_comments_ignored():
     rs = parse_rule_file("# top\nalphabet: a b ;  # trailing\n"
                          "a -> b ;  # rule\n")
     assert len(rs.rules) == 1
+
+
+# Pieces of rule-file text that lex: every token kind, weights with
+# exponents and non-ASCII digits ("\u0663" is a digit to float), names,
+# comments and every kind of whitespace
+LEX_TOKENS = [
+    ";", ":", "/", "*", "?", "(", ")", "[", "]", "_", "+", "->", "[^",
+    "<1e-3>", "<2.5>", "<1E+2>", "<\u0663>", "\u00e9", "a", "e", "b1",
+    "x_y", "0", " ", "\t", "\r", "\x0b", "\n", "# note", "#"]
+# and pieces that raise: negative, overflowing, empty, unclosed and bad
+# weights ("\u00b2" is a digit to str.isdigit but not to float), names
+# that start with a digit, and characters no token starts with
+LEX_ERRORS = ["-", "<", ">", "^", ".", "%", "7", "0a", "0_", "<-1>",
+              "<1e999>", "<>", "<1e>", "<1.2.3>", "<\u00b2>", "<7"]
+
+
+def _lex_outcome(lex, text):
+    try:
+        return [(t.kind, t.value, t.line, t.col) for t in lex(text)]
+    except Exception as e:
+        return (type(e), str(e), getattr(e, "line", None),
+                getattr(e, "col", None))
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.lists(st.sampled_from(LEX_TOKENS), max_size=30),
+       st.sampled_from([None] + LEX_ERRORS), st.integers(0, 30),
+       st.booleans())
+def test_lex_matches_reference_lexer(parts, bad, at, final_newline):
+    if bad is not None:
+        parts.insert(at, bad)
+    text = "".join(parts) + ("\n" if final_newline else "")
+    assert _lex_outcome(R._lex, text) == _lex_outcome(reference_lex, text)
 
 
 # ---------------------------------------------------------------------------

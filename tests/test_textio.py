@@ -126,6 +126,24 @@ def test_parse_rejects_bad_weights(line):
         parse_machine(_ACCEPTOR_HEAD + "final 1 0\narc 0 1 1 0\n" + line)
 
 
+_TRANSDUCER_HEAD = _ACCEPTOR_HEAD.replace("acceptor", "transducer")
+
+
+@pytest.mark.parametrize("label", [-7, 5])
+@pytest.mark.parametrize("head, arc", [
+    (_ACCEPTOR_HEAD, "arc 0 1 {} 0"),
+    (_TRANSDUCER_HEAD, "arc 0 1 {} 1 0"),
+    (_TRANSDUCER_HEAD, "arc 0 1 1 {} 0"),
+], ids=["acceptor", "transducer-input", "transducer-output"])
+def test_parse_refuses_labels_the_symbol_table_does_not_name(head, arc,
+                                                             label):
+    # one user symbol: the table names 0..4, as format_machine writes it
+    with pytest.raises(FormatError, match=f"label {label} has no name"):
+        parse_machine(head + "final 1 0\n" + arc.format(label) + "\n")
+    m, alpha = parse_machine(head + "final 1 0\n" + arc.format(4) + "\n")
+    assert parse_machine(format_machine(m, alpha))[0].arcs == m.arcs
+
+
 def test_parse_rejects_extra_fields():
     # "sym 1 a b" used to read silently as the symbol "a"
     with pytest.raises(FormatError):
