@@ -94,8 +94,6 @@ def _constraints(rule, alphabet, br, deadline):
                                ignorables, allow_leading=False)
     rho_ig = fsm.ignore_labels(compile_regex(rule.rho, alphabet),
                                ignorables, allow_leading=False)
-    rho_ig_lead = fsm.ignore_labels(compile_regex(rule.rho, alphabet),
-                                    ignorables, allow_leading=True)
     lam_ig_lead = fsm.ignore_labels(compile_regex(rule.lam, alphabet),
                                     ignorables, allow_leading=True)
 
@@ -138,7 +136,7 @@ def _constraints(rule, alphabet, br, deadline):
     else:
         witness = fsm.aut_concat([rho_ig, gs])
     rc_left = _forbid(fsm.aut_concat([not_after_rc, witness]), gamma, deadline)
-    rc_right = _forbid(_rc_right_pattern(gs, br, rho_ig_lead, gamma, deadline),
+    rc_right = _forbid(_rc_right_pattern(rule.rho, alphabet, br, deadline),
                        gamma, deadline)
     rightcontext_stage = intersect(rc_left, rc_right, deadline)
 
@@ -156,9 +154,14 @@ def _constraints(rule, alphabet, br, deadline):
     return obligatory_stage, rightcontext_stage, leftcontext_stage
 
 
-def _rc_right_pattern(gs, br, rho_ig_lead, gamma, deadline):
+def _rc_right_pattern(rho, alphabet, br, deadline):
     """Forbidden pattern of the right intersectand: a >c followed by
-    something that is not a rho match (junk-leading allowed)."""
+    something that is not a rho match (junk-leading allowed), over the
+    bracket-extended alphabet."""
+    gamma = alphabet.sigma() + br.all()
+    gs = fsm.aut_sigma_star(gamma)
+    rho_ig_lead = fsm.ignore_labels(compile_regex(rho, alphabet),
+                                    br.all() + (br.zero,), allow_leading=True)
     not_rho = subtract(gs, fsm.aut_concat([rho_ig_lead, gs]), gamma, deadline)
     return fsm.aut_concat([gs, fsm.aut_label(br.rc), not_rho])
 
@@ -213,12 +216,6 @@ def kk_rightcontext_probe(rho, alphabet, deadline=None):
     """Build the nondeterministic automaton inside the right intersectand
     of Rightcontext, determinize it without minimization, and return
     (nfa_arcs, dfa_arcs)."""
-    br = KkBrackets(alphabet)
-    gamma = alphabet.sigma() + br.all()
-    ignorables = set(br.all()) | {br.zero}
-    gs = fsm.aut_sigma_star(gamma)
-    rho_ig_lead = fsm.ignore_labels(compile_regex(rho, alphabet),
-                                    ignorables, allow_leading=True)
-    nfa = _rc_right_pattern(gs, br, rho_ig_lead, gamma, deadline)
+    nfa = _rc_right_pattern(rho, alphabet, KkBrackets(alphabet), deadline)
     dfa = determinize(nfa, deadline)
     return len(nfa.arcs), len(dfa.arcs)

@@ -480,10 +480,12 @@ def _all_inputs(alphabet, max_len):
 
 # the sweep checks its deadline once per this many inputs
 _DEADLINE_EVERY = 4096
+# a failed comparison stops at this many counterexamples
+_MAX_REPORT = 10
 
 
 def _compare(rel, expected, alphabet, max_len, need_output=False,
-             tol=1e-9, max_report=10, deadline=None):
+             tol=1e-9, deadline=None):
     """Compare a relation of `_relation` with `expected`, a relation
     {input ids: {output ids: weight}} on inputs up to max_len (an input it
     lacks has no output), on every input over the user alphabet up to
@@ -509,7 +511,7 @@ def _compare(rel, expected, alphabet, max_len, need_output=False,
         if not ok or (need_output and not o2):
             counterexamples.append((_names(alphabet, u), _named(alphabet, o1),
                                     _named(alphabet, o2)))
-            if len(counterexamples) >= max_report:
+            if len(counterexamples) >= _MAX_REPORT:
                 break
     return EquivalenceReport(not counterexamples, counterexamples, checked)
 
@@ -523,8 +525,7 @@ def _same_machine(a, b):
             and (a.arcs == b.arcs or sorted(a.arcs) == sorted(b.arcs)))
 
 
-def equivalent_on(t1, t2, alphabet, max_len, tol=1e-9, max_report=10,
-                  deadline=None):
+def equivalent_on(t1, t2, alphabet, max_len, tol=1e-9, deadline=None):
     """Compare two transducers as weighted relations on every input over
     the user alphabet up to max_len. t2 is always swept, so its errors are
     raised; a t1 identical to it shares its relation."""
@@ -532,8 +533,7 @@ def equivalent_on(t1, t2, alphabet, max_len, tol=1e-9, max_report=10,
     r2 = _relation(t2, sigma, max_len, deadline=deadline)
     r1 = r2 if _same_machine(t1, t2) else \
         _relation(t1, sigma, max_len, deadline=deadline)
-    return _compare(r1, r2, alphabet, max_len, tol=tol,
-                    max_report=max_report, deadline=deadline)
+    return _compare(r1, r2, alphabet, max_len, tol=tol, deadline=deadline)
 
 
 def check_rule(rule, t, alphabet, max_len):

@@ -7,17 +7,21 @@
     final <state> <weight>
     arc <src> <dst> <in> <out> <weight>   # acceptors omit <out>
 
-Arc labels are symbol-table ids, 0..n+3: the reader and the writer
-refuse any other label with E_FORMAT, so every machine read can be
-written back. Weights are written as ``repr(float)``, the shortest text
-that reads back as the same float, so a write/read round trip is
-lossless; the reader accepts any float syntax and rejects weights that
-are not finite and non-negative. Reserved names are <eps>, <rb>, <lb1>,
-<lb2>; user symbols occupy ids 1..n. The ``states`` line keeps states
-that no other line mentions; a file without it has 1 + the highest state
-mentioned. A machine has at most ``MAX_STATES`` states: readers of a
-file allocate per-state tables, so a larger count is refused by the
-reader and by the writer alike.
+The symbol table is ``Alphabet.name_of`` over ids 0..n+3: <eps>, the n
+user symbols, then <rb>, <lb1>, <lb2>. The writer prints that list and
+the reader refuses, with E_FORMAT, a table that differs from it. Arc
+labels are symbol-table ids, 0..n+3: the reader and the writer refuse
+any other label with E_FORMAT, so every machine read can be written
+back. Weights are written as ``repr(float)``, the shortest text that
+reads back as the same float, so a write/read round trip is lossless;
+the reader accepts any float syntax and rejects weights that are not
+finite and non-negative. The ``states`` line keeps states that no other
+line mentions; a file without it has 1 + the highest state mentioned.
+The machine constructor refuses an initial, final or arc state outside
+the ``states`` line's range, and the reader reports that as E_FORMAT. A
+machine has at most ``MAX_STATES`` states: readers of a file allocate
+per-state tables, so a larger count is refused by the reader and by the
+writer alike.
 """
 
 from .errors import FormatError
@@ -48,12 +52,9 @@ def format_machine(m, alphabet):
     _check_size(m.num_states)
     kind = "acceptor" if m.tapes == 1 else "transducer"
     wtag = "weighted" if m.weighted else "unweighted"
-    lines = [f"{_HEADER} {wtag} {kind}", f"states {m.num_states}",
-             "sym 0 <eps>"]
-    lines += [f"sym {i} {name}"
-              for i, name in enumerate(alphabet.symbols, start=1)]
-    lines += [f"sym {alphabet.n + off} {name}"
-              for off, name in enumerate(RESERVED_NAMES[1:], start=1)]
+    lines = [f"{_HEADER} {wtag} {kind}", f"states {m.num_states}"]
+    lines += [f"sym {i} {alphabet.name_of(i)}"
+              for i in range(alphabet.num_labels)]
     lines.append(f"init {m.initial}")
     lines += [f"final {q} {float(m.finals[q])!r}" for q in sorted(m.finals)]
     # one pass; an arc with an unnamed label is left out and then reported
@@ -122,26 +123,18 @@ def parse_machine(text):
             raise FormatError(f"malformed line {ln!r}: {e}") from None
     if initial is None:
         raise FormatError("missing init line")
-    user = [syms[i] for i in sorted(syms) if syms[i] not in RESERVED_NAMES]
-    expected = {0: "<eps>"}
-    expected.update({i + 1: name for i, name in enumerate(user)})
-    expected.update({len(user) + 1 + off: name
-                     for off, name in enumerate(RESERVED_NAMES[1:])})
-    if {i: n for i, n in syms.items()} != expected:
-        raise FormatError("symbol table ids are not contiguous "
-                          "(eps, users, rb, lb1, lb2)")
     try:
-        alphabet = Alphabet(user)
+        alphabet = Alphabet(syms[i] for i in sorted(syms)
+                            if syms[i] not in RESERVED_NAMES)
     except ValueError as e:
         raise FormatError(str(e)) from None
+    if syms != {i: alphabet.name_of(i) for i in range(alphabet.num_labels)}:
+        raise FormatError("symbol table ids are not contiguous "
+                          "(eps, users, rb, lb1, lb2)")
     _check_labels(arcs, alphabet.num_labels - 1)
-    highest = max([initial] + list(finals)
-                  + [x for a in arcs for x in (a[0], a[-1])])
     if num_states is None:
-        num_states = highest + 1
-    elif highest >= num_states:
-        raise FormatError(f"state {highest} is out of range for "
-                          f"states {num_states}")
+        num_states = 1 + max([initial, *finals,
+                              *(x for a in arcs for x in (a[0], a[-1]))])
     _check_size(num_states)
     try:
         m = (Automaton if is_acceptor else Transducer)(

@@ -4,6 +4,7 @@ equivalence checker."""
 import math
 import pathlib
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -347,11 +348,11 @@ def corrupt(t, how, k):
 def test_equivalent_on_matches_named_reference(t, how, k, max_len,
                                                max_report):
     # the id-level sweep reports what the name-level one did: verdict,
-    # strings checked and counterexamples, in names and in order
+    # strings checked and counterexamples, in names and in order, for any
+    # bound on the counterexamples reported
     for t2 in (t, corrupt(t, how, k)):
-        with time_limit(20):
-            got = _outcome(O.equivalent_on, t, t2, AB, max_len, 1e-9,
-                           max_report)
+        with time_limit(20), mock.patch.object(O, "_MAX_REPORT", max_report):
+            got = _outcome(O.equivalent_on, t, t2, AB, max_len, 1e-9)
             want = _outcome(reference_equivalent_on, t, t2, AB, max_len,
                             1e-9, max_report)
         if want is DivergentError:
@@ -419,8 +420,8 @@ def relation_pairs(draw):
 def test_compare_matches_named_reference(pair, need_output, max_report):
     # the dict-equality fast path reports what the ordered loop does
     rel, expected, max_len = pair
-    rep = O._compare(rel, expected, AB, max_len, need_output=need_output,
-                     max_report=max_report)
+    with mock.patch.object(O, "_MAX_REPORT", max_report):
+        rep = O._compare(rel, expected, AB, max_len, need_output=need_output)
 
     def named(r):
         return {O._names(AB, u): O._named(AB, o) for u, o in r.items()}

@@ -73,6 +73,18 @@ def test_malformed_files_raise():
         parse_machine("WFST v1 weighted acceptor\nsym 0 <eps>\nsym 1 a\n"
                       "sym 2 <rb>\nsym 3 <lb1>\nsym 4 <lb2>\n"
                       "init 0\narc 0 zero 1\n")
+    # the symbol table must be Alphabet.name_of over ids 0..n+3
+    for table, msg in [
+        ("<eps> a _ b <rb> <lb1> <lb2>", "not contiguous"),    # gap in users
+        ("<eps> <rb> a <lb1> <lb2>", "not contiguous"),        # rb at user id
+        ("<eps> a <rb> <lb1>", "not contiguous"),              # no lb2
+        ("<eps> a a <rb> <lb1> <lb2>", "duplicate symbol name 'a'"),
+        ("<eps> > <rb> <lb1> <lb2>", "symbol name '>' is reserved"),
+    ]:
+        syms = "".join(f"sym {i} {name}\n"
+                       for i, name in enumerate(table.split()) if name != "_")
+        with pytest.raises(FormatError, match=msg):
+            parse_machine(f"WFST v1 weighted acceptor\n{syms}init 0\n")
 
 
 def test_compiled_rule_round_trip_preserves_relation(tmp_path):
@@ -160,10 +172,15 @@ def test_states_line_keeps_isolated_trailing_states():
 def test_parse_rejects_state_beyond_states_line():
     head = _ACCEPTOR_HEAD.replace("init 0\n", "states 2\ninit 0\n")
     assert parse_machine(head + "final 1 0\n")[0].num_states == 2
-    for line in ("final 2 0", "arc 0 2 1 0", "arc 2 0 1 0"):
-        with pytest.raises(FormatError):
+    # the machine constructor refuses the state; the reader says E_FORMAT
+    for line, msg in [
+        ("final 2 0", "final state out of range"),
+        ("arc 0 2 1 0", r"bad endpoint or weight: \(0, 1, 0\.0, 2\)"),
+        ("arc 2 0 1 0", r"bad endpoint or weight: \(2, 1, 0\.0, 0\)"),
+    ]:
+        with pytest.raises(FormatError, match=msg):
             parse_machine(head + line + "\n")
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="initial state out of range"):
         parse_machine(head.replace("states 2", "states 0"))
 
 
