@@ -13,14 +13,13 @@ from .compiler import (CompiledRule, build_f, build_l1, build_l2, build_r,
 from .errors import RwcError
 from .fsm import (EPS, INF, Alphabet, Automaton, Deadline, Transducer,
                   WeightedStringSet, aut_class, aut_concat, aut_epsilon,
-                  aut_label, aut_sigma_star, aut_star, aut_string,
-                  aut_union, aut_weighted, compose, cross_product,
-                  id_transducer, ignore_labels, remove_epsilon, reverse,
-                  trim)
+                  aut_label, aut_sigma_star, aut_star, aut_union,
+                  aut_weighted, compose, cross_product, id_transducer,
+                  ignore_labels, remove_epsilon, reverse, trim)
 from .kk import KkBrackets, kk_compile_rule, kk_rightcontext_probe
 from .marker import MarkerKind, MarkerSpec, marker
-from .oracle import (RewriteOracle, apply, check_rule, equivalent_on,
-                     oracle_rewrite, relation_upto)
+from .oracle import (RewriteOracle, apply, equivalent_on, oracle_rewrite,
+                     relation_upto)
 from .rulespec import (Rule, RuleSet, compile_regex, evaluate_series,
                        parse_regex, parse_rule_file, parse_series,
                        series_to_wfsa)

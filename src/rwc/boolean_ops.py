@@ -9,7 +9,9 @@ minimization and complementation drop states with ``fsm._reachable``,
 and ``_dfa_out`` finds inaccessible ones with it.
 Compaction hands a zero-weight arc that is epsilon on both tapes to
 determinization as an acceptor epsilon, and runs ``fsm.remove_epsilon``
-first only when such an arc or a final state carries a weight.
+first only when such an arc or a final state carries a weight. It skips
+determinization when ``_dfa_out`` accepts the encoding as it is, as a
+rule set's composed product usually is.
 
 The working alphabet for completion and complementation is always an
 explicit parameter (a sequence of label ids), never inferred from the
@@ -342,7 +344,10 @@ def minimize(d, deadline=None):
 def compact_transducer(t, deadline=None):
     """Shrink a transducer without changing its relation or weights: each
     (in, out, weight) triple becomes a synthetic label, the machine is
-    determinized and minimized as an acceptor, then decoded.
+    determinized and minimized as an acceptor, then decoded. An encoding
+    that is already a DFA (`minimize`'s `_dfa_out` accepts it) goes
+    straight to `minimize`, whose canonical numbering makes the result
+    the same.
 
     The labels number the distinct triples in sorted order, so the result
     depends only on the encoded language, never on the order of t's arcs.
@@ -371,7 +376,11 @@ def compact_transducer(t, deadline=None):
     codes = {key: lab for lab, key in enumerate(decode)}
     enc = Automaton(t.num_states, t.initial, {q: 0.0 for q in t.finals},
                     [(a[0], codes[a[1:4]], 0.0, a[4]) for a in t.arcs])
-    m = minimize(determinize(enc, deadline=deadline), deadline=deadline)
+    # minimize's `_dfa_out` refuses an encoding that is not yet a DFA
+    try:
+        m = minimize(enc, deadline=deadline)
+    except NotDeterministicError:
+        m = minimize(determinize(enc, deadline=deadline), deadline=deadline)
     out_arcs = []
     for s, lab, _, d in m.arcs:
         i, o, w = decode[lab]

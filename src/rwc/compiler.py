@@ -31,10 +31,11 @@ paper's left fold. `build_r`, `build_f`, `build_l1` and `build_l2`, the
 paper's factors, serve only as that reference and for tracing by name.
 
 A rule set compiles over one representative per block of symbols its
-rules cannot tell apart: its compacted rules are composed in order, the
+rules cannot tell apart: its compacted rules are composed as a balanced
+tree (pairs, then pairs of pairs; composition is associative), the
 product is compacted once and expanded to the full alphabet once at the
 end. Each rule is compiled over the fewer blocks it alone tells apart and
-widened to the file's representatives before it enters the fold.
+widened to the file's representatives before it enters the tree.
 `compile_rule` always works over the alphabet it is given.
 """
 
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 
 from . import fsm
 from .boolean_ops import compact_transducer, count_ops, determinize
-from .errors import PhiNullableError, PsiEmptyError
+from .errors import PhiNullableError, PsiEmptyError, WeightOverflowError
 from .fsm import EPS, Alphabet, Transducer
 from .marker import MarkerKind, MarkerSpec, marker
 from .rulespec import (Rule, RuleSet, compile_regex, leaf_names, nullable,
@@ -281,32 +282,54 @@ def rule_transducer(rule, alphabet, compact, deadline):
                         deadline=deadline).transducer
 
 
+def _compose_all(machines, deadline):
+    """The composition of `machines` in order, as a balanced tree: pairs,
+    then pairs of pairs, an odd machine carried up a level. A right
+    sub-product also covers strings its left neighbours never output, so
+    it can overflow where the whole cascade does not; then the left fold,
+    whose every step lies on a path of the whole, decides."""
+    level = machines
+    try:
+        while len(level) > 1:
+            odd = level[-1:] if len(level) % 2 else []
+            level = [fsm.compose(a, b, deadline)
+                     for a, b in zip(level[::2], level[1::2])] + odd
+        return level[0]
+    except WeightOverflowError:
+        t = machines[0]
+        for m in machines[1:]:
+            t = fsm.compose(t, m, deadline)
+        return t
+
+
 def compile_ruleset(ruleset, compact=True, deadline=None,
                     compile_one=rule_transducer):
-    """Left fold of weighted composition over the rules in file order,
-    compacted once after the last composition. The fold runs over one
-    representative per block of `symbol_blocks`, and the result is
-    expanded back to the full alphabet once at the end. Each rule is
-    compiled by `compile_one(rule, alphabet, compact, deadline)` over one
+    """Weighted composition of the rules in file order, built as a
+    balanced tree by `_compose_all` with no compaction in between and
+    compacted once at the end. The tree runs over one representative per
+    block of `symbol_blocks`, and the result is expanded back to the full
+    alphabet once at the end. Each rule is compiled by
+    `compile_one(rule, alphabet, compact, deadline)` over one
     representative per block of its own, and `_expand` widens it to the
     file's representatives: every file block lies inside one rule block,
     whose members share the rule's phi, lambda and rho leaves and no psi
-    leaf. The compacted rules' products barely shrink when compacted, so
-    compacting after each step gives the same (canonical) machine for
-    more work. `kk.rule_transducer` compacts each KK rule even when
-    compact is False: its raw bracket-cascade machine is mostly ε:ε arcs,
-    and their products in the fold can outgrow memory."""
+    leaf. A left fold re-composes an ever-growing product; the tree
+    composes machines of similar size, and its compacted result is the
+    same canonical machine. `kk.rule_transducer` compacts each KK rule
+    even when compact is False: its raw bracket-cascade machine is mostly
+    ε:ε arcs, and their products can outgrow memory."""
     alphabet = ruleset.alphabet
     blocks = symbol_blocks(ruleset)
     reduced = Alphabet([block[0] for block in blocks])
-    t = identity_over_sigma(reduced)
+    machines = []
     for rule in ruleset.rules:
         rule = _renamed(rule, blocks)
         own = symbol_blocks(RuleSet(reduced, (rule,)))
         small = Alphabet([block[0] for block in own])
         m = compile_one(_renamed(rule, own), small, compact, deadline)
         widen = [(EPS,)] + [reduced.ids_of(block) for block in own]
-        t = fsm.compose(t, _expand(m, widen, small), deadline)
+        machines.append(_expand(m, widen, small))
+    t = _compose_all(machines or [identity_over_sigma(reduced)], deadline)
     if compact:
         t = compact_transducer(t, deadline=deadline)
     members = [(EPS,)] + [alphabet.ids_of(block) for block in blocks]

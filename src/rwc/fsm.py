@@ -396,13 +396,6 @@ def aut_weighted(w, a):
                      weighted=a.weighted or w != 0.0)
 
 
-def aut_string(labels):
-    if not labels:
-        return aut_epsilon()
-    arcs = [(i, lab, 0.0, i + 1) for i, lab in enumerate(labels)]
-    return Automaton(len(labels) + 1, 0, {len(labels): 0.0}, arcs)
-
-
 # ---------------------------------------------------------------------------
 # Elementary operations
 # ---------------------------------------------------------------------------

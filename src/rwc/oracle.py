@@ -534,14 +534,3 @@ def equivalent_on(t1, t2, alphabet, max_len, tol=1e-9, deadline=None):
     r1 = r2 if _same_machine(t1, t2) else \
         _relation(t1, sigma, max_len, deadline=deadline)
     return _compare(r1, r2, alphabet, max_len, tol=tol, deadline=deadline)
-
-
-def check_rule(rule, t, alphabet, max_len):
-    """Compare the transducer t compiled from `rule` with the rewriting
-    oracle on every input over the user alphabet up to max_len.
-    Counterexamples are (input, t's outputs, the oracle's outputs); an
-    input the oracle maps to nothing is one too."""
-    orc = RewriteOracle(rule, alphabet)
-    return _compare(_relation(t, alphabet.sigma(), max_len),
-                    orc.relation(alphabet.sigma(), max_len), alphabet,
-                    max_len, need_output=True)

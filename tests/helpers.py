@@ -372,6 +372,13 @@ def rand_phonology_text(rng):
     return f"alphabet: {' '.join(names)} ;\n" + "\n".join(rules) + "\n"
 
 
+def aut_string(labels):
+    """The acceptor of the one string `labels`."""
+    from rwc.fsm import Automaton
+    arcs = [(i, lab, 0.0, i + 1) for i, lab in enumerate(labels)]
+    return Automaton(len(labels) + 1, 0, {len(labels): 0.0}, arcs)
+
+
 def rand_automaton(rng, labels, max_states=4, p_eps=0.2, weighted=False):
     n = rng.randint(1, max_states)
     arcs = []
@@ -407,7 +414,7 @@ def reference_apply(t, input_seq, alphabet, bound=1000):
     epsilons, trim, and enumerate the result's language."""
     from rwc import fsm, oracle
     ids = oracle._to_ids(alphabet, input_seq)
-    comp = fsm.compose(fsm.id_transducer(fsm.aut_string(ids)), t)
+    comp = fsm.compose(fsm.id_transducer(aut_string(ids)), t)
     out = fsm.Automaton(comp.num_states, comp.initial, comp.finals,
                         [(s, o, w, d) for s, _, o, w, d in comp.arcs],
                         weighted=True)
@@ -573,6 +580,18 @@ def reference_equivalent_on(t1, t2, alphabet, max_len, tol=1e-9,
     return reference_compare(reference_relation_upto(t1, alphabet, max_len),
                              lambda u: r2.get(u, {}), alphabet, max_len,
                              tol=tol, max_report=max_report)
+
+
+def check_rule(rule, t, alphabet, max_len):
+    """Compare the transducer t compiled from `rule` with the rewriting
+    oracle on every input over the user alphabet up to max_len.
+    Counterexamples are (input, t's outputs, the oracle's outputs); an
+    input the oracle maps to nothing is one too."""
+    from rwc import oracle
+    orc = oracle.RewriteOracle(rule, alphabet)
+    return oracle._compare(oracle._relation(t, alphabet.sigma(), max_len),
+                           orc.relation(alphabet.sigma(), max_len), alphabet,
+                           max_len, need_output=True)
 
 
 def reference_rewrite_ids(orc, ids):
@@ -881,6 +900,36 @@ def reference_format_machine(m, alphabet):
         lines.append(f"arc {a[0]} {a[-1]} " + " ".join(map(str, labs))
                      + f" {float(a[-2])!r}")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Reference compaction: compact_transducer running the subset construction
+# even on an encoding that is already a DFA
+# ---------------------------------------------------------------------------
+
+def reference_compact_transducer(t):
+    """compact_transducer with determinize always run on the encoding."""
+    from rwc.boolean_ops import _label_weight, determinize, minimize
+    from rwc.fsm import Automaton, Transducer
+    triples = set(map(_label_weight, t.arcs))
+    if any(t.finals.values()) or any(i == EPS and o == EPS and w
+                                     for i, o, w in triples):
+        t = fsm.remove_epsilon(t)
+        triples = set(map(_label_weight, t.arcs))
+    if any(t.finals.values()):
+        sf = t.num_states
+        entries = [(q, EPS, EPS, w, sf) for q, w in t.finals.items()]
+        triples.update(map(_label_weight, entries))
+        t = Transducer(t.num_states + 1, t.initial, {sf: 0.0},
+                       t.arcs + tuple(entries), weighted=t.weighted)
+    decode = sorted(triples | {(EPS, EPS, 0.0)})
+    codes = {key: lab for lab, key in enumerate(decode)}
+    enc = Automaton(t.num_states, t.initial, {q: 0.0 for q in t.finals},
+                    [(a[0], codes[a[1:4]], 0.0, a[4]) for a in t.arcs])
+    m = minimize(determinize(enc))
+    out_arcs = [(s, *decode[lab], d) for s, lab, _, d in m.arcs]
+    return Transducer(m.num_states, m.initial, m.finals, out_arcs,
+                      weighted=t.weighted)
 
 
 # ---------------------------------------------------------------------------

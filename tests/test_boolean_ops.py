@@ -21,7 +21,8 @@ from rwc.textio import format_machine
 
 from .helpers import (accepts_by_enum, all_strings, canonical, enum_relation,
                       lang_set, not_dfas, rand_automaton, rand_regex,
-                      rand_transducer, rng_for, weights_close)
+                      rand_transducer, reference_compact_transducer, rng_for,
+                      weights_close)
 
 AB = Alphabet(["a", "b"])
 A, B_ = AB.ids_of(["a", "b"])
@@ -434,3 +435,54 @@ def test_compact_does_not_depend_on_arc_order(pair):
     t, shuffled = pair
     assert format_machine(compact_transducer(t), ABC) == \
         format_machine(compact_transducer(shuffled), ABC)
+
+
+@st.composite
+def encoded_dfa_transducer(draw):
+    """A weighted transducer whose encoding is an accessible DFA: at each
+    state distinct (in, out, weight) triples, none a zero-weight ε:ε, and
+    each state q > 0 entered from a lower state. Then, as drawn: states
+    nothing enters, a triple repeated at one state, and nonzero final
+    weights. Returns the machine and whether its encoding is still a DFA."""
+    n = draw(st.integers(1, 5))
+    label = st.sampled_from((fsm.EPS,) + ABC.sigma())
+    triple = st.tuples(label, label, st.sampled_from((0.0, 0.5, 1.25))) \
+        .filter(lambda x: x[:2] != (fsm.EPS, fsm.EPS))
+    out = [{} for _ in range(n)]
+    for q in range(1, n):
+        p = draw(st.integers(0, q - 1))
+        out[p][draw(triple.filter(lambda x: x not in out[p]))] = q
+    for _ in range(draw(st.integers(0, 8))):
+        p = draw(st.integers(0, n - 1))
+        out[p].setdefault(draw(triple), draw(st.integers(0, n - 1)))
+    arcs = [(p, *x, q) for p, o in enumerate(out) for x, q in o.items()]
+    inaccessible = draw(st.integers(0, 2))
+    for q in range(n, n + inaccessible):
+        arcs.extend((q, *draw(triple), draw(st.integers(0, q)))
+                    for _ in range(draw(st.integers(0, 2))))
+    n += inaccessible
+    repeated = draw(st.booleans()) and bool(arcs)
+    if repeated:
+        s, i, o, w, _ = draw(st.sampled_from(arcs))
+        arcs.append((s, i, o, w, draw(st.integers(0, n - 1))))
+    final_weight = st.sampled_from((0.0, 0.75)) if draw(st.booleans()) \
+        else st.just(0.0)
+    finals = draw(st.dictionaries(st.integers(0, n - 1), final_weight,
+                                  min_size=1))
+    t = fsm.Transducer(n, 0, finals, draw(st.permutations(arcs)),
+                       weighted=True)
+    # beside a weighted final, a zero-weight one enters the super-final
+    # state by an acceptor epsilon
+    mixed = any(finals.values()) and 0.0 in finals.values()
+    return t, not (inaccessible or repeated or mixed)
+
+
+@settings(max_examples=400, deadline=None)
+@given(encoded_dfa_transducer())
+def test_compact_skips_determinize_on_an_encoded_dfa(case):
+    t, encoded_dfa = case
+    with count_ops() as ops:
+        c = compact_transducer(t)
+    assert ops["determinize"] == (not encoded_dfa)
+    assert format_machine(c, ABC) == \
+        format_machine(reference_compact_transducer(t), ABC)

@@ -20,7 +20,8 @@ from rwc.cli import main
 from rwc.errors import BadOptionError
 from rwc.fsm import EPS, Alphabet, Transducer, aut_sigma_star
 
-from .helpers import reference_compare, time_limit
+from .helpers import (rand_phonology_text, reference_compare, rng_for,
+                      time_limit)
 
 RULE9 = ("alphabet: b m n p N a ;\n"
          f"N -> <{-math.log(0.9)!r}> m + <{-math.log(0.1)!r}> n"
@@ -119,6 +120,32 @@ def test_compile_overflow_split_over_two_psi_arcs_exits_1(tmp_path, capsys):
         == 0
 
 
+# rules 2-4 of a file over a b c d e: c -> d -> e costs 2e308
+OVERFLOW_TAIL = "b -> b / _ ;\nc -> <1e308> d / _ ;\nd -> <1e308> e / _ ;\n"
+
+
+def test_compile_overflow_only_off_the_cascade_exits_0(tmp_path, capsys):
+    # rule 1 leaves no c for rule 3: the product of the last two rules
+    # alone overflows, the cascade does not
+    rules = tmp_path / "right.rules"
+    rules.write_text("alphabet: a b c d e ;\nc -> a / _ ;\n" + OVERFLOW_TAIL)
+    out = tmp_path / "right.fst"
+    assert main(["compile", str(rules), "-o", str(out)]) == 0
+    assert capsys.readouterr().out == \
+        f"wrote {out}: states=1 arcs=5 weighted=yes\n"
+    assert main(["apply", str(out), "cde"]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"aee {1e308:.6f}"]
+
+
+def test_compile_overflow_on_the_cascade_exits_1(tmp_path, capsys):
+    # a first rule that leaves c: "c" is rewritten to "e" at 2e308
+    rules = tmp_path / "right.rules"
+    rules.write_text("alphabet: a b c d e ;\na -> b / _ c ;\n"
+                     + OVERFLOW_TAIL)
+    assert main(["compile", str(rules), "-o", str(tmp_path / "r.fst")]) == 1
+    assert "E_WEIGHT_OVERFLOW" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("rules_text", [
     "alphabet: a b ;\na a -> <1e308> b / _ ;\na -> <1e308> b / _ ;\n",
     "alphabet: a b ;\na -> <1e308> b / _ ;\n"])
@@ -183,6 +210,18 @@ def test_compile_paper_scale_file_is_golden(tmp_path, capsys):
     assert main(["compile", str(GOLDEN / "phonology194.rules"),
                  "-o", str(out)]) == 0
     golden = json.loads((GOLDEN / "phonology194.json").read_text())
+    assert capsys.readouterr().out == (
+        f"wrote {out}: states={golden['states']} arcs={golden['arcs']} "
+        "weighted=yes\n")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == golden["sha256"]
+
+
+def test_compile_32_rule_file_is_golden(tmp_path, capsys):
+    # four 8-rule files over the paper's 194 symbols, composed as a tree
+    out = tmp_path / "phonology32.fst"
+    assert main(["compile", str(GOLDEN / "phonology32.rules"),
+                 "-o", str(out)]) == 0
+    golden = json.loads((GOLDEN / "phonology32.json").read_text())
     assert capsys.readouterr().out == (
         f"wrote {out}: states={golden['states']} arcs={golden['arcs']} "
         "weighted=yes\n")
@@ -557,6 +596,20 @@ def test_compile_past_deadline_exits_1(algorithm, tmp_path, capsys):
     with time_limit(120):
         assert main(["compile", str(rules), "-o", str(out), "--algorithm",
                      algorithm, "--deadline-ms", "1"]) == 1
+    assert "E_TIMEOUT" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compile_128_rules_past_deadline_exits_1(tmp_path, capsys):
+    rng = rng_for("cli-128-rules")
+    texts = [rand_phonology_text(rng) for _ in range(16)]
+    rules = tmp_path / "r128.rules"
+    rules.write_text(texts[0].splitlines()[0] + "\n" + "".join(
+        line + "\n" for text in texts for line in text.splitlines()[1:]))
+    out = tmp_path / "r128.fst"
+    with time_limit(120):
+        assert main(["compile", str(rules), "-o", str(out),
+                     "--deadline-ms", "200"]) == 1
     assert "E_TIMEOUT" in capsys.readouterr().err
     assert not out.exists()
 

@@ -19,10 +19,10 @@ from rwc.rulespec import parse_regex, parse_rule_file, parse_series, \
 
 from rwc.textio import format_machine
 
-from .helpers import (canonical, enum_relation, rand_phonology_text,
-                      rand_regex, rand_ruleset_text, reference_apply,
-                      reference_cascade, reference_ruleset, rng_for,
-                      rule_corpus, weights_close)
+from .helpers import (canonical, check_rule, enum_relation,
+                      rand_phonology_text, rand_regex, rand_ruleset_text,
+                      reference_apply, reference_cascade, reference_ruleset,
+                      rng_for, rule_corpus, weights_close)
 
 DEMOS = pathlib.Path(__file__).parent.parent / "demos"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -254,7 +254,7 @@ def test_compile_rule_oracle_equivalence_random_corpus():
     for alphabet, rule in rule_corpus("compiler-corpus", 12,
                                       {2: 8, 3: 4}):
         cr = C.compile_rule(rule, alphabet)
-        rep = O.check_rule(rule, cr.transducer, alphabet, 6)
+        rep = check_rule(rule, cr.transducer, alphabet, 6)
         assert rep.equivalent, (R.pretty_rule(rule, alphabet), str(rep))
 
 

@@ -11,12 +11,13 @@ from rwc import fsm
 from rwc.errors import EmptyLanguageError, WeightOverflowError
 from rwc.fsm import (EPS, INF, Alphabet, Automaton, Transducer, aut_class,
                      aut_concat, aut_label, aut_sigma_star, aut_star,
-                     aut_string, compose, cross_product, id_transducer,
-                     remove_epsilon, reverse, trim)
+                     compose, cross_product, id_transducer, remove_epsilon,
+                     reverse, trim)
 from rwc.rulespec import compile_regex, parse_regex
 
-from .helpers import (all_strings, enum_language, enum_relation, naive_match,
-                      rand_automaton, rand_transducer, rng_for, weights_close)
+from .helpers import (all_strings, aut_string, enum_language,
+                      enum_relation, naive_match, rand_automaton,
+                      rand_transducer, rng_for, weights_close)
 
 ABC = Alphabet(["a", "b", "c"])
 A, B, C = ABC.ids_of(["a", "b", "c"])

@@ -17,8 +17,8 @@ from rwc.fsm import Alphabet
 from rwc.rulespec import parse_rule_file
 from rwc.textio import format_machine
 
-from .helpers import (rand_phonology_text, rand_ruleset_text, rng_for,
-                      rule_corpus)
+from .helpers import (check_rule, rand_phonology_text, rand_ruleset_text,
+                      rng_for, rule_corpus)
 
 DEMOS = pathlib.Path(__file__).parent.parent / "demos"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -92,7 +92,7 @@ def test_kk_weighted_corpus_matches_oracle():
         if not (any(a[2] for a in psi.arcs) or any(psi.finals.values())):
             continue
         kkc = K.kk_compile_rule(rule, alphabet)
-        rep = O.check_rule(rule, kkc.transducer, alphabet, 5)
+        rep = check_rule(rule, kkc.transducer, alphabet, 5)
         assert rep.equivalent, f"{R.pretty_rule(rule, alphabet)}\n{rep}"
         checked += 1
     assert checked >= 8

