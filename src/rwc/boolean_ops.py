@@ -262,7 +262,7 @@ def intersect(a, b, deadline=None):
                     keys.append(key)
                 arcs.append((cur, l, 0.0, nid))
         ends.append(len(arcs))
-    return fsm._product(Automaton, finals, arcs, ends, False)
+    return fsm._product(Automaton, finals, arcs, ends)
 
 
 def subtract(a, b, labels, deadline=None):
@@ -368,7 +368,7 @@ def compact_transducer(t, deadline=None):
         entries = [(q, EPS, EPS, w, sf) for q, w in t.finals.items()]
         triples.update(map(_label_weight, entries))
         t = Transducer(t.num_states + 1, t.initial, {sf: 0.0},
-                       t.arcs + tuple(entries), weighted=t.weighted)
+                       t.arcs + tuple(entries))
     # a zero-weight eps:eps arc encodes as epsilon (label 0), every other
     # triple as its rank among the distinct triples; (EPS, EPS, 0.0) is
     # the least, as weights are non-negative
@@ -385,5 +385,4 @@ def compact_transducer(t, deadline=None):
     for s, lab, _, d in m.arcs:
         i, o, w = decode[lab]
         out_arcs.append((s, i, o, w, d))
-    return Transducer(m.num_states, m.initial, m.finals, out_arcs,
-                      weighted=t.weighted)
+    return Transducer(m.num_states, m.initial, m.finals, out_arcs)

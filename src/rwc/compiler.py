@@ -149,8 +149,7 @@ def build_replace(phi, psi_wfsa, alphabet, pad_out=EPS, open_label=None,
             arcs.append((q + off, m, EPS, 0.0, q + off))
     for q, fw in cp.finals.items():
         arcs.append((q + off, close_label, EPS, fw, 0))
-    return Transducer(cp.num_states + 1, 0, {0: 0.0}, arcs,
-                      weighted=any(a[3] for a in arcs))
+    return Transducer(cp.num_states + 1, 0, {0: 0.0}, arcs)
 
 
 def _lambda_dfa(lam, alphabet, deadline=None):
@@ -264,8 +263,7 @@ def _expand(t, members, reduced):
             raise AssertionError("block representative "
                                  f"{reduced.name_of(o)} is an output only")
         arcs.extend((s, x, members[o][0], w, d) for x in members[i])
-    return Transducer(t.num_states, t.initial, t.finals, arcs,
-                      weighted=t.weighted)
+    return Transducer(t.num_states, t.initial, t.finals, arcs)
 
 
 def _renamed(rule, blocks):

@@ -6,10 +6,12 @@ trimming, weighted composition).
 Acceptors and transducers share one validating base class and one arc
 index by state and label (``in_index``); reversal, epsilon removal and
 trimming take either kind. ``_eps_closures`` is the one epsilon-closure
-routine; determinization reuses it. ``_reachable`` is the one reachability
-pass: ``trim`` runs it forward and backward, and composition and
-intersection, whose states are all accessible by construction, run only
-the backward pass (through ``_product``).
+routine, and determinization reuses it; it runs ``_distances``, the one
+shortest-distance routine, which the oracle's n-best search runs too.
+``_reachable`` is the one reachability pass: ``trim`` runs it forward
+and backward, and composition and intersection, whose states are all
+accessible by construction, run only the backward pass (through
+``_product``).
 
 Weights live in the tropical semiring (min, +) over finite non-negative
 64-bit floats; ``math.inf`` plays the role of the absorbing "no path"
@@ -28,7 +30,7 @@ labels (the KK baseline's brackets) allocate ids above ``num_labels``.
 import math
 import time
 from collections import deque
-from heapq import heappush, heappop
+from heapq import heapify, heappush, heappop
 from operator import itemgetter
 
 from .errors import (DeadlineExceeded, EmptyLanguageError,
@@ -168,13 +170,14 @@ class _Machine:
     """State-numbered machine: `num_states` states 0..n-1, an initial
     state, finals mapping state -> final weight, and a tuple of arcs whose
     first element is the source state, last the destination and
-    second-to-last the weight. Weights are finite and non-negative; an
-    unweighted machine carries only zeros."""
+    second-to-last the weight. Weights are finite and non-negative.
+    `weighted` is derived, never declared: it is True exactly when some
+    arc or final weight is nonzero (-0.0 counts as zero)."""
 
     __slots__ = ("num_states", "initial", "finals", "arcs", "weighted", "_out",
                  "_in_idx")
 
-    def __init__(self, num_states, initial, finals, arcs, weighted=False):
+    def __init__(self, num_states, initial, finals, arcs):
         if not (0 <= initial < num_states):
             raise ValueError("initial state out of range")
         finals = dict(finals)
@@ -186,14 +189,11 @@ class _Machine:
             if not 0.0 <= w < INF:
                 _bad_weight(w, f"final weight {w!r} is not finite and "
                                "non-negative")
-        if not weighted and (any(map(_weight, arcs))
-                             or any(finals.values())):
-            raise ValueError("unweighted machine carries a nonzero weight")
         self.num_states = num_states
         self.initial = initial
         self.finals = finals
         self.arcs = arcs
-        self.weighted = weighted
+        self.weighted = any(map(_weight, arcs)) or any(finals.values())
         self._out = None
         self._in_idx = None
 
@@ -311,8 +311,7 @@ def aut_epsilon():
 
 
 def aut_label(label, weight=0.0):
-    return Automaton(2, 0, {1: 0.0}, ((0, label, weight, 1),),
-                     weighted=weight != 0.0)
+    return Automaton(2, 0, {1: 0.0}, ((0, label, weight, 1),))
 
 
 def aut_class(labels):
@@ -333,14 +332,13 @@ def aut_union(parts):
     arcs = []
     finals = {}
     off = 1
-    weighted = any(p.weighted for p in parts)
     for p in parts:
         arcs.append((0, EPS, 0.0, p.initial + off))
         arcs.extend(_shift(p, off))
         for q, w in p.finals.items():
             finals[q + off] = w
         off += p.num_states
-    return Automaton(off, 0, finals, arcs, weighted=weighted)
+    return Automaton(off, 0, finals, arcs)
 
 
 def aut_concat(parts):
@@ -349,7 +347,6 @@ def aut_concat(parts):
         return aut_epsilon()
     arcs = []
     off = 0
-    weighted = any(p.weighted for p in parts)
     initial = parts[0].initial
     prev_finals = None
     for p in parts:
@@ -357,22 +354,16 @@ def aut_concat(parts):
         if prev_finals is not None:
             for q, w in prev_finals:
                 arcs.append((q, EPS, w, p.initial + off))
-                if w != 0.0:
-                    weighted = True
         prev_finals = [(q + off, w) for q, w in p.finals.items()]
         off += p.num_states
-    return Automaton(off, initial, dict(prev_finals), arcs, weighted=weighted)
+    return Automaton(off, initial, dict(prev_finals), arcs)
 
 
 def aut_star(a):
     arcs = [(0, EPS, 0.0, a.initial + 1)]
     arcs.extend(_shift(a, 1))
-    weighted = a.weighted
-    for q, w in a.finals.items():
-        arcs.append((q + 1, EPS, w, 0))
-        if w != 0.0:
-            weighted = True
-    return Automaton(a.num_states + 1, 0, {0: 0.0}, arcs, weighted=weighted)
+    arcs.extend((q + 1, EPS, w, 0) for q, w in a.finals.items())
+    return Automaton(a.num_states + 1, 0, {0: 0.0}, arcs)
 
 
 def aut_plus(a):
@@ -392,8 +383,7 @@ def aut_weighted(w, a):
     arcs = [(0, EPS, float(w), a.initial + 1)]
     arcs.extend(_shift(a, 1))
     finals = {q + 1: fw for q, fw in a.finals.items()}
-    return Automaton(a.num_states + 1, 0, finals, arcs,
-                     weighted=a.weighted or w != 0.0)
+    return Automaton(a.num_states + 1, 0, finals, arcs)
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +393,7 @@ def aut_weighted(w, a):
 def id_transducer(a):
     """Identity relation restricted to L(a); weights preserved."""
     arcs = tuple((s, l, l, w, d) for s, l, w, d in a.arcs)
-    return Transducer(a.num_states, a.initial, a.finals, arcs,
-                      weighted=a.weighted)
+    return Transducer(a.num_states, a.initial, a.finals, arcs)
 
 
 def cross_product(phi, psi, pad_out=EPS):
@@ -449,7 +438,7 @@ def cross_product(phi, psi, pad_out=EPS):
         if p_final:
             for _, b, w, q2 in psi.out_arcs(q):
                 arcs.append((cur, EPS, b, w, sid((p, q2))))
-    return Transducer(len(state_ids), 0, finals, arcs, weighted=psi.weighted)
+    return Transducer(len(state_ids), 0, finals, arcs)
 
 
 def reverse(m):
@@ -460,30 +449,35 @@ def reverse(m):
     eps = (EPS,) * m.tapes
     arcs = [(a[-1], *a[1:-1], a[0]) for a in m.arcs]
     arcs.extend((init, *eps, w, q) for q, w in m.finals.items())
-    return type(m)(init + 1, init, {m.initial: 0.0}, arcs,
-                   weighted=m.weighted)
+    return type(m)(init + 1, init, {m.initial: 0.0}, arcs)
+
+
+def _distances(start, succ):
+    """{node: least weight} over the nodes reached from `start`, a map of
+    start node to its weight, along succ[q], the (weight, r) steps from q.
+    Min-plus Dijkstra (weights >= 0). A sum past the float range raises
+    E_WEIGHT_OVERFLOW: read as INF, it would drop a node silently."""
+    dist = dict(start)
+    heap = [(v, q) for q, v in dist.items()]
+    heapify(heap)
+    while heap:
+        d, q = heappop(heap)
+        if d > dist[q]:
+            continue
+        for w, r in succ[q]:
+            nd = d + w
+            if nd < dist.get(r, INF):
+                dist[r] = nd
+                heappush(heap, (nd, r))
+            elif nd == INF:
+                raise WeightOverflowError("a path weight is past the "
+                                          "float range")
+    return dist
 
 
 def _eps_closures(num_states, eps_from):
-    """Min-plus epsilon closure of every state (Dijkstra; weights >= 0)."""
-    closures = []
-    for s in range(num_states):
-        dist = {s: 0.0}
-        heap = [(0.0, s)]
-        while heap:
-            d, q = heappop(heap)
-            if d > dist.get(q, INF):
-                continue
-            for w, r in eps_from[q]:
-                nd = d + w
-                if nd < dist.get(r, INF):
-                    dist[r] = nd
-                    heappush(heap, (nd, r))
-                elif nd == INF:
-                    raise WeightOverflowError("a path weight is past the "
-                                              "float range")
-        closures.append(dist)
-    return closures
+    """Min-plus epsilon closure of every state, by `_distances`."""
+    return [_distances({s: 0.0}, eps_from) for s in range(num_states)]
 
 
 def remove_epsilon(m):
@@ -513,9 +507,7 @@ def remove_epsilon(m):
                 fw = dcost + m.finals[t]
                 if fw < finals.get(s, INF):
                     finals[s] = fw
-    # an unweighted machine's weights are all 0, and so are their sums
-    return type(m)(m.num_states, m.initial, finals, arcs,
-                   weighted=m.weighted)
+    return type(m)(m.num_states, m.initial, finals, arcs)
 
 
 def _reachable(starts, adj):
@@ -534,15 +526,15 @@ def _reachable(starts, adj):
     return marks
 
 
-def _restrict(cls, n, initial, finals, arcs, weighted, live):
+def _restrict(cls, n, initial, finals, arcs, live):
     """The machine of class `cls` on the states q with live[q], renumbered
     in order; the 1-state empty machine when none is live. The initial
     state must be live whenever any state is."""
     keep = [q for q in range(n) if live[q]]
     if len(keep) == n:
-        return cls(n, initial, finals, arcs, weighted=weighted)
+        return cls(n, initial, finals, arcs)
     if not keep:
-        return cls(1, 0, {}, (), weighted=weighted)
+        return cls(1, 0, {}, ())
     remap = {q: i for i, q in enumerate(keep)}
     # unpacking, not slicing: this runs over every arc of a product
     if cls.tapes == 1:
@@ -552,10 +544,10 @@ def _restrict(cls, n, initial, finals, arcs, weighted, live):
         arcs = [(remap[s], i, o, w, remap[d]) for s, i, o, w, d in arcs
                 if s in remap and d in remap]
     finals = {remap[q]: w for q, w in finals.items() if q in remap}
-    return cls(len(keep), remap[initial], finals, arcs, weighted=weighted)
+    return cls(len(keep), remap[initial], finals, arcs)
 
 
-def _product(cls, finals, arcs, ends, weighted):
+def _product(cls, finals, arcs, ends):
     """The trimmed result of a product (``compose``, and
     ``boolean_ops.intersect``). Its states are numbered from initial state
     0 in discovery order, so all are accessible, and state q's arcs are
@@ -569,7 +561,7 @@ def _product(cls, finals, arcs, ends, weighted):
         for d in set(map(_dst, arcs[lo:hi])):
             into[d].append(q)
         lo = hi
-    return _restrict(cls, len(ends), 0, finals, arcs, weighted,
+    return _restrict(cls, len(ends), 0, finals, arcs,
                      _reachable(finals, into))
 
 
@@ -592,8 +584,7 @@ def trim(m):
     live = [r and c for r, c in zip(reach, coreach)]
     if all(live):
         return m
-    return _restrict(type(m), n, m.initial, m.finals, m.arcs, m.weighted,
-                     live)
+    return _restrict(type(m), n, m.initial, m.finals, m.arcs, live)
 
 
 def ignore_labels(a, labels, allow_leading=True):
@@ -608,8 +599,7 @@ def ignore_labels(a, labels, allow_leading=True):
         arcs = list(a.arcs)
         for q in range(a.num_states):
             arcs.extend((q, l, 0.0, q) for l in labels)
-        return Automaton(a.num_states, a.initial, a.finals, arcs,
-                         weighted=a.weighted)
+        return Automaton(a.num_states, a.initial, a.finals, arcs)
     fresh = a.num_states
     arcs = list(a.arcs)
     arcs.extend((fresh, l, w, d) for s, l, w, d in a.arcs if s == a.initial)
@@ -618,8 +608,7 @@ def ignore_labels(a, labels, allow_leading=True):
         finals[fresh] = finals[a.initial]
     for q in range(a.num_states):
         arcs.extend((q, l, 0.0, q) for l in labels)
-    return Automaton(a.num_states + 1, fresh, finals, arcs,
-                     weighted=a.weighted)
+    return Automaton(a.num_states + 1, fresh, finals, arcs)
 
 
 def compose(t1, t2, deadline=None):
@@ -693,5 +682,4 @@ def compose(t1, t2, deadline=None):
                     keys.append(k)
                 arcs.append((cur, EPS, c, w2, nid))
         ends.append(len(arcs))
-    return _product(Transducer, finals, arcs, ends,
-                    t1.weighted or t2.weighted)
+    return _product(Transducer, finals, arcs, ends)

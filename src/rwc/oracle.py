@@ -10,8 +10,9 @@ Application and the relation sweep read a transducer through the arc
 index composition reads (``in_index``).
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
-from heapq import heapify, heappush, heappop
+from heapq import heappush, heappop
 
 from . import fsm
 from .boolean_ops import determinize
@@ -57,34 +58,20 @@ def _nbest(adj, into, start, finals, limit):
 
     adj[c] lists the arcs (label, weight, d) leaving node c, with label
     EPS for an arc that writes nothing, and into[d] the same arcs as
-    (weight, c); finals maps a node to its final weight. First h[c], the
-    least weight from c to a final, final weight included, is found by
-    Dijkstra on `into` (INF: c is dead). Then the search runs over
-    (string prefix, node) pairs, keyed by the prefix's weight plus h of
-    the node, then by insertion order (Mohri & Riley, ICSLP 2002);
-    prefixes are never compared. Keys do not increase along a best
-    completion and equal keys pop first in, first out, so a popped pair
-    reaches a final within a bounded number of pops, even on a
-    zero-weight cycle that writes symbols. A sum of weights that either
-    pass forms past the float range raises E_WEIGHT_OVERFLOW: read as
-    INF, it would drop a string silently."""
-    h = dict.fromkeys(adj, INF)
-    h.update(finals)
-    heap = [(v, d) for d, v in finals.items()]
-    heapify(heap)
-    while heap:
-        v, d = heappop(heap)
-        if v > h[d]:
-            continue
-        for w, c in into.get(d, ()):
-            nv = v + w
-            if nv < h[c]:
-                h[c] = nv
-                heappush(heap, (nv, c))
-            elif nv == INF:
-                raise _overflow()
+    (weight, c), for every node d; finals maps a node to its final
+    weight. First h[c], the least weight from c to a final, final weight
+    included, is found by ``fsm._distances`` on `into` (no entry: c is
+    dead). Then the search runs over (string prefix, node) pairs, keyed
+    by the prefix's weight plus h of the node, then by insertion order
+    (Mohri & Riley, ICSLP 2002); prefixes are never compared. Keys do not
+    increase along a best completion and equal keys pop first in, first
+    out, so a popped pair reaches a final within a bounded number of pops,
+    even on a zero-weight cycle that writes symbols. A sum of weights that
+    either pass forms past the float range raises E_WEIGHT_OVERFLOW: read
+    as INF, it would drop a string silently."""
+    h = fsm._distances(finals, into)
     results = {}
-    if h[start] == INF:
+    if start not in h:
         return results, False
     best = {((), start): 0.0}
     # (key, insertion count, weight, prefix, node); node None: the prefix
@@ -114,8 +101,8 @@ def _nbest(adj, into, start, finals, limit):
             heappush(heap, (f if nf <= tie else nf, count, nf, s, None))
             count += 1
         for lab, w, d in adj[c]:
-            hd = h[d]
-            if hd == INF:
+            hd = h.get(d)
+            if hd is None:
                 continue
             ns = s + (lab,) if lab != EPS else s
             ng = g + w
@@ -135,10 +122,10 @@ def enumerate_language(aut, limit):
     best first, up to `limit` distinct strings. Returns (dict, truncated).
     """
     adj = {q: [] for q in range(aut.num_states)}
-    into = {}
+    into = {q: [] for q in range(aut.num_states)}
     for s, lab, w, d in aut.arcs:
         adj[s].append((lab, w, d))
-        into.setdefault(d, []).append((w, s))
+        into[d].append((w, s))
     return _nbest(adj, into, aut.initial, aut.finals, limit)
 
 
@@ -163,7 +150,7 @@ def apply(t, input_seq, alphabet, bound=1000):
     index = t.in_index
     # pair (i, q) is node i * n + q; adj[node] is its arcs (out, w, node2)
     adj = {}
-    into = {}
+    into = defaultdict(list)
     layer = [t.initial]
     for i in range(last + 1):
         base = i * n
@@ -177,13 +164,13 @@ def apply(t, input_seq, alphabet, bound=1000):
             c = base + q
             for _, _, o, w, r in arcs.get(EPS, ()):
                 out.append((o, w, base + r))
-                into.setdefault(base + r, []).append((w, c))
+                into[base + r].append((w, c))
                 if r not in seen:
                     seen.add(r)
                     layer.append(r)
             for _, _, o, w, r in arcs.get(a, ()):
                 out.append((o, w, nbase + r))
-                into.setdefault(nbase + r, []).append((w, c))
+                into[nbase + r].append((w, c))
                 moved[r] = None
             adj[c] = out
         if i < last:  # the last layer stays, for its finals
@@ -518,8 +505,8 @@ def _compare(rel, expected, alphabet, max_len, need_output=False,
 
 def _same_machine(a, b):
     """True when a and b have the same states, initial state, final
-    weights and multiset of arcs, so the same relation on every input
-    (the `weighted` flag is ignored). False proves nothing."""
+    weights and multiset of arcs, so the same relation on every input.
+    False proves nothing."""
     return (a.num_states == b.num_states and a.initial == b.initial
             and a.finals == b.finals
             and (a.arcs == b.arcs or sorted(a.arcs) == sorted(b.arcs)))

@@ -7,6 +7,13 @@
     final <state> <weight>
     arc <src> <dst> <in> <out> <weight>   # acceptors omit <out>
 
+The tag is ``weighted`` exactly when some arc or final weight is nonzero.
+The reader refuses (E_FORMAT) any other tag and an ``unweighted`` tag
+over a nonzero weight; a ``weighted`` tag over zero weights reads back
+unweighted. It refuses a repeated ``states`` or ``init`` line, and a
+repeated ``sym`` or ``final`` line for one id; repeated ``arc`` lines are
+parallel arcs.
+
 The symbol table is ``Alphabet.name_of`` over ids 0..n+3: <eps>, the n
 user symbols, then <rb>, <lb1>, <lb2>. The writer prints that list and
 the reader refuses, with E_FORMAT, a table that differs from it. Arc
@@ -85,7 +92,6 @@ def parse_machine(text):
     head = lines[0].split()
     if len(head) != 4 or " ".join(head[:2]) != _HEADER:
         raise FormatError(f"bad header: {lines[0]!r}")
-    weighted = head[2] == "weighted"
     if head[2] not in ("weighted", "unweighted"):
         raise FormatError(f"bad weight tag {head[2]!r}")
     if head[3] not in ("acceptor", "transducer"):
@@ -99,6 +105,8 @@ def parse_machine(text):
     arcs = []
     n_fields = {"states": 2, "sym": 3, "init": 2, "final": 3,
                 "arc": 5 if is_acceptor else 6}
+    # the states and init lines, and the sym and final line of each id
+    seen = set()
     for ln in lines[1:]:
         parts = ln.split()
         tag = parts[0]
@@ -108,19 +116,25 @@ def parse_machine(text):
             raise FormatError(f"malformed line {ln!r}: expected "
                               f"{n_fields[tag]} fields")
         try:
-            if tag == "states":
-                num_states = int(parts[1])
-            elif tag == "sym":
-                syms[int(parts[1])] = parts[2]
-            elif tag == "init":
-                initial = int(parts[1])
-            elif tag == "final":
-                finals[int(parts[1])] = float(parts[2])
-            else:
+            if tag == "arc":
                 s, d, *labs = map(int, parts[1:-1])
                 arcs.append((s, *labs, float(parts[-1]), d))
+                continue
+            key = int(parts[1])
+            if tag == "states":
+                num_states = key
+            elif tag == "sym":
+                syms[key] = parts[2]
+            elif tag == "init":
+                initial = key
+            else:
+                finals[key] = float(parts[2])
         except ValueError as e:
             raise FormatError(f"malformed line {ln!r}: {e}") from None
+        once = tag if tag in ("states", "init") else (tag, key)
+        if once in seen:
+            raise FormatError(f"repeated {tag} line {ln!r}")
+        seen.add(once)
     if initial is None:
         raise FormatError("missing init line")
     try:
@@ -138,9 +152,11 @@ def parse_machine(text):
     _check_size(num_states)
     try:
         m = (Automaton if is_acceptor else Transducer)(
-            num_states, initial, finals, arcs, weighted)
+            num_states, initial, finals, arcs)
     except ValueError as e:
         raise FormatError(str(e)) from None
+    if m.weighted and head[2] == "unweighted":
+        raise FormatError("unweighted machine carries a nonzero weight")
     return m, alphabet
 
 

@@ -390,7 +390,7 @@ def rand_automaton(rng, labels, max_states=4, p_eps=0.2, weighted=False):
     if not finals and rng.random() < 0.8:
         finals = {rng.randrange(n): 0.0}
     from rwc.fsm import Automaton
-    return Automaton(n, rng.randrange(n), finals, arcs, weighted=weighted)
+    return Automaton(n, rng.randrange(n), finals, arcs)
 
 
 def rand_transducer(rng, labels, max_states=4, p_eps=0.25, weighted=True):
@@ -405,7 +405,7 @@ def rand_transducer(rng, labels, max_states=4, p_eps=0.25, weighted=True):
     if not finals:
         finals = {rng.randrange(n): 0.0}
     from rwc.fsm import Transducer
-    return Transducer(n, rng.randrange(n), finals, arcs, weighted=weighted)
+    return Transducer(n, rng.randrange(n), finals, arcs)
 
 
 def reference_apply(t, input_seq, alphabet, bound=1000):
@@ -416,8 +416,7 @@ def reference_apply(t, input_seq, alphabet, bound=1000):
     ids = oracle._to_ids(alphabet, input_seq)
     comp = fsm.compose(fsm.id_transducer(aut_string(ids)), t)
     out = fsm.Automaton(comp.num_states, comp.initial, comp.finals,
-                        [(s, o, w, d) for s, _, o, w, d in comp.arcs],
-                        weighted=True)
+                        [(s, o, w, d) for s, _, o, w, d in comp.arcs])
     raw, truncated = oracle.enumerate_language(
         fsm.trim(fsm.remove_epsilon(out)), bound)
     return {oracle._names(alphabet, s): w for s, w in raw.items()}, truncated
@@ -433,7 +432,7 @@ def not_dfas(a, b):
                   [(0, a, 0.0, 0), (0, b, 0.0, 0), (0, b, 0.0, 1)]),
         Automaton(2, 0, {1: 0.0}, [(0, EPS, 0.0, 1)]),
         Automaton(3, 0, {1: 0.0}, [(0, a, 0.0, 1), (2, b, 0.0, 1)]),
-        Automaton(2, 0, {1: 0.0}, [(0, a, 1.0, 1)], weighted=True),
+        Automaton(2, 0, {1: 0.0}, [(0, a, 1.0, 1)]),
     ]
 
 
@@ -721,13 +720,12 @@ def reference_trim(m):
     if len(keep) == n:
         return m
     if not keep:
-        return type(m)(1, 0, {}, (), weighted=m.weighted)
+        return type(m)(1, 0, {}, ())
     remap = {q: i for i, q in enumerate(keep)}
     arcs = [(remap[a[0]], *a[1:-1], remap[a[-1]]) for a in m.arcs
             if a[0] in remap and a[-1] in remap]
     finals = {remap[q]: w for q, w in m.finals.items() if q in remap}
-    return type(m)(len(keep), remap[m.initial], finals, arcs,
-                   weighted=m.weighted)
+    return type(m)(len(keep), remap[m.initial], finals, arcs)
 
 
 def reference_intersect(a, b):
@@ -812,8 +810,7 @@ def reference_compose(t1, t2):
         if flt != 1:
             for c, w2, p2 in eps2:
                 arcs.append((cur, EPS, c, w2, sid((q1, p2, 2))))
-    out = Transducer(len(state_ids), 0, finals, arcs,
-                     weighted=t1.weighted or t2.weighted)
+    out = Transducer(len(state_ids), 0, finals, arcs)
     return reference_trim(out)
 
 
@@ -921,15 +918,14 @@ def reference_compact_transducer(t):
         entries = [(q, EPS, EPS, w, sf) for q, w in t.finals.items()]
         triples.update(map(_label_weight, entries))
         t = Transducer(t.num_states + 1, t.initial, {sf: 0.0},
-                       t.arcs + tuple(entries), weighted=t.weighted)
+                       t.arcs + tuple(entries))
     decode = sorted(triples | {(EPS, EPS, 0.0)})
     codes = {key: lab for lab, key in enumerate(decode)}
     enc = Automaton(t.num_states, t.initial, {q: 0.0 for q in t.finals},
                     [(a[0], codes[a[1:4]], 0.0, a[4]) for a in t.arcs])
     m = minimize(determinize(enc))
     out_arcs = [(s, *decode[lab], d) for s, lab, _, d in m.arcs]
-    return Transducer(m.num_states, m.initial, m.finals, out_arcs,
-                      weighted=t.weighted)
+    return Transducer(m.num_states, m.initial, m.finals, out_arcs)
 
 
 # ---------------------------------------------------------------------------

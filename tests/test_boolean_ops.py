@@ -77,7 +77,7 @@ def test_count_ops_restores_the_tally_when_the_block_raises():
         with pytest.raises(ValueError):
             with count_ops():
                 determinize(hand_nfa_sigma_star_b())
-                determinize(Automaton(1, 0, {0: 0.0}, (), weighted=True))
+                determinize(Automaton(2, 0, {1: 0.0}, [(0, A, 1.0, 1)]))
         assert B._tally.get() is outer
     assert B._tally.get() is before
     assert outer == {"determinize": 1}
@@ -93,7 +93,7 @@ def test_compile_rule_counts_construction_apart_from_compaction():
 
 
 def test_determinize_rejects_weighted():
-    aut = Automaton(2, 0, {1: 0.0}, [(0, A, 1.0, 1)], weighted=True)
+    aut = Automaton(2, 0, {1: 0.0}, [(0, A, 1.0, 1)])
     with pytest.raises(ValueError):
         determinize(aut)
 
@@ -356,7 +356,7 @@ def _rand_compaction_input(rng, kind):
     finals = dict(t.finals)
     if rng.random() < 1 / 3:
         finals[rng.choice(list(finals))] = round(rng.uniform(0, 2), 3)
-    return fsm.Transducer(n, t.initial, finals, arcs, weighted=True)
+    return fsm.Transducer(n, t.initial, finals, arcs)
 
 
 def test_compact_absorbs_zero_weight_epsilons_random():
@@ -383,15 +383,14 @@ def test_compact_absorbs_zero_weight_super_final_arcs():
     t = fsm.Transducer(
         4, 1, {0: 0.0, 2: 0.0, 3: 0.0},
         [(3, 3, 2, 2.244, 0), (1, 0, 0, 3.183, 0), (1, 2, 2, 1.51, 3),
-         (2, 0, 0, 0.0, 1), (1, 0, 0, 0.0, 1), (3, 0, 0, 0.0, 3)],
-        weighted=True)
+         (2, 0, 0, 0.0, 1), (1, 0, 0, 0.0, 1), (3, 0, 0, 0.0, 3)])
     c = compact_transducer(t)
     assert (c.num_states, len(c.arcs)) == (3, 3)
     assert weights_close(enum_relation(t, 4), enum_relation(c, 4))
 
 
 def test_compact_preserves_nonzero_final_weights():
-    t = fsm.Transducer(2, 0, {1: 1.5}, [(0, A, B_, 0.5, 1)], weighted=True)
+    t = fsm.Transducer(2, 0, {1: 1.5}, [(0, A, B_, 0.5, 1)])
     c = compact_transducer(t)
     assert weights_close(enum_relation(c, 2), {((A,), (B_,)): 2.0})
 
@@ -425,7 +424,7 @@ def transducer_and_shuffled_copy(draw):
                          min_size=1, max_size=12))
     finals = draw(st.dictionaries(state, weight, min_size=1))
     initial = draw(state)
-    return [fsm.Transducer(n, initial, finals, a, weighted=True)
+    return [fsm.Transducer(n, initial, finals, a)
             for a in (arcs, draw(st.permutations(arcs)))]
 
 
@@ -469,8 +468,7 @@ def encoded_dfa_transducer(draw):
         else st.just(0.0)
     finals = draw(st.dictionaries(st.integers(0, n - 1), final_weight,
                                   min_size=1))
-    t = fsm.Transducer(n, 0, finals, draw(st.permutations(arcs)),
-                       weighted=True)
+    t = fsm.Transducer(n, 0, finals, draw(st.permutations(arcs)))
     # beside a weighted final, a zero-weight one enters the super-final
     # state by an acceptor epsilon
     mixed = any(finals.values()) and 0.0 in finals.values()

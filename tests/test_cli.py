@@ -378,6 +378,22 @@ def test_compile_unweighted_rules_writes_unweighted_header(tmp_path):
         "WFST v1 unweighted transducer"
 
 
+def test_compile_weighted_rule_that_never_fires_writes_unweighted(tmp_path,
+                                                                  capsys):
+    # rule 1 rewrites every a, so the weighted rule 2 never fires and the
+    # machine carries no nonzero weight
+    rules = tmp_path / "dead.rules"
+    rules.write_text("alphabet: a b c ;\na -> b ;\na -> <1> c ;\n")
+    out = tmp_path / "dead.fst"
+    assert main(["compile", str(rules), "-o", str(out)]) == 0
+    assert capsys.readouterr().out == \
+        f"wrote {out}: states=1 arcs=3 weighted=no\n"
+    assert out.read_text().splitlines()[0] == \
+        "WFST v1 unweighted transducer"
+    assert main(["apply", str(out), "abc"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["bbc 0.000000"]
+
+
 def _no_sweep(*args):
     raise AssertionError("check swept inputs")
 
@@ -533,7 +549,7 @@ def test_check_reports_kk_machine_of_another_relation(tmp_path, capsys,
         s, i, o, w, d = t.arcs[0]
         arcs = ((s, i, o, w + 1.0, d),) + t.arcs[1:]
         return kk.KkCompiledRule(Transducer(t.num_states, t.initial, t.finals,
-                                            arcs, weighted=True), None)
+                                            arcs), None)
 
     ruleset = R.parse_rule_file(SMALL)
     t = C.compile_rule(ruleset.rules[0], ruleset.alphabet).transducer

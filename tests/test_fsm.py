@@ -8,12 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rwc import fsm
-from rwc.errors import EmptyLanguageError, WeightOverflowError
+from rwc.errors import EmptyLanguageError, FormatError, WeightOverflowError
 from rwc.fsm import (EPS, INF, Alphabet, Automaton, Transducer, aut_class,
                      aut_concat, aut_label, aut_sigma_star, aut_star,
                      compose, cross_product, id_transducer, remove_epsilon,
                      reverse, trim)
 from rwc.rulespec import compile_regex, parse_regex
+from rwc.textio import parse_machine
 
 from .helpers import (all_strings, aut_string, enum_language,
                       enum_relation, naive_match, rand_automaton,
@@ -85,13 +86,19 @@ def test_alphabet_rejects_whitespace_in_names():
 
 
 def test_unweighted_machines_reject_weights():
-    with pytest.raises(ValueError):
-        Automaton(2, 0, {1: 0.0}, [(0, A, 1.0, 1)], weighted=False)
+    # the reader refuses an unweighted header over a nonzero arc or final
+    # weight
+    head = ("WFST v1 unweighted acceptor\nsym 0 <eps>\nsym 1 a\n"
+            "sym 2 <rb>\nsym 3 <lb1>\nsym 4 <lb2>\ninit 0\n")
+    for lines in ("final 1 0.0\narc 0 1 1 1.0\n",
+                  "final 1 1.0\narc 0 1 1 0.0\n"):
+        with pytest.raises(FormatError, match="unweighted machine carries"):
+            parse_machine(head + lines)
 
 
 def _one_arc_machine(cls, arc_w=0.0, final_w=0.0):
     arc = (0, A, arc_w, 1) if cls is Automaton else (0, A, B, arc_w, 1)
-    return cls(2, 0, {1: final_w}, [arc], weighted=True)
+    return cls(2, 0, {1: final_w}, [arc])
 
 
 @pytest.mark.parametrize("cls", [Automaton, Transducer])
@@ -154,7 +161,7 @@ def test_id_transducer_is_identity_on_language():
 
 
 def test_id_transducer_preserves_weights():
-    aut = Automaton(2, 0, {1: 0.5}, [(0, A, 1.5, 1)], weighted=True)
+    aut = Automaton(2, 0, {1: 0.5}, [(0, A, 1.5, 1)])
     rel = enum_relation(id_transducer(aut), 2)
     assert rel == {((A,), (A,)): 2.0}
 
@@ -220,7 +227,7 @@ def test_reverse_transducer_reverses_both_tapes():
 
 def test_remove_epsilon_simple_weighted_path():
     aut = Automaton(3, 0, {2: 0.0},
-                    [(0, EPS, 2.0, 1), (1, A, 3.0, 2)], weighted=True)
+                    [(0, EPS, 2.0, 1), (1, A, 3.0, 2)])
     out = remove_epsilon(aut)
     assert all(l != EPS for _, l, _, _ in out.arcs)
     assert enum_language(out, 2) == {(A,): 5.0}
@@ -246,7 +253,7 @@ def test_remove_epsilon_random_language_preserved():
     for _ in range(30):
         t = rand_transducer(rng, ABC.sigma(), p_eps=0.4)
         finals = {q: round(rng.uniform(0, 2), 3) for q in t.finals}
-        t = Transducer(t.num_states, t.initial, finals, t.arcs, weighted=True)
+        t = Transducer(t.num_states, t.initial, finals, t.arcs)
         out = remove_epsilon(t)
         assert not any(i == EPS and o == EPS for _, i, o, _, _ in out.arcs)
         assert weights_close(enum_relation(t, 4), enum_relation(out, 4))
@@ -276,8 +283,8 @@ def test_trim_preserves_relation():
 # ---------------------------------------------------------------------------
 
 def test_compose_single_path_adds_weights():
-    t1 = Transducer(2, 0, {1: 0.0}, [(0, A, B, 1.0, 1)], weighted=True)
-    t2 = Transducer(2, 0, {1: 0.0}, [(0, B, C, 2.0, 1)], weighted=True)
+    t1 = Transducer(2, 0, {1: 0.0}, [(0, A, B, 1.0, 1)])
+    t2 = Transducer(2, 0, {1: 0.0}, [(0, B, C, 2.0, 1)])
     assert weights_close(enum_relation(compose(t1, t2), 2),
                          {((A,), (C,)): 3.0})
 
@@ -285,13 +292,12 @@ def test_compose_single_path_adds_weights():
 @pytest.mark.parametrize("arc_w, final_w", [(1e308, 0.0), (0.0, 1e308)])
 def test_compose_weight_overflow_is_a_coded_error(arc_w, final_w):
     # each side is finite; their sum on an arc or a final state is not
-    t1 = Transducer(2, 0, {1: final_w}, [(0, A, B, arc_w, 1)], weighted=True)
-    t2 = Transducer(2, 0, {1: final_w}, [(0, B, C, arc_w, 1)], weighted=True)
+    t1 = Transducer(2, 0, {1: final_w}, [(0, A, B, arc_w, 1)])
+    t2 = Transducer(2, 0, {1: final_w}, [(0, B, C, arc_w, 1)])
     with pytest.raises(WeightOverflowError):
         compose(t1, t2)
     # below the float range the sum stands
-    half = Transducer(2, 0, {1: final_w / 2}, [(0, B, C, arc_w / 2, 1)],
-                      weighted=True)
+    half = Transducer(2, 0, {1: final_w / 2}, [(0, B, C, arc_w / 2, 1)])
     assert weights_close(enum_relation(compose(t1, half), 2),
                          {((A,), (C,)): 1.5e308})
 
@@ -300,16 +306,15 @@ def test_compose_overflow_into_a_dead_state_is_no_error():
     # t1's state 2 reaches no final, so the product drops the arc whose
     # weights add up to 2e308 before any machine holds it
     t1 = Transducer(3, 0, {1: 0.0},
-                    [(0, A, B, 0.0, 1), (0, A, B, 1e308, 2)], weighted=True)
-    t2 = Transducer(2, 0, {1: 0.0}, [(0, B, C, 1e308, 1)], weighted=True)
+                    [(0, A, B, 0.0, 1), (0, A, B, 1e308, 2)])
+    t2 = Transducer(2, 0, {1: 0.0}, [(0, B, C, 1e308, 1)])
     assert weights_close(enum_relation(compose(t1, t2), 2),
                          {((A,), (C,)): 1e308})
 
 
 def test_epsilon_closure_weight_overflow_is_a_coded_error():
     # two epsilon arcs of 1e308 in a row
-    aut = Automaton(3, 0, {2: 0.0}, [(0, EPS, 1e308, 1), (1, EPS, 1e308, 2)],
-                    weighted=True)
+    aut = Automaton(3, 0, {2: 0.0}, [(0, EPS, 1e308, 1), (1, EPS, 1e308, 2)])
     with pytest.raises(WeightOverflowError):
         remove_epsilon(aut)
 
@@ -348,9 +353,9 @@ def test_compose_coordinates_inner_epsilons():
     # t1 deletes its second symbol; t2 inserts a c. Every interleaving of
     # the one-sided moves must be available exactly once in weight terms.
     t1 = Transducer(3, 0, {2: 0.0},
-                    [(0, A, B, 1.0, 1), (1, A, EPS, 2.0, 2)], weighted=True)
+                    [(0, A, B, 1.0, 1), (1, A, EPS, 2.0, 2)])
     t2 = Transducer(3, 0, {2: 0.0},
-                    [(0, B, B, 4.0, 1), (1, EPS, C, 8.0, 2)], weighted=True)
+                    [(0, B, B, 4.0, 1), (1, EPS, C, 8.0, 2)])
     got = enum_relation(compose(t1, t2), 3, 3)
     assert weights_close(got, {((A, A), (B, C)): 15.0})
 

@@ -65,7 +65,7 @@ def transducers(draw):
     loop = draw(st.tuples(state, label, label, weight))
     arcs.append(loop + (loop[0],))
     finals = draw(st.dictionaries(state, weight))
-    return Transducer(n, draw(state), finals, arcs, weighted=True)
+    return Transducer(n, draw(state), finals, arcs)
 
 
 @settings(max_examples=400, deadline=None)
@@ -95,15 +95,14 @@ def test_compose_matches_reference(t1, t2):
 def test_products_with_only_dead_states_are_empty(a, b, t1, t2):
     # with no finals on one side, every product state is dead
     empty_b = Automaton(b.num_states, b.initial, {}, b.arcs)
-    empty_t2 = Transducer(t2.num_states, t2.initial, {}, t2.arcs,
-                          weighted=True)
-    for got, want, cls, weighted in (
+    empty_t2 = Transducer(t2.num_states, t2.initial, {}, t2.arcs)
+    for got, want, cls in (
             (intersect(a, empty_b), reference_intersect(a, empty_b),
-             Automaton, False),
+             Automaton),
             (fsm.compose(t1, empty_t2), reference_compose(t1, empty_t2),
-             Transducer, True)):
+             Transducer)):
         assert machine_fields(got) == machine_fields(want) \
-            == (cls, 1, 0, {}, weighted, ())
+            == (cls, 1, 0, {}, False, ())
 
 
 @settings(max_examples=300, deadline=None)

@@ -104,8 +104,7 @@ def test_enumerate_language_best_first():
     # a loop writing a with weight 1 and an exit writing b: the bound
     # keeps the lightest strings
     a, b = AB.ids_of(["a", "b"])
-    aut = Automaton(2, 0, {1: 0.5}, [(0, a, 1.0, 0), (0, b, 0.0, 1)],
-                    weighted=True)
+    aut = Automaton(2, 0, {1: 0.5}, [(0, a, 1.0, 0), (0, b, 0.0, 1)])
     got, truncated = O.enumerate_language(aut, 3)
     assert truncated
     assert got == {(b,): 0.5, (a, b): 1.5, (a, a, b): 2.5}
@@ -118,8 +117,7 @@ def loop_machine(loop, exit_, exit_weight=0.0):
     state, and an epsilon-input arc writing `exit_` to the final one."""
     return Transducer(2, 0, {1: 0.0},
                       [(0, EPS, AB.id_of(loop), 0.0, 0),
-                       (0, EPS, AB.id_of(exit_), exit_weight, 1)],
-                      weighted=True)
+                       (0, EPS, AB.id_of(exit_), exit_weight, 1)])
 
 
 @pytest.mark.parametrize("loop, exit_, exit_weight", [
@@ -140,8 +138,7 @@ def test_apply_skips_state_dead_for_the_input():
     a, b = AB.ids_of(["a", "b"])
     t = Transducer(3, 0, {1: 0.0},
                    [(0, a, b, 0.5, 1), (0, a, a, 0.0, 2),
-                    (2, EPS, a, 0.0, 2), (2, b, b, 0.0, 1)],
-                   weighted=True)
+                    (2, EPS, a, 0.0, 2), (2, b, b, 0.0, 1)])
     with time_limit(10):
         wss, truncated = O.apply(t, "a", AB)
         assert not truncated and dict(wss.entries) == {("b",): 0.5}
@@ -155,7 +152,7 @@ def test_apply_outputs_best_first_when_truncated():
     # outputs a^k b cost k: the bound keeps the k < 3
     t = Transducer(2, 0, {1: 0.0},
                    [(0, EPS, AB.id_of("a"), 1.0, 0),
-                    (0, EPS, AB.id_of("b"), 0.0, 1)], weighted=True)
+                    (0, EPS, AB.id_of("b"), 0.0, 1)])
     wss, truncated = O.apply(t, "", AB, bound=3)
     assert truncated
     assert dict(wss.entries) == {("b",): 0.0, ("a", "b"): 1.0,
@@ -175,7 +172,7 @@ def cyclic_transducers(draw):
                          max_size=9))
     arcs.append(loop + (loop[0],))
     finals = draw(st.dictionaries(state, weight, min_size=1))
-    return Transducer(n, draw(state), finals, arcs, weighted=True)
+    return Transducer(n, draw(state), finals, arcs)
 
 
 @settings(max_examples=300, deadline=None)
@@ -230,8 +227,7 @@ def test_apply_overflow_off_the_best_path_is_a_coded_error(other, finals):
     # "a" has another output that costs 1e308, so the least weights of the
     # backward pass all stay finite
     a = AB.id_of("a")
-    t = Transducer(3, 0, finals, [(0, a, a, 1e308, 1)] + other,
-                   weighted=True)
+    t = Transducer(3, 0, finals, [(0, a, a, 1e308, 1)] + other)
     with pytest.raises(WeightOverflowError):
         O.apply(t, "a", AB)
 
@@ -253,7 +249,7 @@ def test_oracle_weight_overflow_is_a_coded_error():
     # a symbol arc, then a final weight
     ([(0, 1, 1, 1e308, 1)], {1: 1e308})])
 def test_relation_weight_overflow_is_a_coded_error(arcs, finals):
-    t = Transducer(3, 0, finals, arcs, weighted=True)
+    t = Transducer(3, 0, finals, arcs)
     with pytest.raises(WeightOverflowError):
         O._relation(t, AB.sigma(), 2)
 
@@ -282,8 +278,7 @@ def test_equivalent_on_finds_constructed_difference():
     # drop one final state: some input loses its outputs
     broken_finals = dict(t.finals)
     broken_finals.pop(next(iter(broken_finals)))
-    broken = Transducer(t.num_states, t.initial, broken_finals, t.arcs,
-                        weighted=t.weighted)
+    broken = Transducer(t.num_states, t.initial, broken_finals, t.arcs)
     rep = O.equivalent_on(t, broken, alphabet, 4)
     assert not rep.equivalent and rep.counterexamples
 
@@ -339,7 +334,7 @@ def corrupt(t, how, k):
             arcs[k % len(arcs)] = (s, i, o, w + 0.5, d)
         else:
             del arcs[k % len(arcs)]
-    return Transducer(t.num_states, t.initial, finals, arcs, weighted=True)
+    return Transducer(t.num_states, t.initial, finals, arcs)
 
 
 @settings(max_examples=200, deadline=None)
@@ -505,7 +500,7 @@ def test_equivalent_on_tolerance_edge(raise_by, equivalent):
     k = next(j for j, arc in enumerate(arcs) if arc[3] > 0)
     s, i, o, w, d = arcs[k]
     arcs[k] = (s, i, o, w + raise_by, d)
-    t2 = Transducer(t.num_states, t.initial, t.finals, arcs, weighted=True)
+    t2 = Transducer(t.num_states, t.initial, t.finals, arcs)
     rep = O.equivalent_on(t, t2, alphabet, 3)
     assert rep.equivalent is equivalent
     for _, lhs, rhs in rep.counterexamples:

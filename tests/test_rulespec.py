@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from rwc import compiler as C
 from rwc import rulespec as R
 from rwc.errors import (NegativeWeightError, PhiNullableError, PsiEmptyError,
-                        RuleSyntaxError, UnknownSymbolError)
+                        RuleSyntaxError, UnknownSymbolError,
+                        WeightOverflowError)
 from rwc.fsm import INF, Alphabet
 from rwc.rulespec import (evaluate_series, parse_regex, parse_rule_file,
                           parse_series, pretty, pretty_rule, series_to_wfsa)
@@ -41,6 +42,14 @@ def test_series_S_examples():
 def test_series_S_prime_takes_min_over_matches():
     s = "(<2> a)(<3> b)(<4> b) + (<5> a)(<3> b)*"
     assert ev(s, "abb") == 9.0      # min(2+3+4, 5+3+3)
+
+
+def test_series_sum_past_the_float_range_raises():
+    # read as INF, the sum would say the string is not in the support
+    with pytest.raises(WeightOverflowError):
+        ev("(<1e308> a)(<1e308> a)", "aa")  # a step sum
+    with pytest.raises(WeightOverflowError):
+        ev("(<1e308> a)(<1e308> 0)", "a")   # the final sum
 
 
 def test_series_unweighted_default_weight_zero():

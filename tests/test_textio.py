@@ -24,8 +24,7 @@ A, B = AB.ids_of(["a", "b"])
 
 def test_acceptor_round_trip():
     aut = Automaton(3, 0, {2: 0.5},
-                    [(0, A, 1.25, 1), (1, B, 0.0, 2), (2, A, 2.0, 2)],
-                    weighted=True)
+                    [(0, A, 1.25, 1), (1, B, 0.0, 2), (2, A, 2.0, 2)])
     text = format_machine(aut, AB)
     m, alpha = parse_machine(text)
     assert isinstance(m, Automaton)
@@ -35,8 +34,7 @@ def test_acceptor_round_trip():
 
 def test_transducer_round_trip_exact_structure():
     t = Transducer(2, 0, {1: 0.0},
-                   [(0, A, B, 0.5, 1), (1, AB.rb, 0, 0.0, 1)],
-                   weighted=True)
+                   [(0, A, B, 0.5, 1), (1, AB.rb, 0, 0.0, 1)])
     text = format_machine(t, AB)
     m, alpha = parse_machine(text)
     assert m.num_states == 2 and m.initial == 0
@@ -85,6 +83,18 @@ def test_malformed_files_raise():
                        for i, name in enumerate(table.split()) if name != "_")
         with pytest.raises(FormatError, match=msg):
             parse_machine(f"WFST v1 weighted acceptor\n{syms}init 0\n")
+    # a line that sets one value may appear only once
+    for line in ["states 2", "init 0", "final 1 0.5", "sym 1 a"]:
+        with pytest.raises(FormatError, match=f"repeated .*'{line}'"):
+            parse_machine(_ACCEPTOR_HEAD + "states 2\nfinal 1 5.0\n"
+                          + line + "\n")
+
+
+def test_weighted_header_over_zero_weights_reads_back_unweighted():
+    m, _ = parse_machine(_ACCEPTOR_HEAD + "final 1 0.0\narc 0 1 1 0.0\n"
+                         "arc 0 1 1 -0.0\n")
+    assert not m.weighted
+    assert format_machine(m, AB).startswith("WFST v1 unweighted acceptor\n")
 
 
 def test_compiled_rule_round_trip_preserves_relation(tmp_path):
@@ -114,11 +124,13 @@ def _machines(draw):
     arcs = draw(st.lists(arc, max_size=8))
     finals = draw(st.dictionaries(state, _weights, max_size=n))
     cls = Automaton if acceptor else Transducer
-    return cls(n, draw(state), finals, arcs, weighted=True)
+    return cls(n, draw(state), finals, arcs)
 
 
 @given(_machines())
 def test_format_parse_is_identity(m):
+    assert m.weighted == (any(a[-2] for a in m.arcs)
+                          or any(m.finals.values()))
     m2, alpha = parse_machine(format_machine(m, AB))
     assert alpha == AB
     assert type(m2) is type(m)
@@ -213,7 +225,7 @@ def test_format_machine_equals_reference_writer(seed, acceptor, weighted,
     weight = st.sampled_from(_WRITER_WEIGHTS if weighted else (0.0, -0.0))
     arcs = [a[:-2] + (data.draw(weight), a[-1]) for a in m.arcs]
     finals = {q: data.draw(weight) for q in m.finals}
-    m = type(m)(m.num_states, m.initial, finals, arcs, weighted=weighted)
+    m = type(m)(m.num_states, m.initial, finals, arcs)
     assert format_machine(m, AB) == reference_format_machine(m, AB)
 
 
