@@ -30,6 +30,8 @@ from .errors import BadOptionError, DeadlineExceeded, at_least
 from .fsm import Alphabet, Deadline
 
 CSV_HEADER = "rule,k,algorithm,ms,states,arcs,dfa_arcs,timeout"
+# round-robin rounds of direct-compiler samples over every k
+REPEATS_NEW = 7
 
 
 @dataclass
@@ -110,9 +112,9 @@ def _sample(refs, fn, *args):
 
 
 def run_bench(family, kmax, alphabet_size=194, deadline_ms=300_000,
-              repeats_new=7, skip_after=2):
+              skip_after=2):
     """Bench one rule family for k in [0, kmax]. The direct compiler is
-    timed first, `repeats_new` round-robin rounds over every k (see the
+    timed first, REPEATS_NEW round-robin rounds over every k (see the
     module docstring). KK points run under a per-point deadline; after
     `skip_after` consecutive KK timeouts the remaining (larger, strictly
     slower) KK points are recorded as timeouts without running. Returns a
@@ -127,14 +129,13 @@ def run_bench(family, kmax, alphabet_size=194, deadline_ms=300_000,
     # the bench rule names s000, s001 and s002
     at_least("alphabet_size (--alphabet-size)", alphabet_size, 3)
     at_least("deadline_ms (--deadline-ms)", deadline_ms, 1)
-    at_least("repeats_new", repeats_new, 1)
     at_least("skip_after (--skip-after)", skip_after, 0)
     alphabet = bench_alphabet(alphabet_size)
     rules = [bench_rule(family, k) for k in range(kmax + 1)]
     refs = []
     new_ratios = [[] for _ in rules]
     stats = [None] * len(rules)
-    for _ in range(repeats_new):
+    for _ in range(REPEATS_NEW):
         for k, rule in enumerate(rules):
             _, ratio, cr = _sample(refs, compiler.compile_rule, rule,
                                    alphabet)

@@ -34,7 +34,7 @@ from itertools import repeat
 from operator import itemgetter
 
 from . import fsm
-from .errors import NotDeterministicError
+from .errors import NotDeterministicError, WeightedInputError
 from .fsm import EPS, Automaton, Transducer
 
 _label_weight = itemgetter(1, 2, 3)
@@ -96,7 +96,7 @@ def determinize(a, deadline=None):
     only the emitted arcs are per label. A Σ*-loop state over many labels
     costs a few classes, not one set per label."""
     if a.weighted:
-        raise ValueError("determinize expects an unweighted acceptor")
+        raise WeightedInputError("determinize expects an unweighted acceptor")
     _tally.get()["determinize"] += 1
     finals_in = set(a.finals)
     eps_from = [[] for _ in range(a.num_states)]
@@ -229,7 +229,7 @@ def intersect(a, b, deadline=None):
     """Product construction; L = L(a) ∩ L(b). Inputs unweighted. States
     are numbered in BFS discovery order and the result is trim."""
     if a.weighted or b.weighted:
-        raise ValueError("intersect expects unweighted acceptors")
+        raise WeightedInputError("intersect expects unweighted acceptors")
     _tally.get()["intersect"] += 1
     a = fsm.remove_epsilon(a)
     b = fsm.remove_epsilon(b)

@@ -26,7 +26,7 @@ import sys
 
 from . import bench as bench_mod
 from . import compiler, kk, oracle, rulespec, textio
-from .errors import InputBudgetError, RwcError, at_least
+from .errors import BadOptionError, InputBudgetError, RwcError, at_least
 from .fsm import Deadline
 
 
@@ -63,7 +63,7 @@ def cmd_apply(args):
     elif args.input is not None:
         inputs = [args.input]
     else:
-        raise RwcError("provide an input string or --stdin")
+        raise BadOptionError("provide an input string or --stdin")
     for text in inputs:
         wss, truncated = oracle.apply(t, text, alphabet, bound=args.bound)
         if truncated:

@@ -53,6 +53,12 @@ class WeightOverflowError(RwcError, ValueError):
     code = "E_WEIGHT_OVERFLOW"
 
 
+class WeightedInputError(RwcError, ValueError):
+    """An operation that reads an unweighted acceptor was given weights."""
+
+    code = "E_WEIGHTED"
+
+
 class EmptyLanguageError(RwcError):
     code = "E_EMPTY_LANGUAGE"
 

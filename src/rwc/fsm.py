@@ -34,7 +34,8 @@ from heapq import heapify, heappush, heappop
 from operator import itemgetter
 
 from .errors import (DeadlineExceeded, EmptyLanguageError,
-                     UnknownSymbolError, WeightOverflowError)
+                     UnknownSymbolError, WeightedInputError,
+                     WeightOverflowError)
 
 EPS = 0
 INF = math.inf
@@ -62,10 +63,12 @@ class Alphabet:
     """Symbol table mapping user symbol names to contiguous label ids.
 
     Ids: 0 = epsilon, 1..n = user symbols in declaration order, then
-    rb = n+1, lb1 = n+2, lb2 = n+3.
+    rb = n+1, lb1 = n+2, lb2 = n+3; `num_labels` = n+4. The layout and
+    the table of names by id are built once, on construction.
     """
 
-    __slots__ = ("symbols", "_ids", "_chars")
+    __slots__ = ("symbols", "n", "rb", "lb1", "lb2", "num_labels",
+                 "_ids", "_names", "_chars")
 
     def __init__(self, symbols):
         symbols = tuple(symbols)
@@ -82,34 +85,17 @@ class Alphabet:
                 raise ValueError(f"duplicate symbol name {name!r}")
             seen.add(name)
         self.symbols = symbols
+        self.n = n = len(symbols)
+        self.rb, self.lb1, self.lb2 = n + 1, n + 2, n + 3
+        self.num_labels = n + 4
         self._ids = {name: i + 1 for i, name in enumerate(symbols)}
+        self._names = RESERVED_NAMES[:1] + symbols + RESERVED_NAMES[1:]
         # text is read and written per character when every name is one
         self._chars = all(len(s) == 1 for s in symbols)
 
-    @property
-    def n(self):
-        return len(self.symbols)
-
-    @property
-    def rb(self):
-        return len(self.symbols) + 1
-
-    @property
-    def lb1(self):
-        return len(self.symbols) + 2
-
-    @property
-    def lb2(self):
-        return len(self.symbols) + 3
-
-    @property
-    def num_labels(self):
-        """Total ids in use by the core scheme (epsilon..lb2)."""
-        return len(self.symbols) + 4
-
     def sigma(self):
         """User symbol ids, in declaration order."""
-        return tuple(range(1, len(self.symbols) + 1))
+        return tuple(range(1, self.n + 1))
 
     def markers(self):
         return (self.rb, self.lb1, self.lb2)
@@ -121,13 +107,8 @@ class Alphabet:
             raise UnknownSymbolError(f"undeclared symbol {name!r}") from None
 
     def name_of(self, label):
-        if label == EPS:
-            return "<eps>"
-        if 1 <= label <= len(self.symbols):
-            return self.symbols[label - 1]
-        off = label - len(self.symbols)
-        if 1 <= off <= 3:
-            return RESERVED_NAMES[off]
+        if 0 <= label < self.num_labels:
+            return self._names[label]
         return f"<lab{label}>"
 
     def ids_of(self, names):
@@ -268,21 +249,14 @@ class Transducer(_Machine):
 
 
 class WeightedStringSet:
-    """Finite map from output string (tuple of symbol names) to its minimal
-    weight. Entries with infinite weight are dropped on construction."""
+    """Finite map from output string (tuple of symbol names) to its least
+    weight. It holds the map it is given: its builders, `apply` and
+    `oracle_rewrite`, give one finite least weight per string."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries=()):
-        d = dict(entries)
-        self.entries = {k: w for k, w in d.items() if w != INF}
-
-    def add_min(self, key, w):
-        if w == INF:
-            return
-        old = self.entries.get(key)
-        if old is None or w < old:
-            self.entries[key] = w
+        self.entries = dict(entries)
 
     def sorted_items(self):
         return sorted(self.entries.items(), key=lambda kw: (kw[1], kw[0]))
@@ -310,8 +284,8 @@ def aut_epsilon():
     return Automaton(1, 0, {0: 0.0}, ())
 
 
-def aut_label(label, weight=0.0):
-    return Automaton(2, 0, {1: 0.0}, ((0, label, weight, 1),))
+def aut_label(label):
+    return Automaton(2, 0, {1: 0.0}, ((0, label, 0.0, 1),))
 
 
 def aut_class(labels):
@@ -403,7 +377,7 @@ def cross_product(phi, psi, pad_out=EPS):
     symbols ride epsilon inputs once phi is exhausted.
     """
     if phi.weighted:
-        raise ValueError("cross_product: phi must be unweighted")
+        raise WeightedInputError("cross_product: phi must be unweighted")
     phi = trim(remove_epsilon(phi))
     psi = trim(remove_epsilon(psi))
     if not phi.finals:

@@ -16,7 +16,7 @@ from heapq import heappush, heappop
 
 from . import fsm
 from .boolean_ops import determinize
-from .errors import DivergentError, WeightOverflowError
+from .errors import DivergentError, WeightOverflowError, at_least
 from .fsm import EPS, INF, WeightedStringSet
 from .rulespec import compile_regex, series_to_wfsa
 
@@ -121,6 +121,7 @@ def enumerate_language(aut, limit):
     """Accepted strings of a weighted acceptor with their minimal weights,
     best first, up to `limit` distinct strings. Returns (dict, truncated).
     """
+    at_least("limit", limit, 1)
     adj = {q: [] for q in range(aut.num_states)}
     into = {q: [] for q in range(aut.num_states)}
     for s, lab, w, d in aut.arcs:
@@ -135,15 +136,18 @@ def enumerate_language(aut, limit):
 
 def apply(t, input_seq, alphabet, bound=1000):
     """Apply a transducer to one string: the outputs of t's paths that
-    read the string, with their minimal weights, best first, up to `bound`
-    of them. Returns (WeightedStringSet, truncated); `truncated` is True
-    exactly when the string has more than `bound` outputs.
+    read the string, each with its one finite least weight, best first,
+    up to `bound` of them. Returns (WeightedStringSet, truncated);
+    `truncated` is True exactly when the string has more than `bound`
+    outputs. A `bound` below 1 raises E_BAD_OPTION, and a path weight past
+    the float range E_WEIGHT_OVERFLOW.
 
     No machine is built: a forward pass walks the (position, state) pairs
     of the string and t and records the arcs it takes, a backward pass
     gives each pair its least weight to (end of string, final state), and
     `_nbest` searches the live pairs.
     """
+    at_least("bound", bound, 1)
     ids = _to_ids(alphabet, input_seq)
     n = t.num_states
     last = len(ids)
@@ -177,10 +181,7 @@ def apply(t, input_seq, alphabet, bound=1000):
             layer = list(moved)
     finals = {base + q: t.finals[q] for q in layer if q in t.finals}
     raw, truncated = _nbest(adj, into, t.initial, finals, bound)
-    wss = WeightedStringSet()
-    for s, w in raw.items():
-        wss.add_min(_names(alphabet, s), w)
-    return wss, truncated
+    return WeightedStringSet(_named(alphabet, raw)), truncated
 
 
 # the most outputs one input may have in a sweep
@@ -274,6 +275,7 @@ def relation_upto(t, alphabet, max_len, deadline=None):
     """The full relation of `t` on inputs over the user alphabet up to
     max_len, as {input names: {output names: weight}} (see `_relation`).
     """
+    at_least("max_len", max_len, 0)
     rel = _relation(t, alphabet.sigma(), max_len, deadline)
     return {_names(alphabet, u): _named(alphabet, rec)
             for u, rec in rel.items()}
@@ -331,6 +333,7 @@ class RewriteOracle:
     length, in one sweep; both run one dynamic program, `_rewrite`."""
 
     def __init__(self, rule, alphabet, bound=1000):
+        at_least("bound", bound, 1)
         self.alphabet = alphabet
         self.bound = bound
         self.phi = _Matcher(rule.phi, alphabet)
@@ -355,6 +358,7 @@ class RewriteOracle:
         t are t's with one new entry at position 0, so an input costs one
         rho walk and one phi walk; only the previous length's tables are
         kept. The deadline is checked once per input length."""
+        at_least("max_len", max_len, 0)
         rho, phi = self.rho, self.phi
         layer = {(): ((bool(rho.match_lengths((), 0)),), ())}
         results = {(): self._rewrite((), ())}
@@ -416,13 +420,12 @@ class RewriteOracle:
 
 def oracle_rewrite(rule, alphabet, input_seq, bound=1000):
     """Ground-truth obligatory left-to-right rewriting of one string.
-    Returns a WeightedStringSet keyed by output name tuples."""
+    Returns a WeightedStringSet keyed by output name tuples, each with its
+    one finite least weight (a sum past the float range raises
+    E_WEIGHT_OVERFLOW). A `bound` below 1 raises E_BAD_OPTION."""
     ids = _to_ids(alphabet, input_seq)
     orc = RewriteOracle(rule, alphabet, bound)
-    wss = WeightedStringSet()
-    for out, w in orc.rewrite_ids(ids).items():
-        wss.add_min(_names(alphabet, out), w)
-    return wss
+    return WeightedStringSet(_named(alphabet, orc.rewrite_ids(ids)))
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +519,7 @@ def equivalent_on(t1, t2, alphabet, max_len, tol=1e-9, deadline=None):
     """Compare two transducers as weighted relations on every input over
     the user alphabet up to max_len. t2 is always swept, so its errors are
     raised; a t1 identical to it shares its relation."""
+    at_least("max_len", max_len, 0)
     sigma = alphabet.sigma()
     r2 = _relation(t2, sigma, max_len, deadline=deadline)
     r1 = r2 if _same_machine(t1, t2) else \

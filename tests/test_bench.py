@@ -45,9 +45,10 @@ def test_kk_timeout_rows_restore_gc_and_skip(monkeypatch, skip_after, calls):
         raise DeadlineExceeded("construction exceeded its deadline")
 
     monkeypatch.setattr(K, "kk_compile_rule", times_out)
+    monkeypatch.setattr(BN, "REPEATS_NEW", 1)
     assert gc.isenabled()
     records = BN.run_bench("right", 3, alphabet_size=12, deadline_ms=5000,
-                           repeats_new=1, skip_after=skip_after)
+                           skip_after=skip_after)
     assert gc.isenabled()
     # each sample runs with gc paused
     assert seen == [False] * calls

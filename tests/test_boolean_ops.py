@@ -13,7 +13,7 @@ from rwc import fsm
 from rwc.boolean_ops import (compact_transducer, complement, complete,
                              count_ops, determinize, intersect, is_complete,
                              minimize, subtract)
-from rwc.errors import NotDeterministicError
+from rwc.errors import NotDeterministicError, WeightedInputError
 from rwc.fsm import Alphabet, Automaton, aut_concat, aut_label, \
     aut_sigma_star
 from rwc.rulespec import compile_regex, parse_regex, parse_rule_file
@@ -96,6 +96,26 @@ def test_determinize_rejects_weighted():
     aut = Automaton(2, 0, {1: 0.0}, [(0, A, 1.0, 1)])
     with pytest.raises(ValueError):
         determinize(aut)
+
+
+_WEIGHTED = Automaton(2, 0, {1: 0.0}, [(0, A, 1.0, 1)])
+_PLAIN = aut_label(A)
+
+
+@pytest.mark.parametrize("op", [
+    lambda: determinize(_WEIGHTED),
+    lambda: intersect(_WEIGHTED, _PLAIN),
+    lambda: intersect(_PLAIN, _WEIGHTED),
+    lambda: subtract(_WEIGHTED, _PLAIN, AB.sigma()),
+    lambda: subtract(_PLAIN, _WEIGHTED, AB.sigma()),
+    lambda: fsm.cross_product(_WEIGHTED, _PLAIN),
+], ids=["determinize", "intersect-a", "intersect-b", "subtract-a",
+        "subtract-b", "cross_product"])
+def test_weighted_acceptor_is_refused_with_a_code(op):
+    with pytest.raises(WeightedInputError) as e:
+        op()
+    assert e.value.code == "E_WEIGHTED"
+    assert str(e.value).startswith("E_WEIGHTED: ")
 
 
 def test_dfa_certificate_rejects_nondeterminism():

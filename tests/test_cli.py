@@ -216,6 +216,22 @@ def test_compile_paper_scale_file_is_golden(tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == golden["sha256"]
 
 
+def test_apply_paper_scale_file_is_golden(tmp_path, capsys, monkeypatch):
+    # 200 strings of 10-40 of the 194 multi-character names, and an empty
+    # line, which --stdin skips
+    import io
+
+    fst = tmp_path / "phonology194.fst"
+    assert main(["compile", str(GOLDEN / "phonology194.rules"),
+                 "-o", str(fst)]) == 0
+    capsys.readouterr()
+    inputs = (GOLDEN / "phonology194.inputs").read_text()
+    monkeypatch.setattr("sys.stdin", io.StringIO(inputs))
+    assert main(["apply", str(fst), "--stdin"]) == 0
+    assert capsys.readouterr().out == \
+        (GOLDEN / "phonology194.apply").read_text()
+
+
 def test_compile_32_rule_file_is_golden(tmp_path, capsys):
     # four 8-rule files over the paper's 194 symbols, composed as a tree
     out = tmp_path / "phonology32.fst"
@@ -316,7 +332,6 @@ def test_apply_zero_weight_output_loop_truncates(loop, exit_, tmp_path,
     ("middle", 1, {}),
     ("right", 0, {"deadline_ms": 0}),
     ("left", 0, {"skip_after": -1}),
-    ("left", 0, {"repeats_new": 0}),
 ])
 def test_run_bench_rejects_out_of_range_arguments(family, kmax, kwargs):
     with pytest.raises(BadOptionError):
@@ -441,6 +456,17 @@ def test_option_out_of_range_exits_1(argv, rule9_file, tmp_path, capsys):
     assert main([a.format(fst=fst) for a in argv]) == 1
     out, err = capsys.readouterr()
     assert out == "" and "E_BAD_OPTION" in err and argv[-2] in err
+
+
+def test_apply_without_input_exits_1_with_bad_option(rule9_file, tmp_path,
+                                                     capsys):
+    fst = tmp_path / "rule9.fst"
+    assert main(["compile", str(rule9_file), "-o", str(fst)]) == 0
+    capsys.readouterr()
+    assert main(["apply", str(fst)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "error: E_BAD_OPTION: provide an input string or --stdin\n")
 
 
 def test_check_reports_oracle_mismatch(tmp_path, capsys, monkeypatch):

@@ -112,6 +112,11 @@ def test_build_replace_rejects_bad_rules():
     with pytest.raises(PhiNullableError):
         C.build_replace(parse_regex("a?", ABC),
                         series_to_wfsa(parse_series("b", ABC), ABC), ABC)
+    # a hand-built rule skips the parser's check; compile_rule refuses it
+    with pytest.raises(PhiNullableError):
+        C.compile_rule(R.Rule(phi=parse_regex("a?", ABC),
+                              psi=parse_series("b", ABC), lam=R.Eps(),
+                              rho=R.Eps()), ABC)
     with pytest.raises(PsiEmptyError):
         C.build_replace(parse_regex("a", ABC),
                         series_to_wfsa(R.Cls(()), ABC), ABC)

@@ -64,6 +64,10 @@ def test_alphabet_ids_and_markers():
     assert (ABC.rb, ABC.lb1, ABC.lb2) == (4, 5, 6)
     assert ABC.name_of(ABC.rb) == "<rb>"
     assert ABC.name_of(EPS) == "<eps>"
+    assert (ABC.n, ABC.num_labels, ABC.sigma()) == (3, 7, (1, 2, 3))
+    # every id in 0..n+3 has a name; the ids around them do not
+    assert [ABC.name_of(i) for i in range(-1, 8)] == [
+        "<lab-1>", "<eps>", "a", "b", "c", "<rb>", "<lb1>", "<lb2>", "<lab7>"]
 
 
 def test_alphabet_rejects_bad_names():

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from rwc import compiler as C
 from rwc import oracle as O
-from rwc.errors import (DeadlineExceeded, DivergentError, RwcError,
-                        WeightOverflowError)
+from rwc.errors import (BadOptionError, DeadlineExceeded, DivergentError,
+                        RwcError, WeightOverflowError)
 from rwc.fsm import EPS, Alphabet, Automaton, Deadline, Transducer, \
     aut_sigma_star, id_transducer, remove_epsilon
 from rwc.rulespec import Cls, Eps, Rule, Sym, parse_rule_file
@@ -254,6 +254,53 @@ def test_relation_weight_overflow_is_a_coded_error(arcs, finals):
         O._relation(t, AB.sigma(), 2)
 
 
+def _ladder(k):
+    """k epsilon:epsilon diamonds in a row, each with a light branch and a
+    heavy one of weight 2**(k-1-i), listed light first so that a LIFO
+    worklist takes the heavy one first: every state is improved once per
+    path that reaches it, about 3 * 2**(k+1) steps over 3k+1 states."""
+    arcs = []
+    for i in range(k):
+        v = 3 * i
+        arcs += [(v, EPS, EPS, 0.0, v + 1),
+                 (v, EPS, EPS, float(2 ** (k - 1 - i)), v + 2),
+                 (v + 1, EPS, EPS, 0.0, v + 3), (v + 2, EPS, EPS, 0.0, v + 3)]
+    return Transducer(3 * k + 1, 0, {3 * k: 0.0}, arcs)
+
+
+def _fork(alphabet):
+    """One state reading "a" as any of the alphabet's symbols."""
+    a = alphabet.id_of("a")
+    return Transducer(1, 0, {0: 0.0},
+                      [(0, a, o, 0.0, 0) for o in alphabet.sigma()])
+
+
+def _chain(n):
+    """n epsilon:a arcs, then one a:a arc, into the final state."""
+    a = AB.id_of("a")
+    return Transducer(n + 2, 0, {n + 1: 0.0},
+                      [(i, EPS, a, 0.0, i + 1) for i in range(n)]
+                      + [(n, a, a, 0.0, n + 1)])
+
+
+_THIRTEEN = Alphabet(["a"] + [f"x{i}" for i in range(12)])
+
+
+@pytest.mark.parametrize("t, sigma, max_len, message", [
+    # 2,000,000 closure steps over 58 states, in bounded memory
+    (_ladder(19), AB.sigma(), 0, "epsilon closure diverged"),
+    # "aaaa" has 13**4 outputs, more than 4,096
+    (_fork(_THIRTEEN), _THIRTEEN.sigma(), 4,
+     "more outputs than the enumeration bound"),
+    # 40 epsilon:a arcs reach the bound 8 * 1 + 32; the a:a arc passes it
+    (_chain(40), AB.sigma(), 1, "output grew past bound"),
+])
+def test_relation_guards_raise_divergent(t, sigma, max_len, message):
+    with pytest.raises(DivergentError, match=message) as e:
+        O._relation(t, sigma, max_len)
+    assert e.value.code == "E_DIVERGENT"
+
+
 def test_relation_upto_agrees_with_apply():
     rng = rng_for("relation-vs-apply")
     alphabet, rule = rule_of(
@@ -270,6 +317,7 @@ def test_equivalent_on_reflexive():
     t = C.compile_rule(rule, alphabet).transducer
     rep = O.equivalent_on(t, t, alphabet, 4)
     assert rep.equivalent
+    assert str(rep) == "equivalent on all 121 strings"
 
 
 def test_equivalent_on_finds_constructed_difference():
@@ -281,6 +329,11 @@ def test_equivalent_on_finds_constructed_difference():
     broken = Transducer(t.num_states, t.initial, broken_finals, t.arcs)
     rep = O.equivalent_on(t, broken, alphabet, 4)
     assert not rep.equivalent and rep.counterexamples
+    head, *lines = str(rep).splitlines()
+    assert head == f"NOT equivalent ({len(rep.counterexamples)} " \
+        "counterexamples shown)"
+    assert lines == [f"  input {u!r}: {lhs!r} vs {rhs!r}"
+                     for u, lhs, rhs in rep.counterexamples]
 
 
 def test_check_rule_accepts_compiled_rule():
@@ -487,6 +540,24 @@ def test_oracle_relation_checks_its_deadline():
     with pytest.raises(DeadlineExceeded) as e:
         orc.relation(alphabet.sigma(), 3, deadline=deadline)
     assert e.value.code == "E_TIMEOUT"
+
+
+# the sizes the CLI refuses: a length below 0, a bound below 1
+@pytest.mark.parametrize("call", [
+    lambda t, rule, ab: O.equivalent_on(t, t, ab, -1),
+    lambda t, rule, ab: O.relation_upto(t, ab, -1),
+    lambda t, rule, ab: O.RewriteOracle(rule, ab).relation(ab.sigma(), -1),
+    lambda t, rule, ab: O.apply(t, "a", ab, bound=0),
+    lambda t, rule, ab: O.enumerate_language(aut_sigma_star(ab.sigma()), 0),
+    lambda t, rule, ab: O.RewriteOracle(rule, ab, bound=0),
+    lambda t, rule, ab: O.oracle_rewrite(rule, ab, "ca", bound=0),
+], ids=["equivalent_on", "relation_upto", "RewriteOracle.relation", "apply",
+        "enumerate_language", "RewriteOracle", "oracle_rewrite"])
+def test_library_entry_point_refuses_size_out_of_range(call):
+    alphabet, rule = rule_of("alphabet: a b c ;\n a -> b / c _ ;")
+    t = C.compile_rule(rule, alphabet).transducer
+    with pytest.raises(BadOptionError):
+        call(t, rule, alphabet)
 
 
 @pytest.mark.parametrize("raise_by, equivalent", [(5e-10, True),

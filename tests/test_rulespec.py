@@ -126,6 +126,15 @@ def test_parse_errors():
     with pytest.raises(RuleSyntaxError) as e:
         parse_rule_file("alphabet a b ;\n")
     assert e.value.line == 1
+    for text, message, line, col in [
+        ("a -> b ;\n", "rule files start with 'alphabet:'", 1, 1),
+        ("alphabet: ;\n", "lists at least one symbol", 1, 11),
+        ("\n  alphabet: a a ;\n", "duplicate symbol name 'a'", 2, 3),
+    ]:
+        with pytest.raises(RuleSyntaxError, match=message) as e:
+            parse_rule_file(text)
+        assert (e.value.code, e.value.line, e.value.col) == \
+            ("E_SYNTAX", line, col)
     with pytest.raises(UnknownSymbolError):
         parse_rule_file("alphabet: a ;\n a -> q ;\n")
     with pytest.raises(PhiNullableError):

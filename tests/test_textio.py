@@ -67,6 +67,10 @@ def test_malformed_files_raise():
         parse_machine("WFST v2 weighted acceptor\ninit 0\n")
     with pytest.raises(FormatError):
         parse_machine("WFST v1 weighted acceptor\nsym 0 <eps>\n")  # no init
+    with pytest.raises(FormatError, match="bad kind 'graph'"):
+        parse_machine("WFST v1 weighted graph\ninit 0\n")
+    with pytest.raises(FormatError, match="malformed line 'states x'"):
+        parse_machine("WFST v1 weighted acceptor\nstates x\ninit 0\n")
     with pytest.raises(FormatError):
         parse_machine("WFST v1 weighted acceptor\nsym 0 <eps>\nsym 1 a\n"
                       "sym 2 <rb>\nsym 3 <lb1>\nsym 4 <lb2>\n"
