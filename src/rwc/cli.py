@@ -11,9 +11,13 @@
 the same rule-set fold. `check` exhaustively compares each compiled rule
 against the brute-force rewriting oracle and against the KK baseline
 compiler on every string up to the length bound; it exits 2 with
-counterexamples on any mismatch. It refuses (exit 1) a sweep of more than
-CHECK_BUDGET input strings. `compile` and `check` given --deadline-ms exit
-1 with E_TIMEOUT once that many milliseconds of wall time have passed.
+counterexamples on any mismatch. Each rule is compiled and swept over one
+representative per block of symbols it alone cannot tell apart, as
+`compile` compiles it, which decides every string over the alphabet; the
+--against comparison sweeps the full alphabet. It refuses (exit 1) a
+sweep of more than CHECK_BUDGET input strings over the full alphabet.
+`compile` and `check` given --deadline-ms exit 1 with E_TIMEOUT once that
+many milliseconds of wall time have passed.
 Every subcommand exits 1 with a coded error on bad input, including an
 option out of range (--max-len below 0, --nbest, --bound or --deadline-ms
 below 1). The RWC_SEED environment variable seeds the
@@ -57,9 +61,9 @@ def cmd_apply(args):
     at_least("--nbest", args.nbest, 1)
     at_least("--bound", args.bound, 1)
     t, alphabet = textio.read_transducer(args.fst)
-    inputs = []
     if args.stdin:
-        inputs = [ln.rstrip("\n") for ln in sys.stdin if ln.strip()]
+        # every line, blank ones too, as it arrives
+        inputs = (ln.rstrip("\n") for ln in sys.stdin)
     elif args.input is not None:
         inputs = [args.input]
     else:
@@ -79,9 +83,15 @@ def cmd_apply(args):
 
 def _check_one_rule(idx, rule, alphabet, max_len, deadline=None):
     """Oracle equivalence and KK cross-check for one rule; returns a list
-    of failure strings. The compiled rule's relation is swept once and
-    serves both comparisons, and a KK machine identical to the compiled
-    one is not swept at all."""
+    of failure strings. The rule is compiled, run through the oracle and
+    the KK compiler, and swept over one representative per block of
+    `compiler.rule_over_blocks`, the machine `compile_ruleset` widens:
+    agreement on every string over the representatives is agreement on
+    every string over the alphabet. So the strings counted and the
+    counterexamples reported are over the representatives. The compiled
+    rule's relation is swept once and serves both comparisons, and a KK
+    machine identical to the compiled one is not swept at all."""
+    rule, alphabet, _ = compiler.rule_over_blocks(rule, alphabet)
     cr = compiler.compile_rule(rule, alphabet, deadline=deadline)
     orc = oracle.RewriteOracle(rule, alphabet)
     rel = oracle._relation(cr.transducer, alphabet.sigma(), max_len,

@@ -273,6 +273,20 @@ def _renamed(rule, blocks):
                   for ast in (rule.phi, rule.psi, rule.lam, rule.rho)))
 
 
+def rule_over_blocks(rule, alphabet):
+    """The rule over one representative per block of symbols it alone
+    cannot tell apart: (the rule with every symbol replaced by its block's
+    first member, the Alphabet of those representatives, the blocks).
+    Block mates sit in the same phi, lambda and rho leaves and in no psi
+    leaf, so the rule's relation is unchanged when the symbol at any one
+    position is replaced by a block mate, on the input and on its copy in
+    the output; the rule over its representatives decides its relation on
+    every string over `alphabet`."""
+    blocks = symbol_blocks(RuleSet(alphabet, (rule,)))
+    return (_renamed(rule, blocks), Alphabet([block[0] for block in blocks]),
+            blocks)
+
+
 def rule_transducer(rule, alphabet, compact, deadline):
     """`compile_ruleset`'s default per-rule compiler: `compile_rule`'s
     machine."""
@@ -308,23 +322,22 @@ def compile_ruleset(ruleset, compact=True, deadline=None,
     block of `symbol_blocks`, and the result is expanded back to the full
     alphabet once at the end. Each rule is compiled by
     `compile_one(rule, alphabet, compact, deadline)` over one
-    representative per block of its own, and `_expand` widens it to the
-    file's representatives: every file block lies inside one rule block,
-    whose members share the rule's phi, lambda and rho leaves and no psi
-    leaf. A left fold re-composes an ever-growing product; the tree
-    composes machines of similar size, and its compacted result is the
-    same canonical machine. `kk.rule_transducer` compacts each KK rule
-    even when compact is False: its raw bracket-cascade machine is mostly
-    ε:ε arcs, and their products can outgrow memory."""
+    representative per block of its own (`rule_over_blocks`), and
+    `_expand` widens it to the file's representatives: every file block
+    lies inside one rule block, whose members share the rule's phi,
+    lambda and rho leaves and no psi leaf. A left fold re-composes an
+    ever-growing product; the tree composes machines of similar size, and
+    its compacted result is the same canonical machine.
+    `kk.rule_transducer` compacts each KK rule even when compact is
+    False: its raw bracket-cascade machine is mostly ε:ε arcs, and their
+    products can outgrow memory."""
     alphabet = ruleset.alphabet
     blocks = symbol_blocks(ruleset)
     reduced = Alphabet([block[0] for block in blocks])
     machines = []
     for rule in ruleset.rules:
-        rule = _renamed(rule, blocks)
-        own = symbol_blocks(RuleSet(reduced, (rule,)))
-        small = Alphabet([block[0] for block in own])
-        m = compile_one(_renamed(rule, own), small, compact, deadline)
+        rule, small, own = rule_over_blocks(_renamed(rule, blocks), reduced)
+        m = compile_one(rule, small, compact, deadline)
         widen = [(EPS,)] + [reduced.ids_of(block) for block in own]
         machines.append(_expand(m, widen, small))
     t = _compose_all(machines or [identity_over_sigma(reduced)], deadline)

@@ -218,7 +218,7 @@ def test_compile_paper_scale_file_is_golden(tmp_path, capsys):
 
 def test_apply_paper_scale_file_is_golden(tmp_path, capsys, monkeypatch):
     # 200 strings of 10-40 of the 194 multi-character names, and an empty
-    # line, which --stdin skips
+    # line, which --stdin applies like any other
     import io
 
     fst = tmp_path / "phonology194.fst"
@@ -300,6 +300,17 @@ def test_apply_stdin(rule9_file, tmp_path, capsys, monkeypatch):
     assert main(["apply", str(out), "--stdin", "--nbest", "1"]) == 0
     assert capsys.readouterr().out.splitlines() == ["mb 0.105361",
                                                     "Na 0.000000"]
+
+
+def test_apply_stdin_applies_blank_lines(capsys, monkeypatch):
+    # as `rwc apply FST ""` does, the empty input gives the empty output
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("\nNb\n"))
+    assert main(["apply", str(GOLDEN / "nasal.fst"), "--stdin"]) == 0
+    assert capsys.readouterr().out.splitlines() == [" 0.000000",
+                                                    "mb 0.105361",
+                                                    "nb 2.302585"]
 
 
 def test_check_psi_with_zero_weight_loop_exits_1(tmp_path, capsys):
@@ -491,11 +502,12 @@ THREE_RULES = ("alphabet: a b c ;\n"
 
 
 def _count_sweeps(monkeypatch):
+    """Record the (machine, sigma) of every relation sweep."""
     calls = []
     sweep = oracle._relation
 
     def counted(*args, **kwargs):
-        calls.append(args[0])
+        calls.append(args[:2])
         return sweep(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "_relation", counted)
@@ -517,6 +529,19 @@ def test_check_sweeps_each_relation_once(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert out.count("kk cross-check: ok") == 3
     assert "ruleset vs" in out and "all checks passed" in out
+
+
+def test_check_sweeps_rule_blocks_and_full_alphabet_against(capsys,
+                                                             monkeypatch):
+    # nasal's rule tells apart 5 blocks of its 6 symbols (b and p share
+    # one): its sweep covers the 19,531 strings over 5 representatives up
+    # to the default --max-len 6, and --against the 6 symbols
+    calls = _count_sweeps(monkeypatch)
+    assert main(["check", str(DEMOS / "nasal.rules"),
+                 "--against", str(GOLDEN / "nasal.fst")]) == 0
+    out = capsys.readouterr().out
+    assert "rule 0: oracle equivalence on 19531 strings: ok" in out
+    assert [len(sigma) for _, sigma in calls] == [5, 6]
 
 
 def test_check_sweeps_machines_that_differ(tmp_path, capsys, monkeypatch):

@@ -439,6 +439,53 @@ def test_compile_ruleset_compiles_each_rule_over_its_own_blocks(monkeypatch):
     assert max(sizes) < len(blocks)
 
 
+def test_rule_over_blocks_decides_every_string_over_the_alphabet():
+    # both relations of a rule over the full alphabet, each symbol renamed
+    # to its block's representative, are those of the rule over its
+    # blocks: so `rwc check` sweeps the representatives only, and the
+    # (rule, alphabet) pair is the one `compile_ruleset` compiles
+    rng = rng_for("rule-over-blocks")
+    max_len, fewer, n_rules = 3, 0, 0
+    for _ in range(60):
+        text = rand_ruleset_text(rng)
+        rs = parse_rule_file(text)
+        sigma = rs.alphabet
+        compiled = []
+
+        def record(rule, alphabet, compact, deadline):
+            compiled.append((rule, alphabet))
+            return C.rule_transducer(rule, alphabet, compact, deadline)
+
+        C.compile_ruleset(rs, compile_one=record)
+        for rule, pair in zip(rs.rules, compiled):
+            small_rule, small, blocks = C.rule_over_blocks(rule, sigma)
+            assert (small_rule, small) == pair, text
+            n_rules += 1
+            fewer += len(blocks) < sigma.n
+            to_small = {sigma.id_of(x): small.id_of(block[0])
+                        for block in blocks for x in block}
+
+            def over_reps(rel):
+                reps = {}
+                for u, outs in rel.items():
+                    v = tuple(map(to_small.__getitem__, u))
+                    w = {tuple(map(to_small.__getitem__, o)): x
+                         for o, x in outs.items()}
+                    assert len(w) == len(outs), (text, u)
+                    assert reps.setdefault(v, w) == w, (text, u)
+                return reps
+
+            assert over_reps(O.RewriteOracle(rule, sigma).relation(
+                sigma.sigma(), max_len)) == O.RewriteOracle(
+                    small_rule, small).relation(small.sigma(), max_len), text
+            assert over_reps(O._relation(
+                C.compile_rule(rule, sigma).transducer, sigma.sigma(),
+                max_len)) == O._relation(
+                    C.compile_rule(small_rule, small).transducer,
+                    small.sigma(), max_len), text
+    assert fewer > n_rules // 2
+
+
 @pytest.mark.parametrize("demo", ["nasal", "chain"])
 def test_compile_ruleset_demo_text_is_golden(demo):
     rs = parse_rule_file((DEMOS / f"{demo}.rules").read_text())
