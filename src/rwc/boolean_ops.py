@@ -11,7 +11,15 @@ Compaction hands a zero-weight arc that is epsilon on both tapes to
 determinization as an acceptor epsilon, and runs ``fsm.remove_epsilon``
 first only when such an arc or a final state carries a weight. It skips
 determinization when ``_dfa_out`` accepts the encoding as it is, as a
-rule set's composed product usually is.
+rule set's composed product usually is. One pass over the arcs
+(``_identity_arcs``) reads both the ε:ε arcs' weights and the label
+blocks: labels that occur only on identity arcs and there on the same
+(source, weight, target) triples.
+Only each block's least label is encoded, and the decoded arcs are
+widened back to every member, so the result is the machine of the full
+encoding at the cost of one label per block: a rule compiled over all of
+Σ copies the symbols it never mentions on identity arcs that form one
+block.
 
 The working alphabet for completion and complementation is always an
 explicit parameter (a sequence of label ids), never inferred from the
@@ -27,7 +35,7 @@ the functions that need the property (``is_complete``, ``complete``,
 ``_dfa_out``.
 """
 
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from contextlib import contextmanager
 from contextvars import ContextVar
 from itertools import repeat
@@ -341,6 +349,21 @@ def minimize(d, deadline=None):
     return Automaton(len(order), 0, finals, arcs)
 
 
+def _identity_arcs(arcs):
+    """(ident, mixed): the (source, weight, target) of each identity arc
+    x:x listed under x, ε:ε arcs under EPS, and the set of labels on the
+    other arcs, EPS among them."""
+    ident = defaultdict(list)
+    mixed = {EPS}
+    for s, i, o, w, d in arcs:
+        if i == o:
+            ident[i].append((s, w, d))
+        else:
+            mixed.add(i)
+            mixed.add(o)
+    return ident, mixed
+
+
 def compact_transducer(t, deadline=None):
     """Shrink a transducer without changing its relation or weights: each
     (in, out, weight) triple becomes a synthetic label, the machine is
@@ -349,40 +372,68 @@ def compact_transducer(t, deadline=None):
     straight to `minimize`, whose canonical numbering makes the result
     the same.
 
-    The labels number the distinct triples in sorted order, so the result
-    depends only on the encoded language, never on the order of t's arcs.
-    A zero-weight arc that is epsilon on both tapes becomes an acceptor
-    epsilon, which `determinize`'s closures absorb. Only where an ε:ε arc
-    or a final state carries a weight does ``fsm.remove_epsilon`` run
-    first: the encoding would keep one path per weight where ε-removal
-    keeps the least, so the result would be correct but larger."""
-    triples = set(map(_label_weight, t.arcs))
-    if any(t.finals.values()) or any(i == EPS and o == EPS and w
-                                     for i, o, w in triples):
+    The labels number the distinct triples in sorted order, a -0.0 weight
+    read as 0.0, so the result depends only on the encoded language,
+    never on the order of t's arcs. A zero-weight arc that is epsilon on
+    both tapes becomes an acceptor epsilon, which `determinize`'s closures
+    absorb. Only where an ε:ε arc or a final state carries a weight does
+    ``fsm.remove_epsilon`` run first: the encoding would keep one path per
+    weight where ε-removal keeps the least, so the result would be
+    correct but larger.
+
+    Labels that occur only on identity arcs x:x, with as many arcs and
+    the same (source, weight, target) triples (-0.0 == 0.0, so the sign
+    of a zero weight never splits them), form a block. Swapping two
+    members leaves the encoded language unchanged, so only the least
+    member, the block's representative, is encoded, and its arcs are
+    widened back to every member after decoding, each state's arcs in
+    (in, out, weight) order. The representative's triples come first of
+    its block's in that order, so `minimize`'s BFS numbers the states as
+    on the full encoding, and the machine is the same: the identity
+    copies of the symbols a rule never mentions cost one label, not
+    |Σ|."""
+    ident, mixed = _identity_arcs(t.arcs)
+    if any(t.finals.values()) or any(w for _, w, _ in ident[EPS]):
         t = fsm.remove_epsilon(t)
-        triples = set(map(_label_weight, t.arcs))
-    # Nonzero final weights would be lost by the unweighted encoding; move
-    # them onto entry arcs of a fresh super-final state first.
-    if any(t.finals.values()):
-        sf = t.num_states
-        entries = [(q, EPS, EPS, w, sf) for q, w in t.finals.items()]
-        triples.update(map(_label_weight, entries))
-        t = Transducer(t.num_states + 1, t.initial, {sf: 0.0},
-                       t.arcs + tuple(entries))
+        # Nonzero final weights would be lost by the unweighted encoding;
+        # move them onto entry arcs of a fresh super-final state first.
+        if any(t.finals.values()):
+            sf = t.num_states
+            entries = [(q, EPS, EPS, w, sf) for q, w in t.finals.items()]
+            t = Transducer(t.num_states + 1, t.initial, {sf: 0.0},
+                           t.arcs + tuple(entries))
+        ident, mixed = _identity_arcs(t.arcs)
+    # keyed by the count too: a member that repeats an arc makes the full
+    # encoding no DFA, and the reduced encoding determinizes exactly when
+    # the full one would
+    blocks = {}
+    for l in sorted(ident.keys() - mixed):
+        seen = ident[l]
+        blocks.setdefault((frozenset(seen), len(seen)), []).append(l)
+    widen = {b[0]: b for b in blocks.values() if len(b) > 1}
+    arcs = t.arcs
+    if widen:
+        drop = {x for members in widen.values() for x in members[1:]}
+        arcs = [a for a in arcs if a[1] not in drop]
     # a zero-weight eps:eps arc encodes as epsilon (label 0), every other
     # triple as its rank among the distinct triples; (EPS, EPS, 0.0) is
     # the least, as weights are non-negative
+    triples = {(i, o, w + 0.0) for i, o, w in set(map(_label_weight, arcs))}
     decode = sorted(triples | {(EPS, EPS, 0.0)})
     codes = {key: lab for lab, key in enumerate(decode)}
     enc = Automaton(t.num_states, t.initial, {q: 0.0 for q in t.finals},
-                    [(a[0], codes[a[1:4]], 0.0, a[4]) for a in t.arcs])
+                    [(a[0], codes[a[1:4]], 0.0, a[4]) for a in arcs])
     # minimize's `_dfa_out` refuses an encoding that is not yet a DFA
     try:
         m = minimize(enc, deadline=deadline)
     except NotDeterministicError:
         m = minimize(determinize(enc, deadline=deadline), deadline=deadline)
-    out_arcs = []
-    for s, lab, _, d in m.arcs:
-        i, o, w = decode[lab]
-        out_arcs.append((s, i, o, w, d))
+    expand = [[(x, x, w) for x in widen[i]] if i in widen else [(i, o, w)]
+              for i, o, w in decode]
+    out_arcs = [(s, *x, d) for s, lab, _, d in m.arcs for x in expand[lab]]
+    if widen:
+        # m lists its states' arcs in ascending state order, each state's
+        # in code order, that is (in, out, weight) order; sorting places
+        # the members' arcs among them
+        out_arcs.sort()
     return Transducer(m.num_states, m.initial, m.finals, out_arcs)

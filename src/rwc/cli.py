@@ -14,7 +14,8 @@ compiler on every string up to the length bound; it exits 2 with
 counterexamples on any mismatch. Each rule is compiled and swept over one
 representative per block of symbols it alone cannot tell apart, as
 `compile` compiles it, which decides every string over the alphabet; the
---against comparison sweeps the full alphabet. It refuses (exit 1) a
+--against comparison composes those machines, compiling no rule again,
+and sweeps the full alphabet. It refuses (exit 1) a
 sweep of more than CHECK_BUDGET input strings over the full alphabet.
 `compile` and `check` given --deadline-ms exit 1 with E_TIMEOUT once that
 many milliseconds of wall time have passed.
@@ -81,7 +82,7 @@ def cmd_apply(args):
     return 0
 
 
-def _check_one_rule(idx, rule, alphabet, max_len, deadline=None):
+def _check_one_rule(idx, rule, alphabet, max_len, machines, deadline=None):
     """Oracle equivalence and KK cross-check for one rule; returns a list
     of failure strings. The rule is compiled, run through the oracle and
     the KK compiler, and swept over one representative per block of
@@ -90,9 +91,13 @@ def _check_one_rule(idx, rule, alphabet, max_len, deadline=None):
     every string over the alphabet. So the strings counted and the
     counterexamples reported are over the representatives. The compiled
     rule's relation is swept once and serves both comparisons, and a KK
-    machine identical to the compiled one is not swept at all."""
+    machine identical to the compiled one is not swept at all. The
+    compiled machine is stored in the dict `machines` under (the rule
+    over its blocks, their representatives' names), the pair
+    `compile_ruleset` compiles it from."""
     rule, alphabet, _ = compiler.rule_over_blocks(rule, alphabet)
     cr = compiler.compile_rule(rule, alphabet, deadline=deadline)
+    machines[rule, alphabet.symbols] = cr.transducer
     orc = oracle.RewriteOracle(rule, alphabet)
     rel = oracle._relation(cr.transducer, alphabet.sigma(), max_len,
                            deadline=deadline)
@@ -143,16 +148,21 @@ def cmd_check(args):
     alphabet = ruleset.alphabet
     _check_budget(alphabet.n, args.max_len)
     failures = []
+    machines = {}
     for idx, rule in enumerate(ruleset.rules):
         failures.extend(_check_one_rule(idx, rule, alphabet, args.max_len,
-                                        deadline))
+                                        machines, deadline))
     if args.against:
         t, alpha2 = textio.read_transducer(args.against)
         if alpha2.symbols != alphabet.symbols:
             failures.append("--against machine declares a different "
                             "alphabet")
         else:
-            composed = compiler.compile_ruleset(ruleset, deadline=deadline)
+            # the rules' machines, compiled once by _check_one_rule
+            composed = compiler.compile_ruleset(
+                ruleset, deadline=deadline,
+                compile_one=lambda rule, small, compact, deadline:
+                machines[rule, small.symbols])
             rep = oracle.equivalent_on(composed, t, alphabet, args.max_len,
                                        deadline=deadline)
             print(f"ruleset vs {args.against}: "

@@ -827,10 +827,10 @@ def machine_fields(m):
 
 def reference_cascade(rule, alphabet, compact=True):
     """(((r ∘ f) ∘ replace) ∘ l1) ∘ l2 from the five public builders,
-    compacted unless `compact` is False."""
+    compacted over every label by `reference_compact_transducer` unless
+    `compact` is False."""
     from rwc import compiler as C
     from rwc import fsm
-    from rwc.boolean_ops import compact_transducer
     from rwc.rulespec import series_to_wfsa
     t = fsm.compose(C.build_r(rule.rho, alphabet),
                     C.build_f(rule.phi, alphabet))
@@ -839,7 +839,7 @@ def reference_cascade(rule, alphabet, compact=True):
               C.build_l1(rule.lam, alphabet),
               C.build_l2(rule.lam, alphabet)):
         t = fsm.compose(t, m)
-    return compact_transducer(t) if compact else t
+    return reference_compact_transducer(t) if compact else t
 
 
 # ---------------------------------------------------------------------------
@@ -850,10 +850,10 @@ def reference_cascade(rule, alphabet, compact=True):
 def reference_ruleset(ruleset, compact=True):
     """compile_ruleset's left fold over the block representatives, with
     every rule compiled over all of the file's representatives and the
-    fold compacted after each composition."""
+    fold compacted over every label (`reference_compact_transducer`)
+    after each composition."""
     from rwc import compiler as C
     from rwc import fsm
-    from rwc.boolean_ops import compact_transducer
     alphabet = ruleset.alphabet
     blocks = C.symbol_blocks(ruleset)
     rep = {x: block[0] for block in blocks for x in block}
@@ -864,7 +864,7 @@ def reference_ruleset(ruleset, compact=True):
                         for ast in (rule.phi, rule.psi, rule.lam, rule.rho)))
         t = fsm.compose(t, C.compile_rule(rule, reduced, compact).transducer)
         if compact:
-            t = compact_transducer(t)
+            t = reference_compact_transducer(t)
     members = [(EPS,)] + [alphabet.ids_of(block) for block in blocks]
     return C._expand(t, members, reduced)
 
@@ -900,26 +900,29 @@ def reference_format_machine(m, alphabet):
 
 
 # ---------------------------------------------------------------------------
-# Reference compaction: compact_transducer running the subset construction
-# even on an encoding that is already a DFA
+# Reference compaction: compact_transducer encoding every label and running
+# the subset construction even on an encoding that is already a DFA
 # ---------------------------------------------------------------------------
 
 def reference_compact_transducer(t):
-    """compact_transducer with determinize always run on the encoding."""
-    from rwc.boolean_ops import _label_weight, determinize, minimize
+    """compact_transducer over every label, with determinize always run
+    on the encoding: no label blocks and no skipped subset construction.
+    A -0.0 weight reads as 0.0."""
+    from rwc.boolean_ops import determinize, minimize
     from rwc.fsm import Automaton, Transducer
-    triples = set(map(_label_weight, t.arcs))
+
+    def triples(arcs):
+        return {(i, o, w + 0.0) for _, i, o, w, _ in arcs}
+
     if any(t.finals.values()) or any(i == EPS and o == EPS and w
-                                     for i, o, w in triples):
+                                     for i, o, w in triples(t.arcs)):
         t = fsm.remove_epsilon(t)
-        triples = set(map(_label_weight, t.arcs))
     if any(t.finals.values()):
         sf = t.num_states
         entries = [(q, EPS, EPS, w, sf) for q, w in t.finals.items()]
-        triples.update(map(_label_weight, entries))
         t = Transducer(t.num_states + 1, t.initial, {sf: 0.0},
                        t.arcs + tuple(entries))
-    decode = sorted(triples | {(EPS, EPS, 0.0)})
+    decode = sorted(triples(t.arcs) | {(EPS, EPS, 0.0)})
     codes = {key: lab for lab, key in enumerate(decode)}
     enc = Automaton(t.num_states, t.initial, {q: 0.0 for q in t.finals},
                     [(a[0], codes[a[1:4]], 0.0, a[4]) for a in t.arcs])

@@ -435,11 +435,11 @@ def test_compact_preserves_compiled_rule_relations():
 def transducer_and_shuffled_copy(draw):
     """A weighted transducer with ε on either tape or both, repeated
     (in, out, weight) triples and weighted finals, and the same machine
-    with its arcs in another order."""
+    with its arcs in another order. A zero weight may be -0.0."""
     n = draw(st.integers(1, 5))
     state = st.integers(0, n - 1)
     label = st.sampled_from((fsm.EPS,) + ABC.sigma())
-    weight = st.sampled_from((0.0, 0.5, 1.25))
+    weight = st.sampled_from((0.0, -0.0, 0.5, 1.25))
     arcs = draw(st.lists(st.tuples(state, label, label, weight, state),
                          min_size=1, max_size=12))
     finals = draw(st.dictionaries(state, weight, min_size=1))
@@ -502,5 +502,73 @@ def test_compact_skips_determinize_on_an_encoded_dfa(case):
     with count_ops() as ops:
         c = compact_transducer(t)
     assert ops["determinize"] == (not encoded_dfa)
+    assert format_machine(c, ABC) == \
+        format_machine(reference_compact_transducer(t), ABC)
+
+
+ABCDEF = Alphabet(["a", "b", "c", "d", "e", "f"])
+
+
+@st.composite
+def transducer_with_copied_identities(draw):
+    """A weighted transducer over a and b, ε on either tape or both, whose
+    identity arcs on one label are copied onto 1-3 of the fresh labels c
+    to f, so that those labels form a block with it. Then near misses, as
+    drawn: a copy with one arc of another weight, one arc fewer or one
+    arc twice, a copy that also occurs on a non-identity arc, and a copy
+    whose zero weights are -0.0."""
+    n = draw(st.integers(1, 4))
+    state = st.integers(0, n - 1)
+    label = st.sampled_from((fsm.EPS,) + ABCDEF.ids_of(["a", "b"]))
+    weight = st.sampled_from((0.0, 0.5, 1.25))
+    arcs = draw(st.lists(st.tuples(state, label, label, weight, state),
+                         min_size=1, max_size=10))
+    src = draw(st.sampled_from(ABCDEF.ids_of(["a", "b"])))
+    arcs += [(s, src, src, draw(weight), d) for s, d in
+             draw(st.lists(st.tuples(state, state), min_size=1, max_size=3))]
+    ident = [a for a in arcs if a[1] == a[2] == src]
+    fresh = draw(st.lists(st.sampled_from(ABCDEF.ids_of(["c", "d", "e",
+                                                         "f"])),
+                          min_size=1, max_size=3, unique=True))
+    for x in fresh:
+        copies = [(s, x, x, w, d) for s, _, _, w, d in ident]
+        miss = draw(st.sampled_from(("none", "weight", "fewer", "twice",
+                                     "mixed", "signed")))
+        k = draw(st.integers(0, len(copies) - 1))
+        s, _, _, w, d = copies[k]
+        if miss == "weight":
+            copies[k] = (s, x, x, 2.0 if w else 0.5, d)
+        elif miss == "fewer":
+            del copies[k]
+        elif miss == "twice":
+            copies.append(copies[k])
+        elif miss == "mixed":
+            copies.append((s, x, draw(label), w, d))
+        elif miss == "signed":
+            copies = [(s, x, x, w or -0.0, d) for s, x, x, w, d in copies]
+        arcs += copies
+    finals = draw(st.dictionaries(state, st.sampled_from((0.0, 0.75)),
+                                  min_size=1))
+    return fsm.Transducer(n, draw(state), finals,
+                          draw(st.permutations(arcs)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(transducer_with_copied_identities())
+def test_compact_over_label_blocks_equals_reference(t):
+    # reading the copies as one block changes nothing in the machine
+    assert format_machine(compact_transducer(t), ABCDEF) == \
+        format_machine(reference_compact_transducer(t), ABCDEF)
+
+
+def test_compact_block_member_with_a_repeated_arc_is_determinized():
+    # b's arcs are a's with one of them twice: the full encoding is no
+    # DFA, so b is no block mate of a, and the subset construction runs
+    a, b = ABC.ids_of(["a", "b"])
+    t = fsm.Transducer(2, 0, {1: 0.0}, [(0, a, a, 0.0, 1), (0, b, b, 0.0, 1),
+                                        (0, b, b, 0.0, 1)])
+    with count_ops() as ops:
+        c = compact_transducer(t)
+    assert ops["determinize"] == 1
     assert format_machine(c, ABC) == \
         format_machine(reference_compact_transducer(t), ABC)

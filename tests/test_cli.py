@@ -531,6 +531,57 @@ def test_check_sweeps_each_relation_once(tmp_path, capsys, monkeypatch):
     assert "ruleset vs" in out and "all checks passed" in out
 
 
+FOUR_BLOCKS = ("alphabet: a b c d e ;\n"
+               "a -> b / c _ ;\n"
+               "b -> <0.5> c + a ;\n"
+               "a -> e / _ d ;\n")
+
+
+@pytest.mark.parametrize("reweight", [False, True])
+def test_check_against_compiles_each_rule_once(reweight, tmp_path, capsys,
+                                               monkeypatch):
+    # the composed set is built from the 3 machines the rule checks
+    # compiled, each over its own blocks (d and e share one for rule 0):
+    # 3 compile_rule calls, where compiling the set again took 6, and the
+    # verdict and counterexamples of composing freshly compiled rules
+    rules = tmp_path / "four.rules"
+    rules.write_text(FOUR_BLOCKS)
+    fst = tmp_path / "four.fst"
+    assert main(["compile", str(rules), "-o", str(fst)]) == 0
+    if reweight:
+        lines = fst.read_text().splitlines()
+        k = next(i for i, ln in enumerate(lines) if ln.startswith("arc "))
+        parts = lines[k].split()
+        parts[-1] = repr(float(parts[-1]) + 7.0)
+        lines[k] = " ".join(parts)
+        fst.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    calls = []
+    compile_rule = C.compile_rule
+    monkeypatch.setattr(C, "compile_rule", lambda rule, *args, **kwargs:
+                        calls.append(rule) or compile_rule(rule, *args,
+                                                           **kwargs))
+    assert main(["check", str(rules), "--max-len", "3",
+                 "--against", str(fst)]) == 2 * reweight
+    assert len(calls) == 3
+    out, err = capsys.readouterr()
+    assert out == "".join(
+        f"rule {i}: oracle equivalence on {n} strings: ok\n"
+        f"rule {i}: kk cross-check: ok\n" for i, n in enumerate((85, 85, 85))
+    ) + f"ruleset vs {fst}: {'FAIL' if reweight else 'ok'}\n" + (
+        "" if reweight else "all checks passed\n")
+    monkeypatch.setattr(C, "compile_rule", compile_rule)
+    ruleset = R.parse_rule_file(FOUR_BLOCKS)
+    rep = oracle.equivalent_on(C.compile_ruleset(ruleset),
+                               textio.read_transducer(str(fst))[0],
+                               ruleset.alphabet, 3)
+    assert rep.equivalent is not reweight
+    assert err == "".join(
+        [f"{len(rep.counterexamples)} failure(s):\n"] * reweight +
+        [f"  against: mismatch on {u!r}: {a!r} vs {b!r}\n"
+         for u, a, b in rep.counterexamples])
+
+
 def test_check_sweeps_rule_blocks_and_full_alphabet_against(capsys,
                                                              monkeypatch):
     # nasal's rule tells apart 5 blocks of its 6 symbols (b and p share
