@@ -180,7 +180,7 @@ def determinize(a, deadline=None):
         labels, pos = lp
         arcs.extend(zip(repeat(cur_id), labels, repeat(0.0),
                         map(tids.__getitem__, pos)))
-    return Automaton(len(order), 0, finals, arcs)
+    return Automaton._built(len(order), 0, finals, arcs)
 
 
 def is_complete(d, labels):
@@ -230,7 +230,8 @@ def complement(d, labels):
     if missing:
         missing.extend((sink, l, 0.0, sink) for l in labels)
         finals[sink] = 0.0
-    return Automaton(sink + bool(missing), initial, finals, [*arcs, *missing])
+    return Automaton._built(sink + bool(missing), initial, finals,
+                            [*arcs, *missing])
 
 
 def intersect(a, b, deadline=None):
@@ -292,7 +293,7 @@ def minimize(d, deadline=None):
     # every state is accessible, so the initial state reaches a final
     # whenever there is one
     if not d.finals:
-        return Automaton(1, 0, {}, ())
+        return Automaton._built(1, 0, {}, ())
     n = d.num_states
     into = [[] for _ in range(n)]
     for q, o in enumerate(out):
@@ -346,7 +347,7 @@ def minimize(d, deadline=None):
                 order[t] = len(order)
                 queue.append(t)
             arcs.append((cid, l, 0.0, order[t]))
-    return Automaton(len(order), 0, finals, arcs)
+    return Automaton._built(len(order), 0, finals, arcs)
 
 
 def _identity_arcs(arcs):
@@ -400,8 +401,8 @@ def compact_transducer(t, deadline=None):
         if any(t.finals.values()):
             sf = t.num_states
             entries = [(q, EPS, EPS, w, sf) for q, w in t.finals.items()]
-            t = Transducer(t.num_states + 1, t.initial, {sf: 0.0},
-                           t.arcs + tuple(entries))
+            t = Transducer._built(t.num_states + 1, t.initial, {sf: 0.0},
+                                  t.arcs + tuple(entries))
         ident, mixed = _identity_arcs(t.arcs)
     # keyed by the count too: a member that repeats an arc makes the full
     # encoding no DFA, and the reduced encoding determinizes exactly when
@@ -421,8 +422,9 @@ def compact_transducer(t, deadline=None):
     triples = {(i, o, w + 0.0) for i, o, w in set(map(_label_weight, arcs))}
     decode = sorted(triples | {(EPS, EPS, 0.0)})
     codes = {key: lab for lab, key in enumerate(decode)}
-    enc = Automaton(t.num_states, t.initial, {q: 0.0 for q in t.finals},
-                    [(a[0], codes[a[1:4]], 0.0, a[4]) for a in arcs])
+    enc = Automaton._built(t.num_states, t.initial,
+                           {q: 0.0 for q in t.finals},
+                           [(a[0], codes[a[1:4]], 0.0, a[4]) for a in arcs])
     # minimize's `_dfa_out` refuses an encoding that is not yet a DFA
     try:
         m = minimize(enc, deadline=deadline)
@@ -436,4 +438,4 @@ def compact_transducer(t, deadline=None):
         # in code order, that is (in, out, weight) order; sorting places
         # the members' arcs among them
         out_arcs.sort()
-    return Transducer(m.num_states, m.initial, m.finals, out_arcs)
+    return Transducer._built(m.num_states, m.initial, m.finals, out_arcs)

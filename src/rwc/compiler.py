@@ -187,8 +187,8 @@ def _tau_l(lam_dfa, alphabet):
     lb2 = alphabet.lb2
     loops = [(q, lb2, EPS, 0.0, q) for q in range(tau.num_states)
              if q not in lam_dfa.finals]
-    return Transducer(tau.num_states, tau.initial, tau.finals,
-                      tau.arcs + tuple(loops))
+    return Transducer._built(tau.num_states, tau.initial, tau.finals,
+                             tau.arcs + tuple(loops))
 
 
 def assert_no_markers(t, alphabet):
@@ -263,7 +263,7 @@ def _expand(t, members, reduced):
             raise AssertionError("block representative "
                                  f"{reduced.name_of(o)} is an output only")
         arcs.extend((s, x, members[o][0], w, d) for x in members[i])
-    return Transducer(t.num_states, t.initial, t.finals, arcs)
+    return Transducer._built(t.num_states, t.initial, t.finals, arcs)
 
 
 def _renamed(rule, blocks):

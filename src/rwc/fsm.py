@@ -3,9 +3,16 @@ and the elementary constructions everything else builds on (regex-style
 combinators, identity, cross product, reversal, epsilon removal,
 trimming, weighted composition).
 
-Acceptors and transducers share one validating base class and one arc
-index by state and label (``in_index``); reversal, epsilon removal and
-trimming take either kind. ``_eps_closures`` is the one epsilon-closure
+Acceptors and transducers share one base class and one arc index by
+state and label (``in_index``); reversal, epsilon removal and trimming
+take either kind. ``Automaton(...)`` and ``Transducer(...)``, and so the
+FST reader, validate every arc. A kernel derives its arcs from validated
+machines and builds through ``_Machine._built``, which checks only the
+finals: reversal, epsilon removal, trimming, composition, identity,
+determinization, complementation, intersection, minimization,
+compaction, the markers, the λ filter and rule-set expansion.
+Composition checks the sums on the arcs it keeps, epsilon removal those
+on its arcs and finals. ``_eps_closures`` is the one epsilon-closure
 routine, and determinization reuses it; it runs ``_distances``, the one
 shortest-distance routine, which the oracle's n-best search runs too.
 ``_reachable`` is the one reachability pass: ``trim`` runs it forward
@@ -15,11 +22,11 @@ accessible by construction, run only the backward pass (through
 
 Weights live in the tropical semiring (min, +) over finite non-negative
 64-bit floats; ``math.inf`` plays the role of the absorbing "no path"
-value and never appears on an arc or a final state: a constructor
-refuses it as a sum past the float range (E_WEIGHT_OVERFLOW). Machines are
-immutable once constructed: an operation returns a new machine, or its
-input when there is nothing to change, so machines can be shared freely
-between threads.
+value and never appears on an arc or a final state: it is refused as a
+sum past the float range (E_WEIGHT_OVERFLOW). Machines are immutable
+once constructed, their per-state arc indexes tuples: an operation
+returns a new machine, or its input when there is nothing to change, so
+machines can be shared freely between threads.
 
 Labels are plain ints. 0 is epsilon; an :class:`Alphabet` assigns
 1..n to the user symbols and the next three ids to the rewrite markers
@@ -31,6 +38,7 @@ import math
 import time
 from collections import deque
 from heapq import heapify, heappush, heappop
+from itertools import groupby
 from operator import itemgetter
 
 from .errors import (DeadlineExceeded, EmptyLanguageError,
@@ -136,6 +144,7 @@ class Alphabet:
 
 
 _weight = itemgetter(-2)
+_src = itemgetter(0)
 _ends = itemgetter(0, -1)
 _dst = itemgetter(-1)
 
@@ -153,7 +162,9 @@ class _Machine:
     first element is the source state, last the destination and
     second-to-last the weight. Weights are finite and non-negative.
     `weighted` is derived, never declared: it is True exactly when some
-    arc or final weight is nonzero (-0.0 counts as zero)."""
+    arc or final weight is nonzero (-0.0 counts as zero). The public
+    constructors check every arc and final; the kernels' `_built` checks
+    only the finals (see the module docstring)."""
 
     __slots__ = ("num_states", "initial", "finals", "arcs", "weighted", "_out",
                  "_in_idx")
@@ -161,9 +172,22 @@ class _Machine:
     def __init__(self, num_states, initial, finals, arcs):
         if not (0 <= initial < num_states):
             raise ValueError("initial state out of range")
-        finals = dict(finals)
         arcs = tuple(arcs)
         self._check_arcs(arcs, num_states)
+        self._fill(num_states, initial, finals, arcs)
+
+    @classmethod
+    def _built(cls, num_states, initial, finals, arcs):
+        """The machine of these fields, for a kernel that derived its arcs
+        from validated machines. Only the final states and weights are
+        checked, so a kernel that adds weights on arcs checks those sums
+        itself (E_WEIGHT_OVERFLOW)."""
+        m = object.__new__(cls)
+        m._fill(num_states, initial, finals, tuple(arcs))
+        return m
+
+    def _fill(self, num_states, initial, finals, arcs):
+        finals = dict(finals)
         for q, w in finals.items():
             if not (0 <= q < num_states):
                 raise ValueError("final state out of range")
@@ -179,29 +203,28 @@ class _Machine:
         self._in_idx = None
 
     def out_arcs(self, state):
-        if self._out is None:
-            out = [[] for _ in range(self.num_states)]
-            for a in self.arcs:
-                out[a[0]].append(a)
-            self._out = out
-        return self._out[state]
+        """Outgoing arcs of `state`, a tuple in arc order; built for every
+        state on first use."""
+        out = self._out
+        if out is None:
+            out = self._out = [()] * self.num_states
+            # a run of arcs from one source joins that source's tuple
+            for s, run in groupby(self.arcs, _src):
+                out[s] += tuple(run)
+        return out[state]
 
     def in_index(self, state):
         """Outgoing arcs of `state` grouped by their (input) label a[1], as
-        label -> [arc, ...] in arc order; one index for both machine
+        label -> (arc, ...) in arc order; one index for both machine
         kinds, built per state on first use."""
         if self._in_idx is None:
             self._in_idx = [None] * self.num_states
         d = self._in_idx[state]
         if d is None:
-            d = {}
+            d = self._in_idx[state] = {}
             for a in self.out_arcs(state):
                 e = d.get(a[1])
-                if e is None:
-                    d[a[1]] = [a]
-                else:
-                    e.append(a)
-            self._in_idx[state] = d
+                d[a[1]] = (a,) if e is None else e + (a,)
         return d
 
     def __repr__(self):
@@ -219,7 +242,8 @@ class Automaton(_Machine):
 
     @staticmethod
     def _check_arcs(arcs, num_states):
-        # unpacking, not indexing: this loop runs over every arc built
+        # unpacking, not indexing: the builders and the FST reader run
+        # this loop over every arc
         for s, l, w, d in arcs:
             if not (0 <= s < num_states and 0 <= d < num_states
                     and 0.0 <= w < INF):
@@ -367,7 +391,7 @@ def aut_weighted(w, a):
 def id_transducer(a):
     """Identity relation restricted to L(a); weights preserved."""
     arcs = tuple((s, l, l, w, d) for s, l, w, d in a.arcs)
-    return Transducer(a.num_states, a.initial, a.finals, arcs)
+    return Transducer._built(a.num_states, a.initial, a.finals, arcs)
 
 
 def cross_product(phi, psi, pad_out=EPS):
@@ -423,7 +447,7 @@ def reverse(m):
     eps = (EPS,) * m.tapes
     arcs = [(a[-1], *a[1:-1], a[0]) for a in m.arcs]
     arcs.extend((init, *eps, w, q) for q, w in m.finals.items())
-    return type(m)(init + 1, init, {m.initial: 0.0}, arcs)
+    return type(m)._built(init + 1, init, {m.initial: 0.0}, arcs)
 
 
 def _distances(start, succ):
@@ -458,30 +482,34 @@ def remove_epsilon(m):
     """Equivalent acceptor or transducer with no epsilon arcs, i.e. no
     arcs whose every label is epsilon (a transducer keeps its one-sided
     epsilon arcs). Weights combine by + along epsilon paths and by min
-    across alternatives."""
+    across alternatives. A sum past the float range, on an arc or a
+    final state, raises E_WEIGHT_OVERFLOW."""
     # a[1] and a[-3] are the one label of an acceptor arc, and the two
     # labels of a transducer arc
     if not any(a[1] == EPS and a[-3] == EPS for a in m.arcs):
         return m
-    eps_from = [[] for _ in range(m.num_states)]
-    real_from = [[] for _ in range(m.num_states)]
+    # a super-final node n, reached from each final state q along its final
+    # weight: a state's closure distance to n is its final weight
+    n = m.num_states
+    eps_from = [[] for _ in range(n + 1)]
+    real_from = [[] for _ in range(n + 1)]
+    for q, w in m.finals.items():
+        eps_from[q].append((w, n))
     for a in m.arcs:
         if a[1] == EPS and a[-3] == EPS:
             eps_from[a[0]].append((a[-2], a[-1]))
         else:
             real_from[a[0]].append((a[1:-2], a[-2], a[-1]))
-    closures = _eps_closures(m.num_states, eps_from)
+    closures = _eps_closures(n, eps_from)
     arcs = []
-    finals = {}
-    for s in range(m.num_states):
+    for s in range(n):
         for t, dcost in closures[s].items():
             for labels, w, d in real_from[t]:
                 arcs.append((s, *labels, dcost + w, d))
-            if t in m.finals:
-                fw = dcost + m.finals[t]
-                if fw < finals.get(s, INF):
-                    finals[s] = fw
-    return type(m)(m.num_states, m.initial, finals, arcs)
+    if INF in map(_weight, arcs):
+        raise WeightOverflowError("an arc weight is past the float range")
+    finals = {s: c[n] for s, c in enumerate(closures) if n in c}
+    return type(m)._built(n, m.initial, finals, arcs)
 
 
 def _reachable(starts, adj):
@@ -506,9 +534,9 @@ def _restrict(cls, n, initial, finals, arcs, live):
     state must be live whenever any state is."""
     keep = [q for q in range(n) if live[q]]
     if len(keep) == n:
-        return cls(n, initial, finals, arcs)
+        return cls._built(n, initial, finals, arcs)
     if not keep:
-        return cls(1, 0, {}, ())
+        return cls._built(1, 0, {}, ())
     remap = {q: i for i, q in enumerate(keep)}
     # unpacking, not slicing: this runs over every arc of a product
     if cls.tapes == 1:
@@ -518,7 +546,7 @@ def _restrict(cls, n, initial, finals, arcs, live):
         arcs = [(remap[s], i, o, w, remap[d]) for s, i, o, w, d in arcs
                 if s in remap and d in remap]
     finals = {remap[q]: w for q, w in finals.items() if q in remap}
-    return cls(len(keep), remap[initial], finals, arcs)
+    return cls._built(len(keep), remap[initial], finals, arcs)
 
 
 def _product(cls, finals, arcs, ends):
@@ -595,8 +623,9 @@ def compose(t1, t2, deadline=None):
     epsilon, 2 = only t2 may keep moving on its input epsilon. A matched
     real symbol resets to 0; a paired epsilon move is allowed only from 0.
     States are numbered in BFS discovery order and the result is trim.
-    Raises E_WEIGHT_OVERFLOW, from the machine's constructor, when the
-    weights of a kept arc or final state add up past the float range.
+    Raises E_WEIGHT_OVERFLOW when the weights of a kept arc or final
+    state add up past the float range; an arc into a dropped state raises
+    nothing.
     """
     # a state (q1, q2, filter) is keyed by (q1 * n2 + q2) * 3 + filter, and
     # numbered by its position in `keys`, the FIFO of discovered states;
@@ -656,4 +685,8 @@ def compose(t1, t2, deadline=None):
                     keys.append(k)
                 arcs.append((cur, EPS, c, w2, nid))
         ends.append(len(arcs))
-    return _product(Transducer, finals, arcs, ends)
+    m = _product(Transducer, finals, arcs, ends)
+    # only two nonzero weights can add up past the float range
+    if t1.weighted and t2.weighted and INF in map(_weight, m.arcs):
+        raise WeightOverflowError("an arc weight is past the float range")
+    return m

@@ -83,7 +83,7 @@ def marker(alpha, spec, working_labels):
                 arcs.append((q, m, EPS, 0.0, q2))
         finals = {q: 0.0 for q in range(n) if q not in finals_in}
         finals.update({q2: 0.0 for q2 in copy_of.values()})
-        out = Transducer(nxt, aut.initial, finals, arcs)
+        out = Transducer._built(nxt, aut.initial, finals, arcs)
     else:
         # TYPE 2 deletes the marker at the final states, TYPE 3 elsewhere
         mark, = spec.deletions
@@ -91,7 +91,8 @@ def marker(alpha, spec, working_labels):
         arcs = [(s, l, l, 0.0, t) for s, l, _, t in aut.arcs]
         arcs.extend((q, mark, EPS, 0.0, q) for q in range(n)
                     if (q in finals_in) == at_finals)
-        out = Transducer(n, aut.initial, {q: 0.0 for q in range(n)}, arcs)
+        out = Transducer._built(n, aut.initial, {q: 0.0 for q in range(n)},
+                                arcs)
 
     _assert_size_bound(aut, spec, out)
     return out

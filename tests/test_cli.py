@@ -244,6 +244,24 @@ def test_compile_32_rule_file_is_golden(tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == golden["sha256"]
 
 
+@pytest.mark.parametrize("algorithm", ["new", "kk"])
+@pytest.mark.parametrize("rules", [DEMOS / "nasal.rules",
+                                   DEMOS / "chain.rules",
+                                   GOLDEN / "phonology194.rules"],
+                         ids=lambda p: p.stem)
+def test_compile_no_compact_is_golden(rules, algorithm, tmp_path, capsys):
+    # the uncompacted machines: compaction would hide a change in the
+    # products and ε:ε arcs it canonicalises
+    out = tmp_path / "loose.fst"
+    assert main(["compile", str(rules), "--no-compact", "--algorithm",
+                 algorithm, "-o", str(out)]) == 0
+    golden = json.loads((GOLDEN / "no_compact.json").read_text())
+    golden = golden[f"{rules.stem} {algorithm}"]
+    assert capsys.readouterr().out.startswith(
+        f"wrote {out}: states={golden['states']} arcs={golden['arcs']} ")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == golden["sha256"]
+
+
 def test_compile_kk_weighted_rule_writes_the_direct_bytes(rule9_file,
                                                           tmp_path, capsys):
     direct, baseline = tmp_path / "new.fst", tmp_path / "kk.fst"

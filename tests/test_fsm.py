@@ -323,6 +323,44 @@ def test_epsilon_closure_weight_overflow_is_a_coded_error():
         remove_epsilon(aut)
 
 
+@pytest.mark.parametrize("w", [1e308, 1e307])
+def test_remove_epsilon_sums_a_closure_and_an_arc(w):
+    # state 0's epsilon closure reaches state 1 at w, and 1's real arc
+    # costs w: the arc from 0 costs 2w
+    aut = Automaton(3, 0, {2: 0.0}, [(0, EPS, w, 1), (1, A, w, 2)])
+    t = Transducer(3, 0, {2: 0.0}, [(0, EPS, EPS, w, 1), (1, A, B, w, 2)])
+    for m in (aut, t):
+        if w == 1e308:
+            with pytest.raises(WeightOverflowError):
+                remove_epsilon(m)
+        else:
+            assert (0, *m.arcs[1][1:-2], 2 * w, 2) in remove_epsilon(m).arcs
+
+
+@pytest.mark.parametrize("w", [1e308, 1e307])
+def test_remove_epsilon_sums_a_closure_and_a_final_weight(w):
+    # state 0 reaches final state 1 at w, and 1's final weight is w
+    aut = Automaton(2, 0, {1: w}, [(0, EPS, w, 1)])
+    if w == 1e308:
+        with pytest.raises(WeightOverflowError):
+            remove_epsilon(aut)
+    else:
+        assert remove_epsilon(aut).finals == {0: 2 * w, 1: w}
+
+
+@pytest.mark.parametrize("w", [1e308, 1e307])
+def test_compose_sums_an_epsilon_pairing(w):
+    # t1's a:ε arc meets t2's ε:c arc; the paired a:c arc is the only one
+    # kept, so only the pairing branch adds the two weights
+    t1 = Transducer(2, 0, {1: 0.0}, [(0, A, EPS, w, 1)])
+    t2 = Transducer(2, 0, {1: 0.0}, [(0, EPS, C, w, 1)])
+    if w == 1e308:
+        with pytest.raises(WeightOverflowError):
+            compose(t1, t2)
+    else:
+        assert compose(t1, t2).arcs == ((0, A, C, 2 * w, 1),)
+
+
 def test_compose_with_identity_is_identity():
     rng = rng_for("compose-id")
     ident = id_transducer(remove_epsilon(aut_sigma_star(ABC.sigma())))

@@ -2,24 +2,32 @@
 determinization over label classes, and the products on integer state
 keys with one backward pass, must build the same machines, state for
 state and arc for arc. Each kernel that takes a deadline must also stop
-with E_TIMEOUT once it has expired."""
+with E_TIMEOUT once it has expired. The kernels build through
+``_Machine._built``, which checks no arc: the validating constructors
+must accept every machine they build, and build the same ones."""
 
+import pathlib
 import time
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rwc import fsm
+from rwc import compiler, fsm, kk
 from rwc import oracle as O
+from rwc.bench import bench_alphabet, bench_rule
 from rwc.boolean_ops import (compact_transducer, determinize, intersect,
                              minimize)
 from rwc.errors import DeadlineExceeded
 from rwc.fsm import EPS, Alphabet, Automaton, Deadline, Transducer
+from rwc.rulespec import parse_rule_file
+from rwc.textio import format_machine
 
-from .helpers import (machine_fields, reference_compose,
+from .helpers import (machine_fields, rand_ruleset_text, reference_compose,
                       reference_determinize, reference_intersect,
-                      reference_trim)
+                      reference_trim, rng_for)
+
+ROOT = pathlib.Path(__file__).parent.parent
 
 LABELS = (EPS, 1, 2, 3, 4)
 
@@ -149,3 +157,53 @@ def test_kernel_stops_at_an_expired_deadline(call):
     with pytest.raises(DeadlineExceeded) as e:
         call(deadline)
     assert e.value.code == "E_TIMEOUT"
+
+
+def _compiled_texts():
+    """The FST text of both demos, phonology194 and 20 random rule files,
+    each compiled with both algorithms, compacted and not, and of the
+    growth rules at 194 labels, direct for k = 0-10 and KK for k <= 4,
+    compacted and not."""
+    rng = rng_for("built-shortcut")
+    texts = [(ROOT / path).read_text() for path in (
+        "demos/nasal.rules", "demos/chain.rules",
+        "tests/golden/phonology194.rules")]
+    texts += [rand_ruleset_text(rng) for _ in range(20)]
+    out = []
+    for text in texts:
+        ruleset = parse_rule_file(text)
+        for algorithm in (compiler, kk):
+            for compact in (True, False):
+                m = compiler.compile_ruleset(
+                    ruleset, compact=compact,
+                    compile_one=algorithm.rule_transducer)
+                out.append(format_machine(m, ruleset.alphabet))
+    alphabet = bench_alphabet(194)
+    for family in ("left", "right"):
+        for k in range(11):
+            rule = bench_rule(family, k)
+            machines = [compiler.compile_rule(rule, alphabet,
+                                              compact=False).transducer]
+            if k <= 4:
+                machines.append(kk.kk_compile_rule(rule, alphabet).transducer)
+            for t in machines:
+                out += [format_machine(t, alphabet),
+                        format_machine(compact_transducer(t), alphabet)]
+    return out
+
+
+def test_kernels_build_machines_the_validating_constructors_accept(
+        monkeypatch):
+    # `_built` is only a shortcut: routed through the public constructors,
+    # which check every arc, the same compiles raise nothing and write the
+    # same text
+    want = _compiled_texts()
+    built = []
+
+    def validating(cls, num_states, initial, finals, arcs):
+        built.append(cls)
+        return cls(num_states, initial, finals, arcs)
+
+    monkeypatch.setattr(fsm._Machine, "_built", classmethod(validating))
+    assert _compiled_texts() == want
+    assert built
