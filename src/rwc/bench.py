@@ -22,6 +22,7 @@ timings are machine-dependent; only growth shapes are meaningful.
 
 import gc
 import time
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Optional
 
@@ -149,11 +150,8 @@ def run_bench(family, kmax, alphabet_size=194, deadline_ms=300_000,
                                    False))
         dfa_arcs = None
         if family == "right":
-            try:
-                _, dfa_arcs = kk.kk_rightcontext_probe(
-                    rule.rho, alphabet, deadline=Deadline(deadline_ms))
-            except DeadlineExceeded:
-                dfa_arcs = None
+            with suppress(DeadlineExceeded), Deadline(deadline_ms):
+                _, dfa_arcs = kk.kk_rightcontext_probe(rule.rho, alphabet)
         timeout = BenchRecord(family, k, "kk", float(deadline_ms), None,
                               None, dfa_arcs, True)
         if skip_after and kk_consecutive_timeouts >= skip_after:
@@ -162,9 +160,9 @@ def run_bench(family, kmax, alphabet_size=194, deadline_ms=300_000,
         ratios = []
         try:
             while len(ratios) < 5:
-                ns, ratio, compiled = _sample(
-                    refs, kk.kk_compile_rule, rule, alphabet,
-                    Deadline(deadline_ms))
+                with Deadline(deadline_ms):
+                    ns, ratio, compiled = _sample(refs, kk.kk_compile_rule,
+                                                  rule, alphabet)
                 ratios.append(ratio)
                 if ns >= 1e9:
                     break

@@ -87,7 +87,7 @@ def _dfa_out(aut):
     return out
 
 
-def determinize(a, deadline=None):
+def determinize(a):
     """Subset construction. Language preserved, result deterministic and
     accessible; no minimization.
 
@@ -148,8 +148,8 @@ def determinize(a, deadline=None):
         cur = order[head]
         cur_id = head
         head += 1
-        if deadline is not None and head % 64 == 0:
-            deadline.check()
+        if head % 64 == 0:
+            fsm.check_timeout()
         if not finals_in.isdisjoint(cur):
             finals[cur_id] = 0.0
         parts = {}
@@ -234,7 +234,7 @@ def complement(d, labels):
                             [*arcs, *missing])
 
 
-def intersect(a, b, deadline=None):
+def intersect(a, b):
     """Product construction; L = L(a) ∩ L(b). Inputs unweighted. States
     are numbered in BFS discovery order and the result is trim."""
     if a.weighted or b.weighted:
@@ -257,8 +257,8 @@ def intersect(a, b, deadline=None):
         p, q = divmod(keys[head], nb)
         cur = head
         head += 1
-        if deadline is not None and head % 256 == 0:
-            deadline.check()
+        if head % 256 == 0:
+            fsm.check_timeout()
         if p in a.finals and q in b.finals:
             finals[cur] = 0.0
         idx = b.in_index(q)
@@ -274,14 +274,13 @@ def intersect(a, b, deadline=None):
     return fsm._product(Automaton, finals, arcs, ends)
 
 
-def subtract(a, b, labels, deadline=None):
+def subtract(a, b, labels):
     """L(a) \\ L(b) over `labels`, via intersect(a, complement(det(b)))."""
     _tally.get()["subtract"] += 1
-    b_c = complement(determinize(b, deadline), labels)
-    return intersect(a, b_c, deadline)
+    return intersect(a, complement(determinize(b), labels))
 
 
-def minimize(d, deadline=None):
+def minimize(d):
     """Unique minimal partial DFA for L(d) (up to isomorphism): drop the
     states that reach no final, then Moore partition refinement. The first
     classes split on finality and on the labels of a state's own arcs; a
@@ -312,8 +311,7 @@ def minimize(d, deadline=None):
     n_classes = len(first)
     new_cls = [0] * n
     while True:
-        if deadline is not None:
-            deadline.check()
+        fsm.check_timeout()
         sigs = {}
         for q in states:
             sig = (cls[q], tuple(map(cls.__getitem__, dsts[q])))
@@ -365,7 +363,7 @@ def _identity_arcs(arcs):
     return ident, mixed
 
 
-def compact_transducer(t, deadline=None):
+def compact_transducer(t):
     """Shrink a transducer without changing its relation or weights: each
     (in, out, weight) triple becomes a synthetic label, the machine is
     determinized and minimized as an acceptor, then decoded. An encoding
@@ -427,9 +425,9 @@ def compact_transducer(t, deadline=None):
                            [(a[0], codes[a[1:4]], 0.0, a[4]) for a in arcs])
     # minimize's `_dfa_out` refuses an encoding that is not yet a DFA
     try:
-        m = minimize(enc, deadline=deadline)
+        m = minimize(enc)
     except NotDeterministicError:
-        m = minimize(determinize(enc, deadline=deadline), deadline=deadline)
+        m = minimize(determinize(enc))
     expand = [[(x, x, w) for x in widen[i]] if i in widen else [(i, o, w)]
               for i, o, w in decode]
     out_arcs = [(s, *x, d) for s, lab, _, d in m.arcs for x in expand[lab]]

@@ -17,8 +17,8 @@ representative per block of symbols it alone cannot tell apart, as
 --against comparison composes those machines, compiling no rule again,
 and sweeps the full alphabet. It refuses (exit 1) a
 sweep of more than CHECK_BUDGET input strings over the full alphabet.
-`compile` and `check` given --deadline-ms exit 1 with E_TIMEOUT once that
-many milliseconds of wall time have passed.
+`compile` and `check` given --deadline-ms run under one Deadline and exit 1
+with E_TIMEOUT once that many milliseconds of wall time have passed.
 Every subcommand exits 1 with a coded error on bad input, including an
 option out of range (--max-len below 0, --nbest, --bound or --deadline-ms
 below 1). The RWC_SEED environment variable seeds the
@@ -28,6 +28,7 @@ deterministic.
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 from . import bench as bench_mod
 from . import compiler, kk, oracle, rulespec, textio
@@ -40,19 +41,19 @@ def _load_rules(path):
         return rulespec.parse_rule_file(f.read())
 
 
-def _deadline(args):
-    """One Deadline for the whole command, or None without --deadline-ms."""
+def _scope(args):
+    """The command's scope: a Deadline, or a null one without --deadline-ms."""
     at_least("--deadline-ms", args.deadline_ms, 1)
-    return None if args.deadline_ms is None else Deadline(args.deadline_ms)
+    return Deadline(args.deadline_ms) if args.deadline_ms else nullcontext()
 
 
 def cmd_compile(args):
-    deadline = _deadline(args)
-    ruleset = _load_rules(args.rules)
     compile_one = (kk if args.algorithm == "kk" else compiler).rule_transducer
-    t = compiler.compile_ruleset(ruleset, compact=not args.no_compact,
-                                 deadline=deadline, compile_one=compile_one)
-    textio.write_machine(args.out, t, ruleset.alphabet)
+    with _scope(args):
+        ruleset = _load_rules(args.rules)
+        t = compiler.compile_ruleset(ruleset, compact=not args.no_compact,
+                                     compile_one=compile_one)
+        textio.write_machine(args.out, t, ruleset.alphabet)
     print(f"wrote {args.out}: states={t.num_states} arcs={len(t.arcs)} "
           f"weighted={'yes' if t.weighted else 'no'}")
     return 0
@@ -82,7 +83,7 @@ def cmd_apply(args):
     return 0
 
 
-def _check_one_rule(idx, rule, alphabet, max_len, machines, deadline=None):
+def _check_one_rule(idx, rule, alphabet, max_len, machines):
     """Oracle equivalence and KK cross-check for one rule; returns a list
     of failure strings. The rule is compiled, run through the oracle and
     the KK compiler, and swept over one representative per block of
@@ -96,15 +97,12 @@ def _check_one_rule(idx, rule, alphabet, max_len, machines, deadline=None):
     over its blocks, their representatives' names), the pair
     `compile_ruleset` compiles it from."""
     rule, alphabet, _ = compiler.rule_over_blocks(rule, alphabet)
-    cr = compiler.compile_rule(rule, alphabet, deadline=deadline)
+    cr = compiler.compile_rule(rule, alphabet)
     machines[rule, alphabet.symbols] = cr.transducer
     orc = oracle.RewriteOracle(rule, alphabet)
-    rel = oracle._relation(cr.transducer, alphabet.sigma(), max_len,
-                           deadline=deadline)
-    rep = oracle._compare(rel, orc.relation(alphabet.sigma(), max_len,
-                                            deadline),
-                          alphabet, max_len, need_output=True,
-                          deadline=deadline)
+    rel = oracle._relation(cr.transducer, alphabet.sigma(), max_len)
+    rep = oracle._compare(rel, orc.relation(alphabet.sigma(), max_len),
+                          alphabet, max_len, need_output=True)
     failures = [f"rule {idx}: input {u!r}: compiled {got!r} != "
                 f"oracle {exp!r}" if exp else
                 f"rule {idx}: oracle produced no output for {u!r}"
@@ -114,10 +112,10 @@ def _check_one_rule(idx, rule, alphabet, max_len, machines, deadline=None):
     # the compacted KK machine: its compaction depends only on the encoded
     # (in, out, weight) language, so it is mostly the compiled machine,
     # whose relation `rel` is and whose sweep raised any error
-    kt = kk.rule_transducer(rule, alphabet, True, deadline)
+    kt = kk.rule_transducer(rule, alphabet, True)
     kk_rel = rel if oracle._same_machine(kt, cr.transducer) else \
-        oracle._relation(kt, alphabet.sigma(), max_len, deadline=deadline)
-    rep = oracle._compare(rel, kk_rel, alphabet, max_len, deadline=deadline)
+        oracle._relation(kt, alphabet.sigma(), max_len)
+    rep = oracle._compare(rel, kk_rel, alphabet, max_len)
     print(f"rule {idx}: kk cross-check: "
           f"{'ok' if rep.equivalent else 'FAIL'}")
     failures.extend(f"rule {idx}: kk mismatch on {inp!r}: {a!r} vs {b!r}"
@@ -143,32 +141,31 @@ def _check_budget(n_symbols, max_len):
 
 def cmd_check(args):
     at_least("--max-len", args.max_len, 0)
-    deadline = _deadline(args)
-    ruleset = _load_rules(args.rules)
-    alphabet = ruleset.alphabet
-    _check_budget(alphabet.n, args.max_len)
-    failures = []
-    machines = {}
-    for idx, rule in enumerate(ruleset.rules):
-        failures.extend(_check_one_rule(idx, rule, alphabet, args.max_len,
-                                        machines, deadline))
-    if args.against:
-        t, alpha2 = textio.read_transducer(args.against)
-        if alpha2.symbols != alphabet.symbols:
-            failures.append("--against machine declares a different "
-                            "alphabet")
-        else:
-            # the rules' machines, compiled once by _check_one_rule
-            composed = compiler.compile_ruleset(
-                ruleset, deadline=deadline,
-                compile_one=lambda rule, small, compact, deadline:
-                machines[rule, small.symbols])
-            rep = oracle.equivalent_on(composed, t, alphabet, args.max_len,
-                                       deadline=deadline)
-            print(f"ruleset vs {args.against}: "
-                  f"{'ok' if rep.equivalent else 'FAIL'}")
-            failures.extend(f"against: mismatch on {inp!r}: {a!r} vs {b!r}"
-                            for inp, a, b in rep.counterexamples)
+    with _scope(args):
+        ruleset = _load_rules(args.rules)
+        alphabet = ruleset.alphabet
+        _check_budget(alphabet.n, args.max_len)
+        failures = []
+        machines = {}
+        for idx, rule in enumerate(ruleset.rules):
+            failures.extend(_check_one_rule(idx, rule, alphabet,
+                                            args.max_len, machines))
+        if args.against:
+            t, alpha2 = textio.read_transducer(args.against)
+            if alpha2.symbols != alphabet.symbols:
+                failures.append("--against machine declares a different "
+                                "alphabet")
+            else:
+                # the rules' machines, compiled once by _check_one_rule
+                composed = compiler.compile_ruleset(
+                    ruleset, compile_one=lambda rule, small, compact:
+                    machines[rule, small.symbols])
+                rep = oracle.equivalent_on(composed, t, alphabet,
+                                           args.max_len)
+                print(f"ruleset vs {args.against}: "
+                      f"{'ok' if rep.equivalent else 'FAIL'}")
+                failures.extend(f"against: mismatch on {inp!r}: {a!r} vs {b!r}"
+                                for inp, a, b in rep.counterexamples)
     if failures:
         print(f"{len(failures)} failure(s):", file=sys.stderr)
         for f in failures:

@@ -63,30 +63,30 @@ class CompiledRule:
     stats: CompileStats
 
 
-def _marker_dfa(beta_nfa, working_labels, deadline=None):
+def _marker_dfa(beta_nfa, working_labels):
     """det( working* . beta ), the marker-construction input."""
     nfa = fsm.aut_concat([fsm.aut_sigma_star(working_labels), beta_nfa])
-    return determinize(nfa, deadline)
+    return determinize(nfa)
 
 
-def _tau_r(rho, alphabet, deadline=None):
+def _tau_r(rho, alphabet):
     """The TYPE 1 marker of det(Σ* reverse(rho)): read left to right, it
     inserts RB after every occurrence of reverse(rho)."""
     sigma = alphabet.sigma()
     rho_rev = fsm.reverse(compile_regex(rho, alphabet))
-    dfa = _marker_dfa(rho_rev, sigma, deadline)
+    dfa = _marker_dfa(rho_rev, sigma)
     return marker(dfa, MarkerSpec(MarkerKind.TYPE1,
                                   insertions=frozenset({alphabet.rb})),
                   sigma)
 
 
-def build_r(rho, alphabet, deadline=None):
+def build_r(rho, alphabet):
     """Transducer inserting RB before every occurrence of rho: the reversed
     TYPE 1 marker of det(Σ* reverse(rho))."""
-    return fsm.reverse(_tau_r(rho, alphabet, deadline))
+    return fsm.reverse(_tau_r(rho, alphabet))
 
 
-def _tau_f(phi, alphabet, deadline=None):
+def _tau_f(phi, alphabet):
     """The TYPE 1 marker of det((Σ ∪ {RB})* RB reverse(phi)), phi
     ignoring RB: read left to right, it inserts LB1 or LB2 after every
     occurrence of RB reverse(phi)."""
@@ -95,18 +95,18 @@ def _tau_f(phi, alphabet, deadline=None):
     work = alphabet.sigma() + (alphabet.rb,)
     phi_rb = fsm.ignore_labels(compile_regex(phi, alphabet), {alphabet.rb})
     beta = fsm.aut_concat([fsm.aut_label(alphabet.rb), fsm.reverse(phi_rb)])
-    dfa = _marker_dfa(beta, work, deadline)
+    dfa = _marker_dfa(beta, work)
     return marker(dfa, MarkerSpec(MarkerKind.TYPE1,
                                   insertions=frozenset({alphabet.lb1,
                                                         alphabet.lb2})),
                   work)
 
 
-def build_f(phi, alphabet, deadline=None):
+def build_f(phi, alphabet):
     """Transducer inserting one of LB1/LB2 before each phi occurrence
     (RB-ignoring) that sits immediately before an RB; works over Σ ∪ {RB}.
     """
-    return fsm.reverse(_tau_f(phi, alphabet, deadline))
+    return fsm.reverse(_tau_f(phi, alphabet))
 
 
 def build_replace(phi, psi_wfsa, alphabet, pad_out=EPS, open_label=None,
@@ -152,15 +152,14 @@ def build_replace(phi, psi_wfsa, alphabet, pad_out=EPS, open_label=None,
     return Transducer(cp.num_states + 1, 0, {0: 0.0}, arcs)
 
 
-def _lambda_dfa(lam, alphabet, deadline=None):
-    return _marker_dfa(compile_regex(lam, alphabet), alphabet.sigma(),
-                       deadline)
+def _lambda_dfa(lam, alphabet):
+    return _marker_dfa(compile_regex(lam, alphabet), alphabet.sigma())
 
 
-def build_l1(lam, alphabet, deadline=None):
+def build_l1(lam, alphabet):
     """Filter admitting LB1 only immediately after a lambda match, deleting
     it; LB2 passes through transparently on a self-loop at every state."""
-    tau = marker(_lambda_dfa(lam, alphabet, deadline),
+    tau = marker(_lambda_dfa(lam, alphabet),
                  MarkerSpec(MarkerKind.TYPE2, deletions={alphabet.lb1}),
                  alphabet.sigma())
     lb2 = alphabet.lb2
@@ -169,10 +168,10 @@ def build_l1(lam, alphabet, deadline=None):
                       tau.arcs + tuple(loops))
 
 
-def build_l2(lam, alphabet, deadline=None):
+def build_l2(lam, alphabet):
     """Filter admitting LB2 only after a prefix NOT ending in a lambda
     match, deleting it."""
-    return marker(_lambda_dfa(lam, alphabet, deadline),
+    return marker(_lambda_dfa(lam, alphabet),
                   MarkerSpec(MarkerKind.TYPE3, deletions={alphabet.lb2}),
                   alphabet.sigma())
 
@@ -199,22 +198,22 @@ def assert_no_markers(t, alphabet):
         raise AssertionError(f"marker labels leaked into the result: {names}")
 
 
-def compile_rule(rule, alphabet, compact=True, deadline=None):
+def compile_rule(rule, alphabet, compact=True):
     """Compose the four transducers for one rule and (by default) compact.
     The caller must ensure the rule does not rewrite its own non-contextual
     part; that condition is not checked here. The stats count the subset
     constructions of the construction proper, not compaction's."""
     with count_ops() as ops:
-        tau_r = _tau_r(rule.rho, alphabet, deadline)
-        tau_f = _tau_f(rule.phi, alphabet, deadline)
+        tau_r = _tau_r(rule.rho, alphabet)
+        tau_f = _tau_f(rule.phi, alphabet)
         psi_wfsa = series_to_wfsa(rule.psi, alphabet)
         rep = build_replace(rule.phi, psi_wfsa, alphabet)
-        tau_l = _tau_l(_lambda_dfa(rule.lam, alphabet, deadline), alphabet)
-        rf = fsm.reverse(fsm.compose(tau_r, tau_f, deadline))
-        right = fsm.compose(rep, tau_l, deadline)
-        t = fsm.compose(rf, right, deadline)
+        tau_l = _tau_l(_lambda_dfa(rule.lam, alphabet), alphabet)
+        rf = fsm.reverse(fsm.compose(tau_r, tau_f))
+        right = fsm.compose(rep, tau_l)
+        t = fsm.compose(rf, right)
     if compact:
-        t = compact_transducer(t, deadline)
+        t = compact_transducer(t)
     assert_no_markers(t, alphabet)
     stats = CompileStats(states=t.num_states, arcs=len(t.arcs),
                          subset_constructions=ops["determinize"])
@@ -287,14 +286,13 @@ def rule_over_blocks(rule, alphabet):
             blocks)
 
 
-def rule_transducer(rule, alphabet, compact, deadline):
+def rule_transducer(rule, alphabet, compact):
     """`compile_ruleset`'s default per-rule compiler: `compile_rule`'s
     machine."""
-    return compile_rule(rule, alphabet, compact=compact,
-                        deadline=deadline).transducer
+    return compile_rule(rule, alphabet, compact=compact).transducer
 
 
-def _compose_all(machines, deadline):
+def _compose_all(machines):
     """The composition of `machines` in order, as a balanced tree: pairs,
     then pairs of pairs, an odd machine carried up a level. A right
     sub-product also covers strings its left neighbours never output, so
@@ -304,30 +302,29 @@ def _compose_all(machines, deadline):
     try:
         while len(level) > 1:
             odd = level[-1:] if len(level) % 2 else []
-            level = [fsm.compose(a, b, deadline)
+            level = [fsm.compose(a, b)
                      for a, b in zip(level[::2], level[1::2])] + odd
         return level[0]
     except WeightOverflowError:
         t = machines[0]
         for m in machines[1:]:
-            t = fsm.compose(t, m, deadline)
+            t = fsm.compose(t, m)
         return t
 
 
-def compile_ruleset(ruleset, compact=True, deadline=None,
-                    compile_one=rule_transducer):
+def compile_ruleset(ruleset, compact=True, compile_one=rule_transducer):
     """Weighted composition of the rules in file order, built as a
     balanced tree by `_compose_all` with no compaction in between and
     compacted once at the end. The tree runs over one representative per
     block of `symbol_blocks`, and the result is expanded back to the full
-    alphabet once at the end. Each rule is compiled by
-    `compile_one(rule, alphabet, compact, deadline)` over one
-    representative per block of its own (`rule_over_blocks`), and
-    `_expand` widens it to the file's representatives: every file block
-    lies inside one rule block, whose members share the rule's phi,
-    lambda and rho leaves and no psi leaf. A left fold re-composes an
-    ever-growing product; the tree composes machines of similar size, and
-    its compacted result is the same canonical machine.
+    alphabet once at the end. Each rule is compiled by `compile_one(rule,
+    alphabet, compact)` over one representative per block of its own
+    (`rule_over_blocks`), and `_expand` widens it to the file's
+    representatives: every file block lies inside one rule block, whose
+    members share the rule's phi, lambda and rho leaves and no psi leaf.
+    A left fold re-composes an ever-growing product; the tree composes
+    machines of similar size, and its compacted result is the same
+    canonical machine.
     `kk.rule_transducer` compacts each KK rule even when compact is
     False: its raw bracket-cascade machine is mostly ε:ε arcs, and their
     products can outgrow memory."""
@@ -337,11 +334,11 @@ def compile_ruleset(ruleset, compact=True, deadline=None,
     machines = []
     for rule in ruleset.rules:
         rule, small, own = rule_over_blocks(_renamed(rule, blocks), reduced)
-        m = compile_one(rule, small, compact, deadline)
+        m = compile_one(rule, small, compact)
         widen = [(EPS,)] + [reduced.ids_of(block) for block in own]
         machines.append(_expand(m, widen, small))
-    t = _compose_all(machines or [identity_over_sigma(reduced)], deadline)
+    t = _compose_all(machines or [identity_over_sigma(reduced)])
     if compact:
-        t = compact_transducer(t, deadline=deadline)
+        t = compact_transducer(t)
     members = [(EPS,)] + [alphabet.ids_of(block) for block in blocks]
     return _expand(t, members, reduced)

@@ -37,6 +37,7 @@ labels (the KK baseline's brackets) allocate ids above ``num_labels``.
 import math
 import time
 from collections import deque
+from contextvars import ContextVar
 from heapq import heapify, heappush, heappop
 from itertools import groupby
 from operator import itemgetter
@@ -52,19 +53,34 @@ RESERVED_NAMES = ("<eps>", "<rb>", "<lb1>", "<lb2>")
 # Names users may not declare: serialized reserved names, the markers'
 # display forms, and "0" (the epsilon atom in rule files).
 _FORBIDDEN_USER_NAMES = set(RESERVED_NAMES) | {">", "<1", "<2", "0"}
+# the open Deadlines as a chain (innermost, (outer, ...)); None outside all
+_open = ContextVar("rwc_deadline", default=None)
 
 
 class Deadline:
-    """Cooperative wall-clock limit threaded through long constructions."""
+    """Wall-clock limit of `ms` milliseconds from construction, in force
+    in a ``with Deadline(ms):`` block, whose long loops call
+    ``check_timeout``; no kernel takes a deadline argument. A nested
+    block's Deadline replaces the outer one until it exits, even by raising."""
 
-    __slots__ = ("limit",)
+    __slots__ = ("ms", "limit")
 
     def __init__(self, ms):
+        self.ms = ms
         self.limit = time.monotonic() + ms / 1000.0
 
-    def check(self):
-        if time.monotonic() > self.limit:
-            raise DeadlineExceeded("construction exceeded its deadline")
+    def __enter__(self):
+        _open.set((self, _open.get()))
+
+    def __exit__(self, *exc):
+        _open.set(_open.get()[1])
+
+
+def check_timeout():
+    """Raise E_TIMEOUT once the innermost open Deadline has passed."""
+    scope = _open.get()
+    if scope is not None and time.monotonic() > scope[0].limit:
+        raise DeadlineExceeded(f"the {scope[0].ms} ms deadline has passed")
 
 
 class Alphabet:
@@ -613,7 +629,7 @@ def ignore_labels(a, labels, allow_leading=True):
     return Automaton(a.num_states + 1, fresh, finals, arcs)
 
 
-def compose(t1, t2, deadline=None):
+def compose(t1, t2):
     """Weighted relational composition. Weights of matched paths add; the
     inner tape's epsilons are coordinated by a three-state filter so every
     interleaving of one-sided moves has a canonical representative and path
@@ -645,8 +661,8 @@ def compose(t1, t2, deadline=None):
         q1, q2 = divmod(q, n2)
         cur = head
         head += 1
-        if deadline is not None and head % 256 == 0:
-            deadline.check()
+        if head % 256 == 0:
+            check_timeout()
         if q1 in f1 and q2 in f2:
             finals[cur] = f1[q1] + f2[q2]
         idx2 = t2.in_index(q2)

@@ -35,6 +35,7 @@ makes this pipeline expensive; `KkCompiledRule.ops` is the
 """
 
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from . import fsm
@@ -72,12 +73,12 @@ class KkCompiledRule:
     ops: Counter
 
 
-def _forbid(pattern_nfa, gamma, deadline):
+def _forbid(pattern_nfa, gamma):
     """Complement of a forbidden-pattern language over gamma*."""
-    return complement(determinize(pattern_nfa, deadline), gamma)
+    return complement(determinize(pattern_nfa), gamma)
 
 
-def _constraints(rule, alphabet, br, deadline):
+def _constraints(rule, alphabet, br):
     """The three Id() constraint stages, as acceptors over the
     bracket-extended alphabet."""
     sigma = alphabet.sigma()
@@ -102,23 +103,20 @@ def _constraints(rule, alphabet, br, deadline):
     # end with <a/<i followed only by >c-free junk.
     marked = fsm.aut_concat([gs, fsm.aut_class(marks),
                              fsm.aut_star(fsm.aut_class(no_rc_junk))])
-    unmarked = subtract(gs, marked, gamma, deadline)
+    unmarked = subtract(gs, marked, gamma)
     obligatory = _forbid(
         fsm.aut_concat([unmarked, phi_ig,
                         fsm.aut_star(fsm.aut_class(no_mark_junk)),
-                        fsm.aut_label(br.rc), gs]),
-        gamma, deadline)
+                        fsm.aut_label(br.rc), gs]), gamma)
     # Unused brackets never occur; at most one >c per cluster.
     nostray = _forbid(
         fsm.aut_concat([gs, fsm.aut_class((br.lc, br.ra, br.ri)), gs]),
-        gamma, deadline)
+        gamma)
     unique_rc = _forbid(
         fsm.aut_concat([gs, fsm.aut_label(br.rc),
                         fsm.aut_star(fsm.aut_class(no_rc_junk)),
-                        fsm.aut_label(br.rc), gs]),
-        gamma, deadline)
-    obligatory_stage = intersect(intersect(obligatory, nostray, deadline),
-                                 unique_rc, deadline)
+                        fsm.aut_label(br.rc), gs]), gamma)
+    obligatory_stage = intersect(intersect(obligatory, nostray), unique_rc)
 
     # Rightcontext: >c iff a right-context match starts in the next cluster.
     # Left intersectand: every rho start is preceded, within its cluster,
@@ -126,8 +124,7 @@ def _constraints(rule, alphabet, br, deadline):
     # its inner pattern is the one whose determinization blows up.
     not_after_rc = subtract(
         gs, fsm.aut_concat([gs, fsm.aut_label(br.rc),
-                            fsm.aut_star(fsm.aut_class(no_rc_junk))]),
-        gamma, deadline)
+                            fsm.aut_star(fsm.aut_class(no_rc_junk))]), gamma)
     if nullable(rule.rho):
         # Every real boundary (including the end of the string) starts an
         # empty rho match; a split inside a bracket cluster does not.
@@ -135,26 +132,25 @@ def _constraints(rule, alphabet, br, deadline):
             fsm.aut_concat([fsm.aut_class(sigma), gs]), fsm.aut_epsilon()])
     else:
         witness = fsm.aut_concat([rho_ig, gs])
-    rc_left = _forbid(fsm.aut_concat([not_after_rc, witness]), gamma, deadline)
-    rc_right = _forbid(_rc_right_pattern(rule.rho, alphabet, br, deadline),
-                       gamma, deadline)
-    rightcontext_stage = intersect(rc_left, rc_right, deadline)
+    rc_left = _forbid(fsm.aut_concat([not_after_rc, witness]), gamma)
+    rc_right = _forbid(_rc_right_pattern(rule.rho, alphabet, br), gamma)
+    rightcontext_stage = intersect(rc_left, rc_right)
 
     # Leftcontext (post-replacement): <a only right after a lambda match,
     # <i only elsewhere.
     gs_post = fsm.aut_sigma_star(gamma_post)
     lam_post = fsm.aut_concat([gs_post, lam_ig_lead])
-    no_lam = subtract(gs_post, lam_post, gamma_post, deadline)
+    no_lam = subtract(gs_post, lam_post, gamma_post)
     lc_a = _forbid(fsm.aut_concat([no_lam, fsm.aut_label(br.la), gs_post]),
-                   gamma_post, deadline)
+                   gamma_post)
     lc_i = _forbid(fsm.aut_concat([lam_post, fsm.aut_label(br.li), gs_post]),
-                   gamma_post, deadline)
-    leftcontext_stage = intersect(lc_a, lc_i, deadline)
+                   gamma_post)
+    leftcontext_stage = intersect(lc_a, lc_i)
 
     return obligatory_stage, rightcontext_stage, leftcontext_stage
 
 
-def _rc_right_pattern(rho, alphabet, br, deadline):
+def _rc_right_pattern(rho, alphabet, br):
     """Forbidden pattern of the right intersectand: a >c followed by
     something that is not a rho match (junk-leading allowed), over the
     bracket-extended alphabet."""
@@ -162,7 +158,7 @@ def _rc_right_pattern(rho, alphabet, br, deadline):
     gs = fsm.aut_sigma_star(gamma)
     rho_ig_lead = fsm.ignore_labels(compile_regex(rho, alphabet),
                                     br.all() + (br.zero,), allow_leading=True)
-    not_rho = subtract(gs, fsm.aut_concat([rho_ig_lead, gs]), gamma, deadline)
+    not_rho = subtract(gs, fsm.aut_concat([rho_ig_lead, gs]), gamma)
     return fsm.aut_concat([gs, fsm.aut_label(br.rc), not_rho])
 
 
@@ -182,40 +178,41 @@ def _prologue_inv(alphabet, br):
 def kk_compile_rule(rule, alphabet, deadline=None):
     """Compile one weighted rule through the bracket cascade. Returns a
     KkCompiledRule carrying the (uncompacted) transducer and the operation
-    counts."""
+    counts. A given `deadline` bounds the build in place of the enclosing
+    one; the parameter stays only because the benchmark harness passes it."""
     if nullable(rule.phi):
         raise PhiNullableError("phi accepts the empty string")
     br = KkBrackets(alphabet)
-    with count_ops() as ops:
+    with deadline or nullcontext(), count_ops() as ops:
         obligatory, rightcontext, leftcontext = _constraints(
-            rule, alphabet, br, deadline)
-    t = _prologue(alphabet, br)
-    for stage in (fsm.id_transducer(obligatory),
-                  fsm.id_transducer(rightcontext),
-                  build_replace(rule.phi, series_to_wfsa(rule.psi, alphabet),
-                                alphabet, pad_out=br.zero, open_label=br.la,
-                                pass_label=br.li, close_label=br.rc),
-                  fsm.id_transducer(leftcontext),
-                  _prologue_inv(alphabet, br)):
-        t = fsm.compose(t, stage, deadline)
+            rule, alphabet, br)
+        t = _prologue(alphabet, br)
+        rep = build_replace(rule.phi, series_to_wfsa(rule.psi, alphabet),
+                            alphabet, pad_out=br.zero, open_label=br.la,
+                            pass_label=br.li, close_label=br.rc)
+        for stage in (fsm.id_transducer(obligatory),
+                      fsm.id_transducer(rightcontext), rep,
+                      fsm.id_transducer(leftcontext),
+                      _prologue_inv(alphabet, br)):
+            t = fsm.compose(t, stage)
     leftovers = t.labels_used() & (set(br.all()) | {br.zero})
     if leftovers:
         raise AssertionError(f"bracket labels leaked: {sorted(leftovers)}")
     return KkCompiledRule(transducer=t, ops=ops)
 
 
-def rule_transducer(rule, alphabet, compact, deadline):
+def rule_transducer(rule, alphabet, compact):
     """`compiler.compile_ruleset`'s per-rule compiler for the KK baseline:
     the compacted KK machine, also when compact is False, since a fold of
     the raw cascade machines can outgrow memory."""
-    return compact_transducer(kk_compile_rule(rule, alphabet,
-                                              deadline).transducer, deadline)
+    return compact_transducer(kk_compile_rule(rule, alphabet).transducer)
 
 
 def kk_rightcontext_probe(rho, alphabet, deadline=None):
     """Build the nondeterministic automaton inside the right intersectand
     of Rightcontext, determinize it without minimization, and return
-    (nfa_arcs, dfa_arcs)."""
-    nfa = _rc_right_pattern(rho, alphabet, KkBrackets(alphabet), deadline)
-    dfa = determinize(nfa, deadline)
+    (nfa_arcs, dfa_arcs); `deadline` as in `kk_compile_rule`."""
+    with deadline or nullcontext():
+        nfa = _rc_right_pattern(rho, alphabet, KkBrackets(alphabet))
+        dfa = determinize(nfa)
     return len(nfa.arcs), len(dfa.arcs)

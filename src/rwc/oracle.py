@@ -188,7 +188,7 @@ def apply(t, input_seq, alphabet, bound=1000):
 _OUTPUTS_PER_INPUT = 4096
 
 
-def _relation(t, sigma, max_len, deadline=None):
+def _relation(t, sigma, max_len):
     """The full relation of `t` on inputs over the symbol ids `sigma` up to
     max_len, as {input ids: {output ids: weight}}, by one batched
     breadth-first traversal (equivalent to calling apply on every string).
@@ -246,8 +246,7 @@ def _relation(t, sigma, max_len, deadline=None):
     layer = {(): eps_close({(t.initial, ()): 0.0})}
     record((), layer[()])
     for depth in range(max_len):
-        if deadline is not None:
-            deadline.check()
+        fsm.check_timeout()
         nxt = {}
         for u, configs in layer.items():
             for a in sigma:
@@ -271,12 +270,12 @@ def _relation(t, sigma, max_len, deadline=None):
     return results
 
 
-def relation_upto(t, alphabet, max_len, deadline=None):
+def relation_upto(t, alphabet, max_len):
     """The full relation of `t` on inputs over the user alphabet up to
     max_len, as {input names: {output names: weight}} (see `_relation`).
     """
     at_least("max_len", max_len, 0)
-    rel = _relation(t, alphabet.sigma(), max_len, deadline)
+    rel = _relation(t, alphabet.sigma(), max_len)
     return {_names(alphabet, u): _named(alphabet, rec)
             for u, rec in rel.items()}
 
@@ -352,7 +351,7 @@ class RewriteOracle:
                   if m > 0 and rho_ok[i + m]] for i in range(n)]
         return self._rewrite(ids, sites)
 
-    def relation(self, sigma, max_len, deadline=None):
+    def relation(self, sigma, max_len):
         """{input ids: {output ids: weight}} for every input over `sigma` up
         to max_len, equal to `rewrite_ids` on each. The tables of u = (a,) +
         t are t's with one new entry at position 0, so an input costs one
@@ -363,8 +362,7 @@ class RewriteOracle:
         layer = {(): ((bool(rho.match_lengths((), 0)),), ())}
         results = {(): self._rewrite((), ())}
         for _ in range(max_len):
-            if deadline is not None:
-                deadline.check()
+            fsm.check_timeout()
             nxt = {}
             for t, (rho_ok, sites) in layer.items():
                 for a in sigma:
@@ -474,8 +472,7 @@ _DEADLINE_EVERY = 4096
 _MAX_REPORT = 10
 
 
-def _compare(rel, expected, alphabet, max_len, need_output=False,
-             tol=1e-9, deadline=None):
+def _compare(rel, expected, alphabet, max_len, need_output=False, tol=1e-9):
     """Compare a relation of `_relation` with `expected`, a relation
     {input ids: {output ids: weight}} on inputs up to max_len (an input it
     lacks has no output), on every input over the user alphabet up to
@@ -491,8 +488,8 @@ def _compare(rel, expected, alphabet, max_len, need_output=False,
     checked = 0
     for u in _strings(sigma, max_len):
         checked += 1
-        if deadline is not None and checked % _DEADLINE_EVERY == 0:
-            deadline.check()
+        if checked % _DEADLINE_EVERY == 0:
+            fsm.check_timeout()
         o1 = rel.get(u, {})
         o2 = expected.get(u) or {}
         # exact equality first, in C; the tolerance only when that fails
@@ -515,13 +512,12 @@ def _same_machine(a, b):
             and (a.arcs == b.arcs or sorted(a.arcs) == sorted(b.arcs)))
 
 
-def equivalent_on(t1, t2, alphabet, max_len, tol=1e-9, deadline=None):
+def equivalent_on(t1, t2, alphabet, max_len, tol=1e-9):
     """Compare two transducers as weighted relations on every input over
     the user alphabet up to max_len. t2 is always swept, so its errors are
     raised; a t1 identical to it shares its relation."""
     at_least("max_len", max_len, 0)
     sigma = alphabet.sigma()
-    r2 = _relation(t2, sigma, max_len, deadline=deadline)
-    r1 = r2 if _same_machine(t1, t2) else \
-        _relation(t1, sigma, max_len, deadline=deadline)
-    return _compare(r1, r2, alphabet, max_len, tol=tol, deadline=deadline)
+    r2 = _relation(t2, sigma, max_len)
+    r1 = r2 if _same_machine(t1, t2) else _relation(t1, sigma, max_len)
+    return _compare(r1, r2, alphabet, max_len, tol=tol)

@@ -502,7 +502,7 @@ def test_check_reports_oracle_mismatch(tmp_path, capsys, monkeypatch):
     rules = tmp_path / "small.rules"
     rules.write_text(SMALL)
 
-    def identity_compile(rule, alphabet, deadline=None):
+    def identity_compile(rule, alphabet):
         return C.CompiledRule(C.identity_over_sigma(alphabet), None)
 
     monkeypatch.setattr(cli.compiler, "compile_rule", identity_compile)
@@ -620,7 +620,7 @@ def test_check_sweeps_machines_that_differ(tmp_path, capsys, monkeypatch):
     rules.write_text(THREE_RULES)
     fst = tmp_path / "loose.fst"
     assert main(["compile", str(rules), "--no-compact", "-o", str(fst)]) == 0
-    monkeypatch.setattr(kk, "compact_transducer", lambda t, deadline: t)
+    monkeypatch.setattr(kk, "compact_transducer", lambda t: t)
     calls = _count_sweeps(monkeypatch)
     assert main(["check", str(rules), "--max-len", "3",
                  "--against", str(fst)]) == 0
@@ -664,7 +664,7 @@ def test_check_reports_kk_machine_of_another_relation(tmp_path, capsys,
     rules = tmp_path / "small.rules"
     rules.write_text(SMALL)
 
-    def reweighted_kk(rule, alphabet, deadline=None):
+    def reweighted_kk(rule, alphabet):
         t = C.compile_rule(rule, alphabet).transducer
         s, i, o, w, d = t.arcs[0]
         arcs = ((s, i, o, w + 1.0, d),) + t.arcs[1:]
@@ -748,6 +748,22 @@ def test_compile_128_rules_past_deadline_exits_1(tmp_path, capsys):
                      "--deadline-ms", "200"]) == 1
     assert "E_TIMEOUT" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", str(DEMOS / "nasal.rules"), "--max-len", "6"],
+    ["compile", str(DEMOS / "nasal.rules"), "-o", "{out}"],
+])
+def test_a_command_past_its_deadline_leaves_none_behind(argv, tmp_path,
+                                                        capsys):
+    # a 1 ms deadline stops the command, and names its limit; the next
+    # command in the process runs without one
+    argv = [a.format(out=tmp_path / "n.fst") for a in argv]
+    with time_limit(60):
+        assert main(argv + ["--deadline-ms", "1"]) == 1
+    assert capsys.readouterr().err == \
+        "error: E_TIMEOUT: the 1 ms deadline has passed\n"
+    assert main(argv) == 0
 
 
 def test_deadline_leaves_results_unchanged(tmp_path, capsys):

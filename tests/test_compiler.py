@@ -439,6 +439,26 @@ def test_compile_ruleset_compiles_each_rule_over_its_own_blocks(monkeypatch):
     assert max(sizes) < len(blocks)
 
 
+@pytest.mark.parametrize("gen", [rand_ruleset_text, rand_phonology_text])
+def test_rule_over_blocks_is_the_pair_compile_ruleset_compiles(gen):
+    # `rwc check --against` stores each rule's machine under
+    # `rule_over_blocks(rule, alphabet)` and hands `compile_ruleset` a
+    # compile_one that looks them up: each pair it asks for must be one of
+    # those, in file order
+    rng = rng_for("check-machine-keys", gen.__name__)
+    for _ in range(60):
+        rs = parse_rule_file(gen(rng))
+        asked = []
+
+        def compile_one(rule, small, compact):
+            asked.append((rule, small))
+            return C.identity_over_sigma(small)
+
+        C.compile_ruleset(rs, compact=False, compile_one=compile_one)
+        assert asked == [C.rule_over_blocks(rule, rs.alphabet)[:2]
+                         for rule in rs.rules]
+
+
 def test_rule_over_blocks_decides_every_string_over_the_alphabet():
     # both relations of a rule over the full alphabet, each symbol renamed
     # to its block's representative, are those of the rule over its
@@ -452,9 +472,9 @@ def test_rule_over_blocks_decides_every_string_over_the_alphabet():
         sigma = rs.alphabet
         compiled = []
 
-        def record(rule, alphabet, compact, deadline):
+        def record(rule, alphabet, compact):
             compiled.append((rule, alphabet))
-            return C.rule_transducer(rule, alphabet, compact, deadline)
+            return C.rule_transducer(rule, alphabet, compact)
 
         C.compile_ruleset(rs, compile_one=record)
         for rule, pair in zip(rs.rules, compiled):
@@ -499,9 +519,9 @@ def test_compile_ruleset_compacts_each_rule_and_the_fold_once(monkeypatch,
                                                               compact):
     calls = []
 
-    def counting(t, deadline=None):
+    def counting(t):
         calls.append(t)
-        return compact_transducer(t, deadline)
+        return compact_transducer(t)
 
     monkeypatch.setattr(C, "compact_transducer", counting)
     for demo in ("nasal.rules", "chain.rules"):

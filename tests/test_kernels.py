@@ -1,10 +1,11 @@
 """The construction kernels against their reference versions in helpers:
 determinization over label classes, and the products on integer state
 keys with one backward pass, must build the same machines, state for
-state and arc for arc. Each kernel that takes a deadline must also stop
-with E_TIMEOUT once it has expired. The kernels build through
-``_Machine._built``, which checks no arc: the validating constructors
-must accept every machine they build, and build the same ones."""
+state and arc for arc. Each loop that checks the deadline must also stop
+with E_TIMEOUT once the innermost open ``Deadline`` has expired, and only
+inside its block. The kernels build through ``_Machine._built``, which
+checks no arc: the validating constructors must accept every machine
+they build, and build the same ones."""
 
 import pathlib
 import time
@@ -132,31 +133,71 @@ def _chain(n, tapes):
                       [(q, 1, 1, 0.0, q + 1) for q in range(n - 1)])
 
 
+def _expired():
+    """A Deadline that has passed."""
+    deadline = Deadline(0)
+    time.sleep(0.01)
+    return deadline
+
+
+_RULES = parse_rule_file("alphabet: a b c ;\n a -> b / c _ ;")
+_ORACLE = O.RewriteOracle(_RULES.rules[0], _RULES.alphabet)
+
 # each input is large enough to reach its kernel's deadline check: the
 # products check every 256 states and determinize every 64 subsets;
-# minimize checks every round, and _relation every input length. _compare
-# checks every 4096 inputs, and only when the relations differ: here on
-# the empty input alone, of the 8191 inputs over two symbols up to 12
+# minimize checks every round, and _relation and RewriteOracle.relation
+# every input length. _compare checks every 4096 inputs, and only when the
+# relations differ: here on the empty input alone, of the 8191 inputs over
+# two symbols up to 12
 KERNEL_CALLS = {
-    "compose": lambda d: fsm.compose(_chain(300, 2), _chain(300, 2), d),
-    "intersect": lambda d: intersect(_chain(300, 1), _chain(300, 1), d),
-    "determinize": lambda d: determinize(_chain(100, 1), d),
-    "minimize": lambda d: minimize(_chain(3, 1), d),
-    "compact_transducer": lambda d: compact_transducer(_chain(3, 2), d),
-    "_relation": lambda d: O._relation(_chain(3, 2), [1], 2, d),
-    "_compare": lambda d: O._compare({(): {(): 0.0}}, {},
-                                     Alphabet(["a", "b"]), 12, deadline=d),
+    "compose": lambda: fsm.compose(_chain(300, 2), _chain(300, 2)),
+    "intersect": lambda: intersect(_chain(300, 1), _chain(300, 1)),
+    "determinize": lambda: determinize(_chain(100, 1)),
+    "minimize": lambda: minimize(_chain(3, 1)),
+    "compact_transducer": lambda: compact_transducer(_chain(3, 2)),
+    "_relation": lambda: O._relation(_chain(3, 2), [1], 2),
+    "_compare": lambda: O._compare({(): {(): 0.0}}, {},
+                                   Alphabet(["a", "b"]), 12),
+    "RewriteOracle.relation": lambda: _ORACLE.relation((1, 2, 3), 3),
 }
 
 
 @pytest.mark.parametrize("call", KERNEL_CALLS.values(), ids=KERNEL_CALLS)
 def test_kernel_stops_at_an_expired_deadline(call):
-    call(None)
-    deadline = Deadline(0)
-    time.sleep(0.01)
-    with pytest.raises(DeadlineExceeded) as e:
-        call(deadline)
+    call()
+    with _expired():
+        with pytest.raises(DeadlineExceeded) as e:
+            call()
     assert e.value.code == "E_TIMEOUT"
+    # the scope is closed: nothing times out after it
+    call()
+
+
+def test_inner_deadline_replaces_the_outer_one_for_its_block():
+    call = KERNEL_CALLS["minimize"]
+    with _expired():
+        with Deadline(60_000):
+            call()
+        with pytest.raises(DeadlineExceeded):
+            call()
+    with Deadline(60_000):
+        with _expired():
+            with pytest.raises(DeadlineExceeded):
+                call()
+        call()
+
+
+def test_exception_leaving_a_scope_restores_the_outer_deadline():
+    call = KERNEL_CALLS["minimize"]
+    with Deadline(60_000):
+        with pytest.raises(DeadlineExceeded):
+            with _expired():
+                call()
+        call()
+    with pytest.raises(ValueError):
+        with _expired():
+            raise ValueError("not a timeout")
+    call()
 
 
 def _compiled_texts():

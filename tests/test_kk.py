@@ -4,6 +4,7 @@ direct compiler, operation-count floor, and the determinization probe."""
 import json
 import math
 import pathlib
+import time
 
 import pytest
 
@@ -12,8 +13,9 @@ from rwc import kk as K
 from rwc import oracle as O
 from rwc import rulespec as R
 from rwc.boolean_ops import compact_transducer
-from rwc.errors import PhiNullableError
-from rwc.fsm import Alphabet
+from rwc.bench import bench_alphabet, bench_rule
+from rwc.errors import DeadlineExceeded, PhiNullableError
+from rwc.fsm import Alphabet, Deadline
 from rwc.rulespec import parse_rule_file
 from rwc.textio import format_machine
 
@@ -162,6 +164,26 @@ def test_probe_k0_golden_regression():
     golden = json.loads((GOLDEN / "probe_k0.json").read_text())
     assert golden == {"alphabet_size": 3, "nfa_arcs": nfa_arcs,
                       "dfa_arcs": dfa_arcs}
+
+
+def test_kk_entry_points_open_the_deadline_they_are_given():
+    # c^6 right contexts over 3 labels reach a product's or a subset
+    # construction's check; `deadline=None` leaves the enclosing one
+    alphabet, rule = bench_alphabet(3), bench_rule("right", 6)
+    calls = [lambda d: K.kk_compile_rule(rule, alphabet, deadline=d),
+             lambda d: K.kk_rightcontext_probe(rule.rho, alphabet,
+                                               deadline=d)]
+    expired = Deadline(0)
+    time.sleep(0.01)
+    for call in calls:
+        call(None)
+        with pytest.raises(DeadlineExceeded) as e:
+            call(expired)
+        assert e.value.code == "E_TIMEOUT"
+        with expired, pytest.raises(DeadlineExceeded):
+            call(None)
+        with expired:
+            call(Deadline(60_000))
 
 
 def test_growth_machine_sizes_at_194_labels_are_golden():

@@ -532,13 +532,15 @@ def test_oracle_relation_equals_reference_rewrite(alphabet, rule, error):
     assert _coded(orc.relation, sigma, 4) == (error or want)
 
 
-def test_oracle_relation_checks_its_deadline():
-    alphabet, rule = rule_of("alphabet: a b c ;\n a -> b / c _ ;")
-    orc = O.RewriteOracle(rule, alphabet)
+def test_oracle_matchers_run_under_the_open_deadline():
+    # phi of 70 symbols: its matcher's determinization visits 71 subsets,
+    # past the first check at 64
+    alphabet, rule = rule_of(f"alphabet: a b ;\n{' a' * 70} -> b ;")
+    O.RewriteOracle(rule, alphabet)
     deadline = Deadline(0)
     time.sleep(0.01)
-    with pytest.raises(DeadlineExceeded) as e:
-        orc.relation(alphabet.sigma(), 3, deadline=deadline)
+    with deadline, pytest.raises(DeadlineExceeded) as e:
+        O.RewriteOracle(rule, alphabet)
     assert e.value.code == "E_TIMEOUT"
 
 
