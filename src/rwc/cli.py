@@ -15,7 +15,8 @@ counterexamples on any mismatch. Each rule is compiled and swept over one
 representative per block of symbols it alone cannot tell apart, as
 `compile` compiles it, which decides every string over the alphabet; the
 --against comparison composes those machines, compiling no rule again,
-and sweeps the full alphabet. It refuses (exit 1) a
+and sweeps the full alphabet, unless the file holds the composed machine
+and a bound shows that its sweep raises nothing. It refuses (exit 1) a
 sweep of more than CHECK_BUDGET input strings over the full alphabet.
 `compile` and `check` given --deadline-ms run under one Deadline and exit 1
 with E_TIMEOUT once that many milliseconds of wall time have passed.
@@ -93,6 +94,8 @@ def _check_one_rule(idx, rule, alphabet, max_len, machines):
     counterexamples reported are over the representatives. The compiled
     rule's relation is swept once and serves both comparisons, and a KK
     machine identical to the compiled one is not swept at all. The
+    oracle's relation is one sweep too (`RewriteOracle.relation`), in
+    which an input with no rewrite site maps to itself at once. The
     compiled machine is stored in the dict `machines` under (the rule
     over its blocks, their representatives' names), the pair
     `compile_ruleset` compiles it from."""

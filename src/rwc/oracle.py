@@ -10,6 +10,7 @@ Application and the relation sweep read a transducer through the arc
 index composition reads (``in_index``).
 """
 
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from heapq import heappush, heappop
@@ -188,14 +189,19 @@ def apply(t, input_seq, alphabet, bound=1000):
 _OUTPUTS_PER_INPUT = 4096
 
 
+def _max_out_len(max_len):
+    """The longest output a sweep up to max_len allows."""
+    return 8 * max_len + 32
+
+
 def _relation(t, sigma, max_len):
     """The full relation of `t` on inputs over the symbol ids `sigma` up to
     max_len, as {input ids: {output ids: weight}}, by one batched
     breadth-first traversal (equivalent to calling apply on every string).
-    An output longer than 8 * max_len + 32 symbols, or more than
+    An output longer than `_max_out_len(max_len)` symbols, or more than
     _OUTPUTS_PER_INPUT outputs for one input, raises E_DIVERGENT.
     """
-    max_out_len = 8 * max_len + 32
+    max_out_len = _max_out_len(max_len)
     idx = list(map(t.in_index, range(t.num_states)))
     eps_states = {q for q, d in enumerate(idx) if EPS in d}
 
@@ -312,18 +318,23 @@ class _Matcher:
                 out.append(j - start + 1)
         return out
 
-    def ends_with_match(self, out_ids):
-        # self must be built with reverse=True; walk the output backwards.
+    def has_prefix_match(self, ids):
+        """True when some prefix of the iterable `ids` is accepted; the walk
+        stops at the first."""
         q = self.initial
         if q in self.finals:
             return True
-        for j in range(len(out_ids) - 1, -1, -1):
-            q = self.delta.get((q, out_ids[j]))
+        for x in ids:
+            q = self.delta.get((q, x))
             if q is None:
                 return False
             if q in self.finals:
                 return True
         return False
+
+    def ends_with_match(self, out_ids):
+        # self must be built with reverse=True; walk the output backwards.
+        return self.has_prefix_match(reversed(out_ids))
 
 
 class RewriteOracle:
@@ -345,7 +356,7 @@ class RewriteOracle:
     def rewrite_ids(self, ids):
         """Map input ids -> {output ids: min weight}."""
         n = len(ids)
-        rho_ok = [bool(self.rho.match_lengths(ids, j)) for j in range(n + 1)]
+        rho_ok = [self.rho.has_prefix_match(ids[j:]) for j in range(n + 1)]
         # All phi match lengths with a valid right context, per position.
         sites = [[m for m in self.phi.match_lengths(ids, i)
                   if m > 0 and rho_ok[i + m]] for i in range(n)]
@@ -355,23 +366,34 @@ class RewriteOracle:
         """{input ids: {output ids: weight}} for every input over `sigma` up
         to max_len, equal to `rewrite_ids` on each. The tables of u = (a,) +
         t are t's with one new entry at position 0, so an input costs one
-        rho walk and one phi walk; only the previous length's tables are
-        kept. The deadline is checked once per input length."""
+        phi walk, plus one rho walk, stopped at its first match, when u
+        will be extended. An input with no rewrite site maps to itself at
+        weight 0 at once: its sites table is None, and so is that of every
+        suffix of it. Only the previous length's tables are kept, and the
+        last length's are not built. The deadline is checked once per input
+        length."""
         at_least("max_len", max_len, 0)
         rho, phi = self.rho, self.phi
-        layer = {(): ((bool(rho.match_lengths((), 0)),), ())}
-        results = {(): self._rewrite((), ())}
-        for _ in range(max_len):
+        # suffix t: (rho_ok per position, sites per position or None)
+        layer = {(): ((rho.has_prefix_match(()),), None)}
+        results = {(): {(): 0.0}}
+        for depth in range(max_len):
             fsm.check_timeout()
+            extend = depth + 1 < max_len
             nxt = {}
             for t, (rho_ok, sites) in layer.items():
                 for a in sigma:
                     u = (a,) + t
-                    rok = (bool(rho.match_lengths(u, 0)),) + rho_ok
-                    ms = ([m for m in phi.match_lengths(u, 0)
-                           if m > 0 and rok[m]],) + sites
-                    nxt[u] = (rok, ms)
-                    results[u] = self._rewrite(u, ms)
+                    ms = [m for m in phi.match_lengths(u, 0)
+                          if m > 0 and rho_ok[m - 1]]
+                    if ms or sites:
+                        us = (ms,) + (sites or ((),) * len(t))
+                        results[u] = self._rewrite(u, us)
+                    else:
+                        us = None
+                        results[u] = {u: 0.0}
+                    if extend:
+                        nxt[u] = ((rho.has_prefix_match(u),) + rho_ok, us)
             layer = nxt
         return results
 
@@ -512,12 +534,77 @@ def _same_machine(a, b):
             and (a.arcs == b.arcs or sorted(a.arcs) == sorted(b.arcs)))
 
 
+def _sweep_cannot_raise(t, max_len):
+    """True when one pass over t's arcs shows that `_relation(t, sigma,
+    max_len)` raises no error, for any sigma: it raises only on an output
+    past `_max_out_len`, on too many outputs for one input or steps for
+    one closure, and on a weight sum past the float range. False proves
+    nothing.
+
+    t's epsilon-input arcs must form no cycle. With E the most arcs on one
+    path of them, a path that reads at most L = max_len symbols has at
+    most N = L + (L + 1) * E arcs, so it writes at most N symbols. With D
+    the most arcs one state offers for one input symbol, its epsilon-input
+    arcs included, at most sum(D**k for k <= N) such paths read a given
+    input; at most _OUTPUTS_PER_INPUT bounds its outputs and, far below
+    the closure's 2,000,000, its closure steps. A path's weights, its
+    final weight included, sum to at most (N + 1) * W, W the largest arc
+    or final weight."""
+    n = t.num_states
+    eps_next = [[] for _ in range(n)]
+    indegree = [0] * n
+    n_on = defaultdict(int)
+    top = max(t.finals.values(), default=0.0)
+    for s, i, _, w, d in t.arcs:
+        if w > top:
+            top = w
+        if i == EPS:
+            eps_next[s].append(d)
+            indegree[d] += 1
+        else:
+            n_on[s, i] += 1
+    # Kahn's algorithm: the longest epsilon-input path into each state
+    longest = [0] * n
+    todo = [q for q in range(n) if not indegree[q]]
+    done = 0
+    while todo:
+        q = todo.pop()
+        done += 1
+        for r in eps_next[q]:
+            longest[r] = max(longest[r], longest[q] + 1)
+            indegree[r] -= 1
+            if not indegree[r]:
+                todo.append(r)
+    if done < n:
+        return False
+    most_arcs = max_len + (max_len + 1) * max(longest, default=0)
+    if most_arcs > _max_out_len(max_len):
+        return False
+    fan = max(max(map(len, eps_next), default=0),
+              max((k + len(eps_next[s]) for (s, _), k in n_on.items()),
+                  default=0))
+    paths = power = 1
+    for _ in range(most_arcs):
+        power *= fan
+        paths += power
+        if paths > _OUTPUTS_PER_INPUT:
+            return False
+    return (most_arcs + 1) * top < sys.float_info.max / 2
+
+
 def equivalent_on(t1, t2, alphabet, max_len, tol=1e-9):
     """Compare two transducers as weighted relations on every input over
-    the user alphabet up to max_len. t2 is always swept, so its errors are
-    raised; a t1 identical to it shares its relation."""
+    the user alphabet up to max_len. t2 is swept, so its errors are
+    raised, unless t1 is identical to it and `_sweep_cannot_raise` shows
+    that the sweep raises none: then the two are equivalent on every
+    input, and no sweep is made. Otherwise a t1 identical to t2 shares its
+    relation."""
     at_least("max_len", max_len, 0)
     sigma = alphabet.sigma()
+    same = _same_machine(t1, t2)
+    if same and _sweep_cannot_raise(t2, max_len):
+        # the report of comparing a relation with itself
+        return _compare({}, {}, alphabet, max_len)
     r2 = _relation(t2, sigma, max_len)
-    r1 = r2 if _same_machine(t1, t2) else _relation(t1, sigma, max_len)
+    r1 = r2 if same else _relation(t1, sigma, max_len)
     return _compare(r1, r2, alphabet, max_len, tol=tol)

@@ -534,8 +534,9 @@ def _count_sweeps(monkeypatch):
 
 def test_check_sweeps_each_relation_once(tmp_path, capsys, monkeypatch):
     # 3 compiled rules and the --against FST: the 3 compacted KK machines
-    # and the composed set are identical to machines already swept, so
-    # 4 sweeps, where sweeping every machine took 8
+    # are identical to machines already swept, and the FST to the composed
+    # set, with a sweep that a bound shows raises nothing, so 3 sweeps,
+    # where sweeping every machine took 8
     rules = tmp_path / "three.rules"
     rules.write_text(THREE_RULES)
     fst = tmp_path / "three.fst"
@@ -543,7 +544,7 @@ def test_check_sweeps_each_relation_once(tmp_path, capsys, monkeypatch):
     calls = _count_sweeps(monkeypatch)
     assert main(["check", str(rules), "--max-len", "3",
                  "--against", str(fst)]) == 0
-    assert len(calls) == 4
+    assert len(calls) == 3
     out = capsys.readouterr().out
     assert out.count("kk cross-check: ok") == 3
     assert "ruleset vs" in out and "all checks passed" in out
@@ -604,13 +605,14 @@ def test_check_sweeps_rule_blocks_and_full_alphabet_against(capsys,
                                                              monkeypatch):
     # nasal's rule tells apart 5 blocks of its 6 symbols (b and p share
     # one): its sweep covers the 19,531 strings over 5 representatives up
-    # to the default --max-len 6, and --against the 6 symbols
+    # to the default --max-len 6; the golden is the composed machine, and
+    # a bound shows its sweep raises nothing, so it is not swept
     calls = _count_sweeps(monkeypatch)
     assert main(["check", str(DEMOS / "nasal.rules"),
                  "--against", str(GOLDEN / "nasal.fst")]) == 0
     out = capsys.readouterr().out
     assert "rule 0: oracle equivalence on 19531 strings: ok" in out
-    assert [len(sigma) for _, sigma in calls] == [5, 6]
+    assert [len(sigma) for _, sigma in calls] == [5]
 
 
 def test_check_sweeps_machines_that_differ(tmp_path, capsys, monkeypatch):
@@ -627,6 +629,27 @@ def test_check_sweeps_machines_that_differ(tmp_path, capsys, monkeypatch):
     assert len(calls) == 3 + 3 + 2
     out = capsys.readouterr().out
     assert out.count("kk cross-check: ok") == 3 and "all checks passed" in out
+
+
+def test_check_against_own_fst_raises_overflow_of_the_composed_set(
+        tmp_path, capsys):
+    # each rule alone stays in the float range up to length 2, but "ac" is
+    # rewritten to "bd" at 1.5e308 + 0.5e308 by the two together. Only the
+    # sweep of the composed machine reaches that sum: the FST is identical
+    # to it, and is swept all the same
+    rules = tmp_path / "split.rules"
+    rules.write_text("alphabet: a b c d ;\n"
+                     "a -> <1.5e308> b / _ c ;\nc -> <0.5e308> d / _ ;\n")
+    fst = tmp_path / "split.fst"
+    assert main(["compile", str(rules), "-o", str(fst)]) == 0
+    assert main(["check", str(rules), "--max-len", "2"]) == 0
+    assert capsys.readouterr().out.endswith("all checks passed\n")
+    assert main(["check", str(rules), "--max-len", "2",
+                 "--against", str(fst)]) == 1
+    out, err = capsys.readouterr()
+    assert out.count(": ok\n") == 4 and "ruleset vs" not in out
+    assert err == "error: E_WEIGHT_OVERFLOW: a path weight is past the " \
+        "float range\n"
 
 
 @pytest.mark.parametrize("edit", ["arc", "final"])

@@ -252,6 +252,9 @@ def test_relation_weight_overflow_is_a_coded_error(arcs, finals):
     t = Transducer(3, 0, finals, arcs)
     with pytest.raises(WeightOverflowError):
         O._relation(t, AB.sigma(), 2)
+    # a machine identical to the one compared is swept all the same
+    with pytest.raises(WeightOverflowError):
+        O.equivalent_on(t, t, AB, 2)
 
 
 def _ladder(k):
@@ -286,19 +289,39 @@ def _chain(n):
 _THIRTEEN = Alphabet(["a"] + [f"x{i}" for i in range(12)])
 
 
-@pytest.mark.parametrize("t, sigma, max_len, message", [
+# (machine, alphabet, max_len, the message of the guard its sweep trips)
+_GUARDS = [
     # 2,000,000 closure steps over 58 states, in bounded memory
-    (_ladder(19), AB.sigma(), 0, "epsilon closure diverged"),
+    (_ladder(19), AB, 0, "epsilon closure diverged"),
     # "aaaa" has 13**4 outputs, more than 4,096
-    (_fork(_THIRTEEN), _THIRTEEN.sigma(), 4,
+    (_fork(_THIRTEEN), _THIRTEEN, 4,
      "more outputs than the enumeration bound"),
     # 40 epsilon:a arcs reach the bound 8 * 1 + 32; the a:a arc passes it
-    (_chain(40), AB.sigma(), 1, "output grew past bound"),
-])
+    (_chain(40), AB, 1, "output grew past bound"),
+    # an epsilon:a loop, an epsilon-input cycle: its outputs never stop
+    (Transducer(1, 0, {0: 0.0}, [(0, EPS, AB.id_of("a"), 0.0, 0)]), AB, 0,
+     "output grew past the enumeration bound"),
+]
+
+
+@pytest.mark.parametrize("t, sigma, max_len, message", [
+    (t, alphabet.sigma(), max_len, message)
+    for t, alphabet, max_len, message in _GUARDS])
 def test_relation_guards_raise_divergent(t, sigma, max_len, message):
     with pytest.raises(DivergentError, match=message) as e:
         O._relation(t, sigma, max_len)
     assert e.value.code == "E_DIVERGENT"
+
+
+@pytest.mark.parametrize("t, alphabet, max_len, message", _GUARDS)
+def test_equivalent_on_identical_machines_keep_guard_errors(t, alphabet,
+                                                            max_len, message):
+    # no bound shows that these sweeps raise nothing: the ladder's and the
+    # chain's paths are longer than the output bound, the fork offers too
+    # many paths and the loop is a cycle, so the machine is swept though it
+    # is the one compared
+    with pytest.raises(DivergentError, match=message):
+        O.equivalent_on(t, t, alphabet, max_len)
 
 
 def test_relation_upto_agrees_with_apply():
@@ -315,8 +338,11 @@ def test_relation_upto_agrees_with_apply():
 def test_equivalent_on_reflexive():
     alphabet, rule = rule_of("alphabet: a b c ;\n a -> b / c _ ;")
     t = C.compile_rule(rule, alphabet).transducer
-    rep = O.equivalent_on(t, t, alphabet, 4)
-    assert rep.equivalent
+    # a bound shows that its sweep raises nothing, so it is not swept
+    with mock.patch.object(O, "_relation") as sweep:
+        rep = O.equivalent_on(t, t, alphabet, 4)
+    sweep.assert_not_called()
+    assert rep.equivalent and rep.counterexamples == []
     assert str(rep) == "equivalent on all 121 strings"
 
 
@@ -509,6 +535,8 @@ def _relation_cases():
     for text, error, tag in (
             ("a -> b / _ ;", None, "empty-contexts"),
             ("[a b] -> <0.5> c + a / a _ b? ;", None, "overlapping"),
+            # a rho match "c" that is a prefix of a longer one, "cc"
+            ("a -> <0.5> b + c / _ c c? ;", None, "rho-prefix"),
             ("a -> b* c / _ ;", "E_DIVERGENT", "psi-past-bound"),
             ("a -> <1e308> b / _ ;", "E_WEIGHT_OVERFLOW", "overflow")):
         alphabet, rule = rule_of(f"alphabet: a b c ;\n{text}")
