@@ -30,15 +30,20 @@ the |Σ|-wide product once. After compaction the machine is that of the
 paper's left fold. `build_r`, `build_f`, `build_l1` and `build_l2`, the
 paper's factors, serve only as that reference and for tracing by name.
 
-A rule set compiles over one representative per block of symbols its
-rules cannot tell apart: its compacted rules are composed as a balanced
-tree (pairs, then pairs of pairs; composition is associative), the
-product is compacted once and expanded to the full alphabet once at the
-end. Each rule is compiled over the fewer blocks it alone tells apart and
-widened to the file's representatives before it enters the tree.
-`compile_rule` always works over the alphabet it is given.
+`symbol_blocks` decides which symbols a rule cannot tell apart: they sit
+in the same phi, lambda and rho leaves and in no psi leaf, so their arcs
+copy one another's. `compile_rule` builds its machine over the alphabet
+it is given and compacts it over one representative per block, widening
+the result back with `_expand`; compaction is canonical, so the machine
+is the one of compacting over every label. A rule set compiles over one
+representative per block of symbols its rules cannot tell apart: each
+rule over its own representatives (`rule_over_blocks`), widened to the
+file's, the rules composed as a balanced tree (pairs, then pairs of
+pairs; composition is associative), the product compacted once and
+expanded to the full alphabet once at the end.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from . import fsm
@@ -199,10 +204,15 @@ def assert_no_markers(t, alphabet):
 
 
 def compile_rule(rule, alphabet, compact=True):
-    """Compose the four transducers for one rule and (by default) compact.
-    The caller must ensure the rule does not rewrite its own non-contextual
-    part; that condition is not checked here. The stats count the subset
-    constructions of the construction proper, not compaction's."""
+    """Compose the four transducers for one rule over `alphabet` and (by
+    default) compact. Compaction sees only one representative per block
+    of `symbol_blocks` for the rule alone: block mates' arcs copy the
+    representative's, so they are dropped, and `_expand` widens the
+    compacted machine back, its arcs sorted into the (state, in, out,
+    weight) order of compacting over every label. The caller must ensure
+    the rule does not rewrite its own non-contextual part; that condition
+    is not checked here. The stats count the subset constructions of the
+    construction proper, not compaction's."""
     with count_ops() as ops:
         tau_r = _tau_r(rule.rho, alphabet)
         tau_f = _tau_f(rule.phi, alphabet)
@@ -213,7 +223,17 @@ def compile_rule(rule, alphabet, compact=True):
         right = fsm.compose(rep, tau_l)
         t = fsm.compose(rf, right)
     if compact:
-        t = compact_transducer(t)
+        blocks = [alphabet.ids_of(block)
+                  for block in symbol_blocks(RuleSet(alphabet, (rule,)))]
+        drop = {x for block in blocks for x in block[1:]}
+        t = compact_transducer(Transducer._built(
+            t.num_states, t.initial, t.finals,
+            [a for a in t.arcs if a[1] not in drop]))
+        members = {block[0]: block for block in blocks}
+        members[EPS] = (EPS,)
+        t = _expand(t, members, alphabet)
+        t = Transducer._built(t.num_states, t.initial, t.finals,
+                              sorted(t.arcs))
     assert_no_markers(t, alphabet)
     stats = CompileStats(states=t.num_states, arcs=len(t.arcs),
                          subset_constructions=ops["determinize"])
@@ -239,10 +259,16 @@ def symbol_blocks(ruleset):
             for names in leaf_names(ast)}
     psi = {n for rule in ruleset.rules for names in leaf_names(rule.psi)
            for n in names}
-    blocks = {}
+    # a name's key: the leaves it sits in, in one iteration order of
+    # `sets`, or the name itself in psi; () for the names of no leaf
+    key = {}
+    for s in sets:
+        for name in s:
+            key[name] = key.get(name, ()) + (s,)
+    key.update(zip(psi, psi))
+    blocks = defaultdict(list)
     for name in ruleset.alphabet.symbols:
-        key = name if name in psi else frozenset(s for s in sets if name in s)
-        blocks.setdefault(key, []).append(name)
+        blocks[key.get(name, ())].append(name)
     return [tuple(b) for b in blocks.values()]
 
 
@@ -265,13 +291,6 @@ def _expand(t, members, reduced):
     return Transducer._built(t.num_states, t.initial, t.finals, arcs)
 
 
-def _renamed(rule, blocks):
-    """The rule with every symbol replaced by its block's first member."""
-    rep = {x: block[0] for block in blocks for x in block}
-    return Rule(*(rename(ast, rep)
-                  for ast in (rule.phi, rule.psi, rule.lam, rule.rho)))
-
-
 def rule_over_blocks(rule, alphabet):
     """The rule over one representative per block of symbols it alone
     cannot tell apart: (the rule with every symbol replaced by its block's
@@ -282,8 +301,10 @@ def rule_over_blocks(rule, alphabet):
     the output; the rule over its representatives decides its relation on
     every string over `alphabet`."""
     blocks = symbol_blocks(RuleSet(alphabet, (rule,)))
-    return (_renamed(rule, blocks), Alphabet([block[0] for block in blocks]),
-            blocks)
+    rep = {x: block[0] for block in blocks for x in block}
+    return (Rule(*(rename(ast, rep)
+                   for ast in (rule.phi, rule.psi, rule.lam, rule.rho))),
+            Alphabet([block[0] for block in blocks]), blocks)
 
 
 def rule_transducer(rule, alphabet, compact):
@@ -318,10 +339,9 @@ def compile_ruleset(ruleset, compact=True, compile_one=rule_transducer):
     compacted once at the end. The tree runs over one representative per
     block of `symbol_blocks`, and the result is expanded back to the full
     alphabet once at the end. Each rule is compiled by `compile_one(rule,
-    alphabet, compact)` over one representative per block of its own
-    (`rule_over_blocks`), and `_expand` widens it to the file's
-    representatives: every file block lies inside one rule block, whose
-    members share the rule's phi, lambda and rho leaves and no psi leaf.
+    alphabet, compact)` over the pair `rule_over_blocks` gives for the
+    full alphabet, and `_expand` widens each of its blocks to the file's
+    representatives inside it: the file's blocks split the rule's.
     A left fold re-composes an ever-growing product; the tree composes
     machines of similar size, and its compacted result is the same
     canonical machine.
@@ -331,11 +351,13 @@ def compile_ruleset(ruleset, compact=True, compile_one=rule_transducer):
     alphabet = ruleset.alphabet
     blocks = symbol_blocks(ruleset)
     reduced = Alphabet([block[0] for block in blocks])
+    reps = set(reduced.symbols)
     machines = []
     for rule in ruleset.rules:
-        rule, small, own = rule_over_blocks(_renamed(rule, blocks), reduced)
+        rule, small, own = rule_over_blocks(rule, alphabet)
         m = compile_one(rule, small, compact)
-        widen = [(EPS,)] + [reduced.ids_of(block) for block in own]
+        widen = [(EPS,)] + [reduced.ids_of([x for x in block if x in reps])
+                            for block in own]
         machines.append(_expand(m, widen, small))
     t = _compose_all(machines or [identity_over_sigma(reduced)])
     if compact:

@@ -17,7 +17,8 @@ from heapq import heappush, heappop
 
 from . import fsm
 from .boolean_ops import determinize
-from .errors import DivergentError, WeightOverflowError, at_least
+from .errors import (DivergentError, InputBudgetError, WeightOverflowError,
+                     at_least)
 from .fsm import EPS, INF, WeightedStringSet
 from .rulespec import compile_regex, series_to_wfsa
 
@@ -187,6 +188,21 @@ def apply(t, input_seq, alphabet, bound=1000):
 
 # the most outputs one input may have in a sweep
 _OUTPUTS_PER_INPUT = 4096
+# a sweep refuses to cover more input strings than this
+CHECK_BUDGET = 10**6
+
+
+def _check_budget(n_symbols, max_len):
+    """Raise E_BUDGET when the inputs over n_symbols symbols up to max_len
+    are more than CHECK_BUDGET strings."""
+    total = layer = 1
+    for _ in range(max_len):
+        layer *= n_symbols
+        total += layer
+        if total > CHECK_BUDGET:
+            raise InputBudgetError(
+                f"{n_symbols} symbols up to length {max_len} are more "
+                f"than {CHECK_BUDGET:,} input strings; lower --max-len")
 
 
 def _max_out_len(max_len):
@@ -199,8 +215,10 @@ def _relation(t, sigma, max_len):
     max_len, as {input ids: {output ids: weight}}, by one batched
     breadth-first traversal (equivalent to calling apply on every string).
     An output longer than `_max_out_len(max_len)` symbols, or more than
-    _OUTPUTS_PER_INPUT outputs for one input, raises E_DIVERGENT.
+    _OUTPUTS_PER_INPUT outputs for one input, raises E_DIVERGENT; more
+    than CHECK_BUDGET inputs raise E_BUDGET before any is swept.
     """
+    _check_budget(len(sigma), max_len)
     max_out_len = _max_out_len(max_len)
     idx = list(map(t.in_index, range(t.num_states)))
     eps_states = {q for q, d in enumerate(idx) if EPS in d}
@@ -371,8 +389,9 @@ class RewriteOracle:
         weight 0 at once: its sites table is None, and so is that of every
         suffix of it. Only the previous length's tables are kept, and the
         last length's are not built. The deadline is checked once per input
-        length."""
+        length, and more than CHECK_BUDGET inputs raise E_BUDGET first."""
         at_least("max_len", max_len, 0)
+        _check_budget(len(sigma), max_len)
         rho, phi = self.rho, self.phi
         # suffix t: (rho_ok per position, sites per position or None)
         layer = {(): ((rho.has_prefix_match(()),), None)}

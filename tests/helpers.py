@@ -905,9 +905,8 @@ def reference_format_machine(m, alphabet):
 # ---------------------------------------------------------------------------
 
 def reference_compact_transducer(t):
-    """compact_transducer over every label, with determinize always run
-    on the encoding: no label blocks and no skipped subset construction.
-    A -0.0 weight reads as 0.0."""
+    """compact_transducer with determinize always run on the encoding:
+    no skipped subset construction. A -0.0 weight reads as 0.0."""
     from rwc.boolean_ops import determinize, minimize
     from rwc.fsm import Automaton, Transducer
 

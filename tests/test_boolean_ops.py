@@ -513,10 +513,10 @@ ABCDEF = Alphabet(["a", "b", "c", "d", "e", "f"])
 def transducer_with_copied_identities(draw):
     """A weighted transducer over a and b, ε on either tape or both, whose
     identity arcs on one label are copied onto 1-3 of the fresh labels c
-    to f, so that those labels form a block with it. Then near misses, as
-    drawn: a copy with one arc of another weight, one arc fewer or one
-    arc twice, a copy that also occurs on a non-identity arc, and a copy
-    whose zero weights are -0.0."""
+    to f, so that swapping those labels leaves its encoding as it is.
+    Then near misses, as drawn: a copy with one arc of another weight, one
+    arc fewer or one arc twice, a copy that also occurs on a non-identity
+    arc, and a copy whose zero weights are -0.0."""
     n = draw(st.integers(1, 4))
     state = st.integers(0, n - 1)
     label = st.sampled_from((fsm.EPS,) + ABCDEF.ids_of(["a", "b"]))
@@ -556,14 +556,15 @@ def transducer_with_copied_identities(draw):
 @settings(max_examples=400, deadline=None)
 @given(transducer_with_copied_identities())
 def test_compact_over_label_blocks_equals_reference(t):
-    # reading the copies as one block changes nothing in the machine
+    # labels whose arcs copy one another's compact as in the reference,
+    # which encodes every label and always determinizes
     assert format_machine(compact_transducer(t), ABCDEF) == \
         format_machine(reference_compact_transducer(t), ABCDEF)
 
 
 def test_compact_block_member_with_a_repeated_arc_is_determinized():
-    # b's arcs are a's with one of them twice: the full encoding is no
-    # DFA, so b is no block mate of a, and the subset construction runs
+    # b's arcs are a's with one of them twice: the encoding is no DFA, so
+    # the subset construction runs
     a, b = ABC.ids_of(["a", "b"])
     t = fsm.Transducer(2, 0, {1: 0.0}, [(0, a, a, 0.0, 1), (0, b, b, 0.0, 1),
                                         (0, b, b, 0.0, 1)])

@@ -438,21 +438,34 @@ def test_compile_weighted_rule_that_never_fires_writes_unweighted(tmp_path,
     assert capsys.readouterr().out.splitlines() == ["bbc 0.000000"]
 
 
-def _no_sweep(*args):
-    raise AssertionError("check swept inputs")
-
-
-def test_check_refuses_sweep_over_budget(tmp_path, capsys, monkeypatch):
-    # 194 symbols up to the default --max-len 6 are 5.7e13 strings
+def test_check_refuses_sweep_over_budget(tmp_path, capsys):
+    # each sweep counts the symbols it sweeps: a rule's representatives,
+    # and the full alphabet for --against only when that file is swept
     names = " ".join(f"s{i:03d}" for i in range(194))
-    rules = tmp_path / "wide.rules"
-    rules.write_text(f"alphabet: {names} ;\ns000 -> s001 / s002 _ ;\n")
-    monkeypatch.setattr(cli, "_check_one_rule", _no_sweep)
-    assert main(["check", str(rules)]) == 1
+    wide = tmp_path / "wide.rules"
+    # 10 blocks: s000, s001, s002 to s008 one each, and the other 185
+    wide.write_text(f"alphabet: {names} ;\n"
+                    "s000 -> s001 / s002 s003 s004 s005 s006 s007 s008 _ ;\n")
+    # 10 representatives up to the default --max-len 6 are 1,111,111 strings
+    assert main(["check", str(wide)]) == 1
     err = capsys.readouterr().err
-    assert "E_BUDGET" in err and "--max-len 6" in err
-    # 1 + 194 + 194^2 + 194^3 strings are over the budget too
-    assert main(["check", str(rules), "--max-len", "3"]) == 1
+    assert "E_BUDGET: 10 symbols up to length 6" in err
+    rules = tmp_path / "narrow.rules"
+    rules.write_text(f"alphabet: {names} ;\ns000 -> s001 / s002 _ ;\n")
+    other = tmp_path / "other.rules"
+    other.write_text(f"alphabet: {names} ;\ns000 -> s002 ;\n")
+    for path in (rules, other):
+        assert main(["compile", str(path), "-o", f"{path}.fst"]) == 0
+    capsys.readouterr()
+    # a differing file is swept over all 194 symbols: 7.3e6 strings up to 3
+    assert main(["check", str(rules), "--max-len", "3",
+                 "--against", f"{other}.fst"]) == 1
+    err = capsys.readouterr().err
+    assert "E_BUDGET: 194 symbols up to length 3" in err
+    # the rule's own compiled file is decided without that sweep
+    assert main(["check", str(rules), "--max-len", "3",
+                 "--against", f"{rules}.fst"]) == 0
+    assert "all checks passed" in capsys.readouterr().out
 
 
 def test_check_budget_admits_nasal_demo_default(monkeypatch):

@@ -291,6 +291,24 @@ def test_compile_rule_equals_reference_cascade_bench(family):
                                          note=k)
 
 
+def test_compile_rule_compacts_one_representative_per_block(monkeypatch):
+    # s003 and s004 share a phi class, so their arcs rewrite them to s001
+    # and are no identity copies; they are compacted as one label all the
+    # same, and the machine is the reference's over all 194 labels
+    rs = parse_rule_file(f"alphabet: {' '.join(bench_alphabet(194).symbols)}"
+                         " ;\n[s003 s004] -> s001 / _ s002 ;\n")
+    alphabet, (rule,) = rs.alphabet, rs.rules
+    seen = set()
+
+    def spy(t):
+        seen.update(l for a in t.arcs for l in a[1:3])
+        return compact_transducer(t)
+
+    monkeypatch.setattr(C, "compact_transducer", spy)
+    assert_same_as_reference_cascade(rule, alphabet)
+    assert seen == {EPS, *alphabet.ids_of(["s000", "s001", "s002", "s003"])}
+
+
 @pytest.mark.parametrize("demo", ["nasal.rules", "chain.rules"])
 def test_compile_rule_equals_reference_cascade_demos(demo):
     rs = parse_rule_file((DEMOS / demo).read_text())
