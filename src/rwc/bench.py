@@ -23,8 +23,7 @@ timings are machine-dependent; only growth shapes are meaningful.
 import gc
 import time
 from contextlib import suppress
-from dataclasses import dataclass
-from typing import Optional
+from statistics import median
 
 from . import compiler, kk, rulespec
 from .errors import BadOptionError, DeadlineExceeded, at_least
@@ -35,16 +34,16 @@ CSV_HEADER = "rule,k,algorithm,ms,states,arcs,dfa_arcs,timeout"
 REPEATS_NEW = 7
 
 
-@dataclass
 class BenchRecord:
-    rule: str              # rule family: "left" or "right"
-    k: int
-    algorithm: str         # "new" or "kk"
-    ms: float
-    states: Optional[int]
-    arcs: Optional[int]
-    dfa_arcs: Optional[int]
-    timeout: bool
+    # rule: "left" or "right"; algorithm: "new" or "kk"; sizes may be None
+    __slots__ = ("rule", "k", "algorithm", "ms", "states", "arcs",
+                 "dfa_arcs", "timeout")
+
+    def __init__(self, rule, k, algorithm, ms, states, arcs, dfa_arcs,
+                 timeout):
+        self.rule, self.k, self.algorithm, self.ms = rule, k, algorithm, ms
+        self.states, self.arcs, self.dfa_arcs = states, arcs, dfa_arcs
+        self.timeout = timeout
 
     def csv_row(self):
         opt = lambda v: "" if v is None else str(v)
@@ -121,8 +120,6 @@ def run_bench(family, kmax, alphabet_size=194, deadline_ms=300_000,
     slower) KK points are recorded as timeouts without running. Returns a
     list of BenchRecords (2 per k: the `new` row, then the `kk` row).
     Out-of-range arguments raise BadOptionError."""
-    from statistics import median  # here, so `rwc.cli` starts without it
-
     if family not in ("left", "right"):
         raise BadOptionError(f"family must be 'left' or 'right', "
                              f"not {family!r}")

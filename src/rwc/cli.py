@@ -33,9 +33,8 @@ import argparse
 import sys
 from contextlib import nullcontext
 
-from . import bench as bench_mod
 from . import compiler, kk, oracle, rulespec, textio
-from .errors import BadOptionError, RwcError, at_least
+from .errors import BadOptionError, InputBudgetError, RwcError, at_least
 from .fsm import Deadline
 
 
@@ -164,6 +163,7 @@ def cmd_check(args):
 
 
 def cmd_bench(args):
+    from . import bench as bench_mod  # loaded by `rwc bench` only
     records = bench_mod.run_bench(
         args.family, args.kmax, alphabet_size=args.alphabet_size,
         deadline_ms=args.deadline_ms, skip_after=args.skip_after)
@@ -228,7 +228,8 @@ def main(argv=None):
     try:
         return args.func(args)
     except (RwcError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        hint = " (--max-len)" if isinstance(e, InputBudgetError) else ""
+        print(f"error: {e}{hint}", file=sys.stderr)
         return 1
 
 

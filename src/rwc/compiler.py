@@ -44,7 +44,6 @@ expanded to the full alphabet once at the end.
 """
 
 from collections import defaultdict
-from dataclasses import dataclass
 
 from . import fsm
 from .boolean_ops import compact_transducer, count_ops, determinize
@@ -55,17 +54,19 @@ from .rulespec import (Rule, RuleSet, compile_regex, leaf_names, nullable,
                        rename, series_to_wfsa)
 
 
-@dataclass
 class CompileStats:
-    states: int
-    arcs: int
-    subset_constructions: int
+    __slots__ = ("states", "arcs", "subset_constructions")
+
+    def __init__(self, states, arcs, subset_constructions):
+        self.states, self.arcs = states, arcs
+        self.subset_constructions = subset_constructions
 
 
-@dataclass
 class CompiledRule:
-    transducer: Transducer
-    stats: CompileStats
+    __slots__ = ("transducer", "stats")
+
+    def __init__(self, transducer, stats):
+        self.transducer, self.stats = transducer, stats
 
 
 def _marker_dfa(beta_nfa, working_labels):
@@ -79,10 +80,8 @@ def _tau_r(rho, alphabet):
     inserts RB after every occurrence of reverse(rho)."""
     sigma = alphabet.sigma()
     rho_rev = fsm.reverse(compile_regex(rho, alphabet))
-    dfa = _marker_dfa(rho_rev, sigma)
-    return marker(dfa, MarkerSpec(MarkerKind.TYPE1,
-                                  insertions=frozenset({alphabet.rb})),
-                  sigma)
+    spec = MarkerSpec(MarkerKind.TYPE1, insertions={alphabet.rb})
+    return marker(_marker_dfa(rho_rev, sigma), spec, sigma)
 
 
 def build_r(rho, alphabet):
@@ -100,11 +99,9 @@ def _tau_f(phi, alphabet):
     work = alphabet.sigma() + (alphabet.rb,)
     phi_rb = fsm.ignore_labels(compile_regex(phi, alphabet), {alphabet.rb})
     beta = fsm.aut_concat([fsm.aut_label(alphabet.rb), fsm.reverse(phi_rb)])
-    dfa = _marker_dfa(beta, work)
-    return marker(dfa, MarkerSpec(MarkerKind.TYPE1,
-                                  insertions=frozenset({alphabet.lb1,
-                                                        alphabet.lb2})),
-                  work)
+    spec = MarkerSpec(MarkerKind.TYPE1,
+                      insertions={alphabet.lb1, alphabet.lb2})
+    return marker(_marker_dfa(beta, work), spec, work)
 
 
 def build_f(phi, alphabet):
@@ -209,10 +206,12 @@ def compile_rule(rule, alphabet, compact=True):
     of `symbol_blocks` for the rule alone: block mates' arcs copy the
     representative's, so they are dropped, and `_expand` widens the
     compacted machine back, its arcs sorted into the (state, in, out,
-    weight) order of compacting over every label. The caller must ensure
-    the rule does not rewrite its own non-contextual part; that condition
-    is not checked here. The stats count the subset constructions of the
-    construction proper, not compaction's."""
+    weight) order of compacting over every label; with no block mates, as
+    on `compile_ruleset`'s path, it is compacted as it is, already in that
+    order. The caller must ensure the rule does not rewrite its own
+    non-contextual part; that condition is not checked here. The stats
+    count the subset constructions of the construction proper, not
+    compaction's."""
     with count_ops() as ops:
         tau_r = _tau_r(rule.rho, alphabet)
         tau_f = _tau_f(rule.phi, alphabet)
@@ -223,17 +222,20 @@ def compile_rule(rule, alphabet, compact=True):
         right = fsm.compose(rep, tau_l)
         t = fsm.compose(rf, right)
     if compact:
-        blocks = [alphabet.ids_of(block)
-                  for block in symbol_blocks(RuleSet(alphabet, (rule,)))]
-        drop = {x for block in blocks for x in block[1:]}
-        t = compact_transducer(Transducer._built(
-            t.num_states, t.initial, t.finals,
-            [a for a in t.arcs if a[1] not in drop]))
-        members = {block[0]: block for block in blocks}
-        members[EPS] = (EPS,)
-        t = _expand(t, members, alphabet)
-        t = Transducer._built(t.num_states, t.initial, t.finals,
-                              sorted(t.arcs))
+        blocks = symbol_blocks(RuleSet(alphabet, (rule,)))
+        if len(blocks) == alphabet.n:  # no block mates: nothing to drop
+            t = compact_transducer(t)
+        else:
+            blocks = list(map(alphabet.ids_of, blocks))
+            drop = {x for block in blocks for x in block[1:]}
+            t = compact_transducer(Transducer._built(
+                t.num_states, t.initial, t.finals,
+                [a for a in t.arcs if a[1] not in drop]))
+            members = {block[0]: block for block in blocks}
+            members[EPS] = (EPS,)
+            t = _expand(t, members, alphabet)
+            t = Transducer._built(t.num_states, t.initial, t.finals,
+                                  sorted(t.arcs))
     assert_no_markers(t, alphabet)
     stats = CompileStats(states=t.num_states, arcs=len(t.arcs),
                          subset_constructions=ops["determinize"])

@@ -57,6 +57,45 @@ _FORBIDDEN_USER_NAMES = set(RESERVED_NAMES) | {">", "<1", "<2", "0"}
 _open = ContextVar("rwc_deadline", default=None)
 
 
+class Value:
+    """An immutable value: its class's ``__slots__`` are its fields, set by
+    position or keyword; equal and hashed by class and field values."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        rest = names[len(args):]
+        if len(args) > len(names) or kwargs.keys() != set(rest):
+            raise TypeError(f"{type(self).__qualname__}() takes the fields "
+                            f"{', '.join(names) or 'none'}")
+        for name, v in zip(names, args + tuple(map(kwargs.get, rest))):
+            object.__setattr__(self, name, v)
+
+    def _fields(self):
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        return (self._fields() == other._fields()
+                if type(other) is type(self) else NotImplemented)
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}"
+                           for n, v in zip(self.__slots__, self._fields()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__qualname__} is immutable")
+
+    __delattr__ = __setattr__
+
+
 class Deadline:
     """Wall-clock limit of `ms` milliseconds from construction, in force
     in a ``with Deadline(ms):`` block, whose long loops call

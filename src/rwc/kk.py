@@ -34,9 +34,7 @@ makes this pipeline expensive; `KkCompiledRule.ops` is the
 ``boolean_ops.count_ops`` tally of one rule's kernel calls.
 """
 
-from collections import Counter
 from contextlib import nullcontext
-from dataclasses import dataclass
 
 from . import fsm
 from .boolean_ops import (compact_transducer, complement, count_ops,
@@ -55,22 +53,18 @@ class KkBrackets:
 
     def __init__(self, alphabet):
         base = alphabet.num_labels
-        self.la = base
-        self.li = base + 1
-        self.lc = base + 2
-        self.ra = base + 3
-        self.ri = base + 4
-        self.rc = base + 5
-        self.zero = base + 6
+        (self.la, self.li, self.lc, self.ra, self.ri, self.rc,
+         self.zero) = range(base, base + 7)
 
     def all(self):
         return (self.la, self.li, self.lc, self.ra, self.ri, self.rc)
 
 
-@dataclass
 class KkCompiledRule:
-    transducer: Transducer
-    ops: Counter
+    __slots__ = ("transducer", "ops")
+
+    def __init__(self, transducer, ops):
+        self.transducer, self.ops = transducer, ops
 
 
 def _forbid(pattern_nfa, gamma):

@@ -13,12 +13,11 @@ sink: the sink is a non-matching state, so admitting markers there is
 exactly what the filter means.
 """
 
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .boolean_ops import complete, is_complete
 from .errors import BadMarkerSpecError, NotCompleteError
-from .fsm import EPS, Transducer
+from .fsm import EPS, Transducer, Value
 
 
 class MarkerKind(Enum):
@@ -27,26 +26,19 @@ class MarkerKind(Enum):
     TYPE3 = 3
 
 
-@dataclass(frozen=True)
-class MarkerSpec:
-    kind: MarkerKind
-    insertions: frozenset = field(default_factory=frozenset)
-    deletions: frozenset = field(default_factory=frozenset)
+class MarkerSpec(Value):
+    __slots__ = ("kind", "insertions", "deletions")
 
-    def __post_init__(self):
-        ins = frozenset(self.insertions)
-        dels = frozenset(self.deletions)
-        object.__setattr__(self, "insertions", ins)
-        object.__setattr__(self, "deletions", dels)
-        if self.kind is MarkerKind.TYPE1:
+    def __init__(self, kind, insertions=frozenset(), deletions=frozenset()):
+        ins, dels = frozenset(insertions), frozenset(deletions)
+        if kind is MarkerKind.TYPE1:
             if bool(ins) == bool(dels):
                 raise BadMarkerSpecError(
                     "TYPE 1 takes insertions or deletions, not both/neither")
-        else:
-            if ins or len(dels) != 1:
-                raise BadMarkerSpecError(
-                    "TYPE 2/3 take exactly one deletion label and no "
-                    "insertions")
+        elif ins or len(dels) != 1:
+            raise BadMarkerSpecError(
+                "TYPE 2/3 take exactly one deletion label and no insertions")
+        super().__init__(kind, ins, dels)
 
 
 def marker(alpha, spec, working_labels):

@@ -12,7 +12,6 @@ index composition reads (``in_index``).
 
 import sys
 from collections import defaultdict
-from dataclasses import dataclass
 from heapq import heappush, heappop
 
 from . import fsm
@@ -202,7 +201,7 @@ def _check_budget(n_symbols, max_len):
         if total > CHECK_BUDGET:
             raise InputBudgetError(
                 f"{n_symbols} symbols up to length {max_len} are more "
-                f"than {CHECK_BUDGET:,} input strings; lower --max-len")
+                f"than {CHECK_BUDGET:,} input strings; lower max_len")
 
 
 def _max_out_len(max_len):
@@ -471,11 +470,12 @@ def oracle_rewrite(rule, alphabet, input_seq, bound=1000):
 # Relation equivalence
 # ---------------------------------------------------------------------------
 
-@dataclass
 class EquivalenceReport:
-    equivalent: bool
-    counterexamples: list
-    strings_checked: int
+    __slots__ = ("equivalent", "counterexamples", "strings_checked")
+
+    def __init__(self, equivalent, counterexamples, strings_checked):
+        self.equivalent, self.counterexamples = equivalent, counterexamples
+        self.strings_checked = strings_checked
 
     def __str__(self):
         if self.equivalent:

@@ -14,10 +14,11 @@ an atom (no whitespace) is the postfix one-or-more operator; with
 whitespace before it, "+" is union. A weight prefix applies to the whole
 following factor including its postfix operator.
 
+Syntax trees, rules and rule sets are immutable values (``fsm.Value``),
+equal and hashed by class and fields.
+
 The lexer has one token tail; its branches only pick kind, value and width.
 """
-
-from dataclasses import dataclass
 
 from . import fsm
 from .errors import (NegativeWeightError, PhiNullableError, PsiEmptyError,
@@ -28,64 +29,53 @@ from .errors import (NegativeWeightError, PhiNullableError, PsiEmptyError,
 # Syntax trees
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Sym:
-    name: str
+class Sym(fsm.Value):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Eps:
-    pass
+class Eps(fsm.Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Cat:
-    parts: tuple
+class Cat(fsm.Value):
+    __slots__ = ("parts",)
 
 
-@dataclass(frozen=True)
-class Alt:
-    parts: tuple
+class Alt(fsm.Value):
+    __slots__ = ("parts",)
 
 
-@dataclass(frozen=True)
-class Star:
-    child: object
+class Star(fsm.Value):
+    __slots__ = ("child",)
 
 
-@dataclass(frozen=True)
-class Plus:
-    child: object
+class Plus(fsm.Value):
+    __slots__ = ("child",)
 
 
-@dataclass(frozen=True)
-class Opt:
-    child: object
+class Opt(fsm.Value):
+    __slots__ = ("child",)
 
 
-@dataclass(frozen=True)
-class Cls:
-    names: tuple  # sorted, distinct
+class Cls(fsm.Value):
+    __slots__ = ("names",)  # sorted, distinct
 
 
-@dataclass(frozen=True)
-class Weighted:
-    weight: float
-    child: object
+class Weighted(fsm.Value):
+    __slots__ = ("weight", "child")
 
 
-@dataclass(frozen=True)
-class Rule:
-    phi: object
-    psi: object
-    lam: object
-    rho: object
+class Rule(fsm.Value):
+    __slots__ = ("phi", "psi", "lam", "rho")
 
 
-@dataclass(frozen=True)
-class RuleSet:
-    alphabet: fsm.Alphabet
-    rules: tuple
+class RuleSet(fsm.Value):
+    __slots__ = ("alphabet", "rules")
+
+
+_POSTFIX = {"STAR": Star, "PLUSPOST": Plus, "QMARK": Opt}
+_POSTFIX_CHAR = {Star: "*", Plus: "+", Opt: "?"}
+_CLOSURE = {Star: fsm.aut_star, Plus: fsm.aut_plus, Opt: fsm.aut_opt}
 
 
 def nullable(ast):
@@ -156,13 +146,12 @@ _CHAR_TOKENS = {";": "SEMI", ":": "COLON", "/": "SLASH", "*": "STAR",
 _ATOM_END = {"NAME", "ZERO", "RPAREN", "RBRACK"}
 
 
-@dataclass
 class _Tok:
-    kind: str
-    value: object
-    line: int
-    col: int
-    end: int  # offset just past the token's text
+    __slots__ = ("kind", "value", "line", "col", "end")
+
+    def __init__(self, kind, value, line, col, end):
+        self.kind, self.value, self.line, self.col = kind, value, line, col
+        self.end = end  # offset just past the token's text
 
 
 def _lex(text):
@@ -314,16 +303,10 @@ class _Parser:
             self.take()
             return Weighted(t.value, self.nest(t, self.factor, series))
         node = self.atom(series)
-        k = self.peek().kind
-        if k == "STAR":
+        postfix = _POSTFIX.get(self.peek().kind)
+        if postfix:
             self.take()
-            return Star(node)
-        if k == "PLUSPOST":
-            self.take()
-            return Plus(node)
-        if k == "QMARK":
-            self.take()
-            return Opt(node)
+            return postfix(node)
         return node
 
     def atom(self, series):
@@ -447,12 +430,8 @@ def pretty(ast, alphabet=None):
         return " + ".join(
             "(" + pretty(p, alphabet) + ")" if isinstance(p, Alt)
             else pretty(p, alphabet) for p in ast.parts)
-    if isinstance(ast, Star):
-        return _pp_atom(ast.child, alphabet) + "*"
-    if isinstance(ast, Plus):
-        return _pp_atom(ast.child, alphabet) + "+"
-    if isinstance(ast, Opt):
-        return _pp_atom(ast.child, alphabet) + "?"
+    if isinstance(ast, (Star, Plus, Opt)):
+        return _pp_atom(ast.child, alphabet) + _POSTFIX_CHAR[type(ast)]
     if isinstance(ast, Weighted):
         return (f"<{_fmt_weight(ast.weight)}> "
                 + _pp_tight(ast.child, alphabet))
@@ -505,12 +484,8 @@ def compile_regex(ast, alphabet):
     if isinstance(ast, Alt):
         return fsm.aut_union([compile_regex(p, alphabet)
                               for p in ast.parts])
-    if isinstance(ast, Star):
-        return fsm.aut_star(compile_regex(ast.child, alphabet))
-    if isinstance(ast, Plus):
-        return fsm.aut_plus(compile_regex(ast.child, alphabet))
-    if isinstance(ast, Opt):
-        return fsm.aut_opt(compile_regex(ast.child, alphabet))
+    if isinstance(ast, (Star, Plus, Opt)):
+        return _CLOSURE[type(ast)](compile_regex(ast.child, alphabet))
     if isinstance(ast, Weighted):
         return fsm.aut_weighted(ast.weight,
                                 compile_regex(ast.child, alphabet))

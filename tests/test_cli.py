@@ -3,7 +3,10 @@
 import hashlib
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -466,6 +469,31 @@ def test_check_refuses_sweep_over_budget(tmp_path, capsys):
     assert main(["check", str(rules), "--max-len", "3",
                  "--against", f"{rules}.fst"]) == 0
     assert "all checks passed" in capsys.readouterr().out
+
+
+def test_check_budget_error_adds_the_max_len_hint(tmp_path, capsys):
+    # a, b and the block {c, d}: 3 representatives up to length 13 are
+    # 2,391,484 strings
+    rules = tmp_path / "small.rules"
+    rules.write_text("alphabet: a b c d ;\na -> b ;\n")
+    assert main(["check", str(rules), "--max-len", "13"]) == 1
+    assert capsys.readouterr().err == (
+        "error: E_BUDGET: 3 symbols up to length 13 are more than 1,000,000 "
+        "input strings; lower max_len (--max-len)\n")
+
+
+def test_import_loads_neither_dataclasses_nor_bench():
+    # what every `rwc` command imports first; diffing sys.modules ignores
+    # whatever the interpreter's site set-up loads
+    code = ("import sys; before = set(sys.modules); import rwc, rwc.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    new = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert "rwc.cli" in new
+    assert not {"dataclasses", "inspect", "rwc.bench"} & set(new)
 
 
 def test_check_budget_admits_nasal_demo_default(monkeypatch):

@@ -309,6 +309,25 @@ def test_compile_rule_compacts_one_representative_per_block(monkeypatch):
     assert seen == {EPS, *alphabet.ids_of(["s000", "s001", "s002", "s003"])}
 
 
+def test_compile_rule_without_block_mates_compacts_in_sorted_order(
+        monkeypatch):
+    # over `rule_over_blocks`' pair, as compile_ruleset compiles a rule,
+    # no block has two members: nothing is dropped or widened, and the
+    # compacted arcs are already in sorted order
+    def no_expand(*args):
+        raise AssertionError("_expand called")
+
+    monkeypatch.setattr(C, "_expand", no_expand)
+    rng = rng_for("compile-rule-no-block-mates")
+    for _ in range(2):
+        rs = parse_rule_file(rand_phonology_text(rng))
+        for rule in rs.rules:
+            rule, small, _ = C.rule_over_blocks(rule, rs.alphabet)
+            arcs = C.compile_rule(rule, small).transducer.arcs
+            assert list(arcs) == sorted(arcs)
+            assert_same_as_reference_cascade(rule, small)
+
+
 @pytest.mark.parametrize("demo", ["nasal.rules", "chain.rules"])
 def test_compile_rule_equals_reference_cascade_demos(demo):
     rs = parse_rule_file((DEMOS / demo).read_text())

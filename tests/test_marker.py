@@ -126,6 +126,19 @@ def test_marker_spec_validation():
         MarkerSpec(MarkerKind.TYPE2, deletions=frozenset({AB.lb1, AB.lb2}))
 
 
+def test_marker_spec_is_an_immutable_value():
+    spec = MarkerSpec(MarkerKind.TYPE2, deletions={AB.lb1})
+    assert spec.deletions == frozenset({AB.lb1}) and spec.insertions == set()
+    assert spec == MarkerSpec(kind=MarkerKind.TYPE2,
+                              deletions=frozenset({AB.lb1}))
+    assert spec != MarkerSpec(MarkerKind.TYPE3, deletions={AB.lb1})
+    with pytest.raises(AttributeError):
+        spec.deletions = frozenset({AB.lb2})
+    with pytest.raises(BadMarkerSpecError) as e:
+        MarkerSpec(MarkerKind.TYPE3, insertions={AB.lb1}, deletions={AB.lb2})
+    assert e.value.code == "E_BAD_SPEC"
+
+
 def test_size_bounds_on_random_betas():
     rng = rng_for("marker-size")
     for i in range(30):

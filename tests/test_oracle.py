@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from rwc import compiler as C
 from rwc import oracle as O
 from rwc.errors import (BadOptionError, DeadlineExceeded, DivergentError,
-                        RwcError, WeightOverflowError)
+                        InputBudgetError, RwcError, WeightOverflowError)
 from rwc.fsm import EPS, Alphabet, Automaton, Deadline, Transducer, \
     aut_sigma_star, id_transducer, remove_epsilon
 from rwc.rulespec import Cls, Eps, Rule, Sym, parse_rule_file
@@ -588,6 +588,20 @@ def test_library_entry_point_refuses_size_out_of_range(call):
     t = C.compile_rule(rule, alphabet).transducer
     with pytest.raises(BadOptionError):
         call(t, rule, alphabet)
+
+
+@pytest.mark.parametrize("call", [
+    lambda t, rule, ab: O.relation_upto(t, ab, 13),
+    lambda t, rule, ab: O.RewriteOracle(rule, ab).relation(ab.sigma(), 13),
+], ids=["relation_upto", "RewriteOracle.relation"])
+def test_library_budget_error_names_max_len_not_the_cli_option(call):
+    # 3 symbols up to length 13 are 2,391,484 strings
+    alphabet, rule = rule_of("alphabet: a b c ;\n a -> b / c _ ;")
+    t = C.compile_rule(rule, alphabet).transducer
+    with pytest.raises(InputBudgetError) as e:
+        call(t, rule, alphabet)
+    assert str(e.value) == ("E_BUDGET: 3 symbols up to length 13 are more "
+                            "than 1,000,000 input strings; lower max_len")
 
 
 @pytest.mark.parametrize("raise_by, equivalent", [(5e-10, True),

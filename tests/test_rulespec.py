@@ -1,6 +1,8 @@
 """Grammar, series semantics, and round-trip stability."""
 
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -214,6 +216,61 @@ def test_lex_matches_reference_lexer(parts, bad, at, final_newline):
         parts.insert(at, bad)
     text = "".join(parts) + ("\n" if final_newline else "")
     assert _lex_outcome(R._lex, text) == _lex_outcome(reference_lex, text)
+
+
+# ---------------------------------------------------------------------------
+# Syntax trees as values
+# ---------------------------------------------------------------------------
+
+def test_syntax_trees_are_values():
+    a = R.Sym("a")
+    assert a == R.Sym("a") and a != R.Sym("b")
+    assert hash(a) == hash(("a",)) and hash(R.Eps()) == hash(())
+    assert R.Cat((a, a)) != R.Alt((a, a))
+    assert len({R.Star(a), R.Star(a), R.Plus(a), R.Opt(a)}) == 3
+    assert repr(R.Weighted(2.0, a)) == \
+        "Weighted(weight=2.0, child=Sym(name='a'))"
+    assert repr(R.Eps()) == "Eps()"
+
+
+def test_syntax_trees_are_immutable():
+    a = R.Sym("a")
+    with pytest.raises(AttributeError):
+        a.name = "b"
+    with pytest.raises(AttributeError):
+        del a.name
+    with pytest.raises(AttributeError):
+        a.other = 1
+    assert a.name == "a"
+
+
+def test_rule_construction_by_position_or_keyword():
+    phi, psi, lam, rho = R.Sym("a"), R.Sym("b"), R.Eps(), R.Cls(("a", "b"))
+    rule = R.Rule(phi=phi, psi=psi, lam=lam, rho=rho)
+    assert rule == R.Rule(phi, psi, lam, rho) == R.Rule(phi, psi, rho=rho,
+                                                        lam=lam)
+    assert (rule.phi, rule.psi, rule.lam, rule.rho) == (phi, psi, lam, rho)
+    for args, kwargs in [((phi, psi, lam), {}),
+                         ((phi, psi, lam, rho, rho), {}),
+                         ((phi, psi, lam), {"phi": phi}),
+                         ((phi, psi, lam), {"sigma": rho}),
+                         ((phi, psi, lam, rho), {"rho": rho})]:
+        with pytest.raises(TypeError):
+            R.Rule(*args, **kwargs)
+    with pytest.raises(TypeError):
+        R.Eps(phi)
+
+
+def test_rule_sets_copy_and_pickle_to_equal_values():
+    rs = parse_rule_file("alphabet: b m n p N a ;\n"
+                         "N -> <0.1054> m + <2.3026> n / _ [b m p] ;\n"
+                         "a -> b m / N? _ (a + b)* ;\n")
+    for node in (rs, *rs.rules, rs.rules[0].psi):
+        for twin in (copy.copy(node), copy.deepcopy(node),
+                     pickle.loads(pickle.dumps(node))):
+            assert type(twin) is type(node) and twin == node
+            # a rule set holds an Alphabet, which is unhashable
+            assert node is rs or hash(twin) == hash(node)
 
 
 # ---------------------------------------------------------------------------
