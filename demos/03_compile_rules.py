@@ -20,9 +20,9 @@ alphabet: a b c d ;
 a -> b / c _ d ;
 """)
 cr = compile_rule(rules.rules[0], rules.alphabet)
-print(f"a -> b / c _ d compiles to {cr.stats.states} states, "
-      f"{cr.stats.arcs} arcs, {cr.stats.subset_constructions} subset "
-      "constructions")
+t = cr.transducer
+print(f"a -> b / c _ d compiles to {t.num_states} states, {len(t.arcs)} "
+      f"arcs, {cr.stats.subset_constructions} subset constructions")
 for text in ["cad", "ad", "cadcad"]:
     out, _ = apply(cr.transducer, text, rules.alphabet)
     print(f"  {text} -> {sorted(out.entries)}")

@@ -16,7 +16,7 @@ from rwc.rulespec import parse_rule_file, Cat, Eps, Sym
 rules = parse_rule_file("alphabet: a b c d ;\n a -> b / c _ d ;\n")
 direct = compile_rule(rules.rules[0], rules.alphabet)
 baseline = kk_compile_rule(rules.rules[0], rules.alphabet)
-print(f"direct:   {direct.stats.states} states, "
+print(f"direct:   {direct.transducer.num_states} states, "
       f"{direct.stats.subset_constructions} determinizations")
 print(f"baseline: {baseline.transducer.num_states} states, "
       f"{baseline.ops['determinize']} determinizations, "

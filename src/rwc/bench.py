@@ -118,7 +118,8 @@ def run_bench(family, kmax, alphabet_size=194, deadline_ms=300_000,
     module docstring). KK points run under a per-point deadline; after
     `skip_after` consecutive KK timeouts the remaining (larger, strictly
     slower) KK points are recorded as timeouts without running. Returns a
-    list of BenchRecords (2 per k: the `new` row, then the `kk` row).
+    list of BenchRecords (2 per k: the `new` row, then the `kk` row), each
+    with the states and arcs of the transducer it compiled.
     Out-of-range arguments raise BadOptionError."""
     if family not in ("left", "right"):
         raise BadOptionError(f"family must be 'left' or 'right', "
@@ -132,19 +133,19 @@ def run_bench(family, kmax, alphabet_size=194, deadline_ms=300_000,
     rules = [bench_rule(family, k) for k in range(kmax + 1)]
     refs = []
     new_ratios = [[] for _ in rules]
-    stats = [None] * len(rules)
+    machines = [None] * len(rules)
     for _ in range(REPEATS_NEW):
         for k, rule in enumerate(rules):
             _, ratio, cr = _sample(refs, compiler.compile_rule, rule,
                                    alphabet)
             new_ratios[k].append(ratio)
-            stats[k] = cr.stats
+            machines[k] = cr.transducer
     records = []
     kk_consecutive_timeouts = 0
     for k, rule in enumerate(rules):
+        t = machines[k]
         records.append(BenchRecord(family, k, "new", median(new_ratios[k]),
-                                   stats[k].states, stats[k].arcs, None,
-                                   False))
+                                   t.num_states, len(t.arcs), None, False))
         dfa_arcs = None
         if family == "right":
             with suppress(DeadlineExceeded), Deadline(deadline_ms):

@@ -54,19 +54,14 @@ from .rulespec import (Rule, RuleSet, compile_regex, leaf_names, nullable,
                        rename, series_to_wfsa)
 
 
-class CompileStats:
-    __slots__ = ("states", "arcs", "subset_constructions")
+class CompileStats(fsm.Value):
+    """A compile's subset constructions; its size is its transducer's."""
 
-    def __init__(self, states, arcs, subset_constructions):
-        self.states, self.arcs = states, arcs
-        self.subset_constructions = subset_constructions
+    __slots__ = ("subset_constructions",)
 
 
-class CompiledRule:
+class CompiledRule(fsm.Value):
     __slots__ = ("transducer", "stats")
-
-    def __init__(self, transducer, stats):
-        self.transducer, self.stats = transducer, stats
 
 
 def _marker_dfa(beta_nfa, working_labels):
@@ -237,9 +232,8 @@ def compile_rule(rule, alphabet, compact=True):
             t = Transducer._built(t.num_states, t.initial, t.finals,
                                   sorted(t.arcs))
     assert_no_markers(t, alphabet)
-    stats = CompileStats(states=t.num_states, arcs=len(t.arcs),
-                         subset_constructions=ops["determinize"])
-    return CompiledRule(transducer=t, stats=stats)
+    return CompiledRule(transducer=t, stats=CompileStats(
+        subset_constructions=ops["determinize"]))
 
 
 def identity_over_sigma(alphabet):

@@ -194,6 +194,9 @@ class Alphabet:
     def __eq__(self, other):
         return isinstance(other, Alphabet) and self.symbols == other.symbols
 
+    def __hash__(self):
+        return hash(self.symbols)
+
     def __repr__(self):
         return f"Alphabet({list(self.symbols)!r})"
 
@@ -645,27 +648,25 @@ def trim(m):
 
 
 def ignore_labels(a, labels, allow_leading=True):
-    """The language of `a` with the given labels freely interleaved.
-    With allow_leading=False the first symbol of every match is real:
-    loops are added at every state except a fresh non-reenterable start,
-    so absorbed junk can never precede the match.
+    """The language of `a` with the given labels freely interleaved: a
+    zero-weight loop on each at every state of trim(remove_epsilon(a)).
+    With allow_leading=False the first symbol of every match is real: a
+    fresh start state, which no loop or arc enters, copies the initial
+    state's arcs and final weight, so absorbed junk can never precede the
+    match.
     """
     a = trim(remove_epsilon(a))
+    n, start = a.num_states, a.initial
+    arcs, finals = list(a.arcs), dict(a.finals)
+    if not allow_leading:
+        start = n
+        arcs.extend((n, l, w, d) for s, l, w, d in a.arcs if s == a.initial)
+        if a.initial in finals:
+            finals[n] = finals[a.initial]
     labels = sorted(set(labels))
-    if allow_leading:
-        arcs = list(a.arcs)
-        for q in range(a.num_states):
-            arcs.extend((q, l, 0.0, q) for l in labels)
-        return Automaton(a.num_states, a.initial, a.finals, arcs)
-    fresh = a.num_states
-    arcs = list(a.arcs)
-    arcs.extend((fresh, l, w, d) for s, l, w, d in a.arcs if s == a.initial)
-    finals = dict(a.finals)
-    if a.initial in finals:
-        finals[fresh] = finals[a.initial]
-    for q in range(a.num_states):
+    for q in range(n):
         arcs.extend((q, l, 0.0, q) for l in labels)
-    return Automaton(a.num_states + 1, fresh, finals, arcs)
+    return Automaton(n + (not allow_leading), start, finals, arcs)
 
 
 def compose(t1, t2):

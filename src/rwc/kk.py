@@ -60,11 +60,8 @@ class KkBrackets:
         return (self.la, self.li, self.lc, self.ra, self.ri, self.rc)
 
 
-class KkCompiledRule:
+class KkCompiledRule(fsm.Value):
     __slots__ = ("transducer", "ops")
-
-    def __init__(self, transducer, ops):
-        self.transducer, self.ops = transducer, ops
 
 
 def _forbid(pattern_nfa, gamma):

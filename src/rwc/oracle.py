@@ -189,6 +189,8 @@ def apply(t, input_seq, alphabet, bound=1000):
 _OUTPUTS_PER_INPUT = 4096
 # a sweep refuses to cover more input strings than this
 CHECK_BUDGET = 10**6
+# the oracle refuses a psi with more strings than this
+_PSI_BOUND = 1000
 
 
 def _check_budget(n_symbols, max_len):
@@ -355,20 +357,19 @@ class _Matcher:
 
 
 class RewriteOracle:
-    """Reusable interpreter for one rule (matchers are built once).
-    `rewrite_ids` rewrites one string and `relation` every string up to a
-    length, in one sweep; both run one dynamic program, `_rewrite`."""
+    """Reusable interpreter for one rule (matchers are built once, and
+    psi's strings enumerated once, up to _PSI_BOUND of them: more raise
+    E_DIVERGENT at a rewrite site). `rewrite_ids` rewrites one string and
+    `relation` every string up to a length, in one sweep; both run one
+    dynamic program, `_rewrite`."""
 
-    def __init__(self, rule, alphabet, bound=1000):
-        at_least("bound", bound, 1)
-        self.alphabet = alphabet
-        self.bound = bound
+    def __init__(self, rule, alphabet):
         self.phi = _Matcher(rule.phi, alphabet)
         self.rho = _Matcher(rule.rho, alphabet)
         self.lam_rev = _Matcher(rule.lam, alphabet, reverse=True)
         psi_wfsa = series_to_wfsa(rule.psi, alphabet)
         self.psi_strings, self.psi_truncated = enumerate_language(
-            psi_wfsa, bound + 1)
+            psi_wfsa, _PSI_BOUND)
 
     def rewrite_ids(self, ids):
         """Map input ids -> {output ids: min weight}."""
@@ -422,7 +423,6 @@ class RewriteOracle:
             # what the copy loop below builds; errors arise only at sites
             return {tuple(ids): 0.0}
         n = len(ids)
-        bound = self.bound
         buckets = [dict() for _ in range(n + 1)]
         buckets[0][()] = 0.0
         results = {}
@@ -438,7 +438,7 @@ class RewriteOracle:
                         # psi has more strings than the enumeration bound:
                         # the output set here would exceed any bound
                         raise DivergentError(
-                            f"psi admits more than {bound} strings")
+                            f"psi admits more than {_PSI_BOUND} strings")
                     for m in ms:
                         tgt = buckets[i + m]
                         for s, v in self.psi_strings.items():
@@ -456,13 +456,13 @@ class RewriteOracle:
         return results
 
 
-def oracle_rewrite(rule, alphabet, input_seq, bound=1000):
+def oracle_rewrite(rule, alphabet, input_seq):
     """Ground-truth obligatory left-to-right rewriting of one string.
     Returns a WeightedStringSet keyed by output name tuples, each with its
-    one finite least weight (a sum past the float range raises
-    E_WEIGHT_OVERFLOW). A `bound` below 1 raises E_BAD_OPTION."""
+    one finite least weight, by `RewriteOracle.rewrite_ids` (a sum past
+    the float range raises E_WEIGHT_OVERFLOW)."""
     ids = _to_ids(alphabet, input_seq)
-    orc = RewriteOracle(rule, alphabet, bound)
+    orc = RewriteOracle(rule, alphabet)
     return WeightedStringSet(_named(alphabet, orc.rewrite_ids(ids)))
 
 
@@ -470,12 +470,15 @@ def oracle_rewrite(rule, alphabet, input_seq, bound=1000):
 # Relation equivalence
 # ---------------------------------------------------------------------------
 
-class EquivalenceReport:
-    __slots__ = ("equivalent", "counterexamples", "strings_checked")
+class EquivalenceReport(fsm.Value):
+    """A comparison's counterexamples, (input, outputs, outputs) in names,
+    and the inputs it checked; `equivalent` when there are none."""
 
-    def __init__(self, equivalent, counterexamples, strings_checked):
-        self.equivalent, self.counterexamples = equivalent, counterexamples
-        self.strings_checked = strings_checked
+    __slots__ = ("counterexamples", "strings_checked")
+
+    @property
+    def equivalent(self):
+        return not self.counterexamples
 
     def __str__(self):
         if self.equivalent:
@@ -524,7 +527,7 @@ def _compare(rel, expected, alphabet, max_len, need_output=False, tol=1e-9):
     # equal dicts, compared in C, agree on every input; `rel` records no
     # empty output set, so with every input present each has an output
     if rel == expected and (not need_output or len(expected) == n_inputs):
-        return EquivalenceReport(True, [], n_inputs)
+        return EquivalenceReport([], n_inputs)
     counterexamples = []
     checked = 0
     for u in _strings(sigma, max_len):
@@ -541,7 +544,7 @@ def _compare(rel, expected, alphabet, max_len, need_output=False, tol=1e-9):
                                     _named(alphabet, o2)))
             if len(counterexamples) >= _MAX_REPORT:
                 break
-    return EquivalenceReport(not counterexamples, counterexamples, checked)
+    return EquivalenceReport(counterexamples, checked)
 
 
 def _same_machine(a, b):

@@ -598,9 +598,8 @@ def reference_rewrite_ids(orc, ids):
     shared its tables: both tables built from scratch for the one string,
     and the dynamic program run on every input, site or no site."""
     from rwc.errors import DivergentError
-    from rwc.oracle import _overflow
+    from rwc.oracle import _PSI_BOUND, _overflow
     n = len(ids)
-    bound = orc.bound
     rho_ok = [bool(orc.rho.match_lengths(ids, j)) for j in range(n + 1)]
     sites = []
     for i in range(n):
@@ -620,7 +619,7 @@ def reference_rewrite_ids(orc, ids):
             if ms and orc.lam_rev.ends_with_match(out):
                 if orc.psi_truncated:
                     raise DivergentError(
-                        f"psi admits more than {bound} strings")
+                        f"psi admits more than {_PSI_BOUND} strings")
                 for m in ms:
                     tgt = buckets[i + m]
                     for s, v in orc.psi_strings.items():

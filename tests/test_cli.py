@@ -656,6 +656,30 @@ def test_check_sweeps_rule_blocks_and_full_alphabet_against(capsys,
     assert [len(sigma) for _, sigma in calls] == [5]
 
 
+def test_check_against_own_fst_with_insertions_is_not_swept(tmp_path, capsys,
+                                                            monkeypatch):
+    # the first rule inserts s001, so the composed machine has
+    # epsilon-input arcs; the bound follows them and shows its sweep
+    # raises nothing, so the 194 symbols, 7.3e6 strings up to length 3
+    # (past the budget), are never swept
+    names = " ".join(f"s{i:03d}" for i in range(194))
+    rules = tmp_path / "insert.rules"
+    rules.write_text(f"alphabet: {names} ;\n"
+                     "s000 -> s000 s001 / _ s002 ;\n"
+                     "s003 -> <0.5> s004 + <1.5> s005 / s006 _ ;\n")
+    fst = tmp_path / "insert.fst"
+    assert main(["compile", str(rules), "-o", str(fst)]) == 0
+    t, _ = textio.read_transducer(str(fst))
+    assert any(arc[1] == EPS for arc in t.arcs)
+    capsys.readouterr()
+    calls = _count_sweeps(monkeypatch)
+    assert main(["check", str(rules), "--max-len", "3",
+                 "--against", str(fst)]) == 0
+    out = capsys.readouterr().out
+    assert out.count(": ok\n") == 5 and out.endswith("all checks passed\n")
+    assert calls and all(len(sigma) < 194 for _, sigma in calls)
+
+
 def test_check_sweeps_machines_that_differ(tmp_path, capsys, monkeypatch):
     # uncompacted KK machines and an uncompacted FST are not identical to
     # the compiled ones: 3 + 3 + 2 sweeps, all agreeing

@@ -80,11 +80,23 @@ def test_oracle_weights_sum_per_choice_closed_form():
 
 def test_oracle_divergent_psi_raises():
     alphabet, rule = rule_of("alphabet: a b ;\n a -> b* ;")
-    with pytest.raises(DivergentError):
-        O.oracle_rewrite(rule, alphabet, "a", bound=20)
-    # ...but an input with no match site stays finite
-    out = O.oracle_rewrite(rule, alphabet, "", bound=20)
+    with mock.patch.object(O, "_PSI_BOUND", 20):
+        with pytest.raises(DivergentError):
+            O.oracle_rewrite(rule, alphabet, "a")
+        # ...but an input with no match site stays finite
+        out = O.oracle_rewrite(rule, alphabet, "")
     assert dict(out.entries) == {(): 0.0}
+
+
+def test_oracle_psi_bound_counts_psi_strings():
+    # psi has 16 + 4 strings, within a bound of 20; one more is past it
+    psi = "(b + c)(b + c)(b + c)(b + c) + d + e + f + g"
+    alphabet, fits = rule_of(f"alphabet: a b c d e f g h ;\n a -> {psi} ;")
+    _, past = rule_of(f"alphabet: a b c d e f g h ;\n a -> {psi} + h ;")
+    with mock.patch.object(O, "_PSI_BOUND", 20):
+        assert len(O.oracle_rewrite(fits, alphabet, "a")) == 20
+        with pytest.raises(DivergentError, match="more than 20 strings"):
+            O.oracle_rewrite(past, alphabet, "a")
 
 
 @pytest.mark.parametrize("psi", ["b* c", "c* b", "b* <1> c"])
@@ -93,9 +105,9 @@ def test_oracle_psi_with_zero_weight_loop_is_divergent(psi):
     # broken by output string popped ever longer b-prefixes and never a
     # whole string; with a weighted exit, so did ties broken by weight alone
     alphabet, rule = rule_of(f"alphabet: a b c ;\n a -> {psi} ;")
-    with time_limit(10):
-        orc = O.RewriteOracle(rule, alphabet, bound=20)
-        assert orc.psi_truncated and len(orc.psi_strings) == 21
+    with time_limit(10), mock.patch.object(O, "_PSI_BOUND", 20):
+        orc = O.RewriteOracle(rule, alphabet)
+        assert orc.psi_truncated and len(orc.psi_strings) == 20
         with pytest.raises(DivergentError):
             orc.rewrite_ids(alphabet.ids_of(["a"]))
 
@@ -336,14 +348,18 @@ def test_relation_upto_agrees_with_apply():
 
 
 def test_equivalent_on_reflexive():
-    alphabet, rule = rule_of("alphabet: a b c ;\n a -> b / c _ ;")
-    t = C.compile_rule(rule, alphabet).transducer
-    # a bound shows that its sweep raises nothing, so it is not swept
-    with mock.patch.object(O, "_relation") as sweep:
-        rep = O.equivalent_on(t, t, alphabet, 4)
-    sweep.assert_not_called()
-    assert rep.equivalent and rep.counterexamples == []
-    assert str(rep) == "equivalent on all 121 strings"
+    # a bound shows that its sweep raises nothing, so it is not swept;
+    # the insertion's machine has an epsilon-input arc, which the bound
+    # follows
+    for psi, n_eps in (("b", 0), ("a b", 1)):
+        alphabet, rule = rule_of(f"alphabet: a b c ;\n a -> {psi} / c _ ;")
+        t = C.compile_rule(rule, alphabet).transducer
+        assert sum(arc[1] == EPS for arc in t.arcs) == n_eps
+        with mock.patch.object(O, "_relation") as sweep:
+            rep = O.equivalent_on(t, t, alphabet, 4)
+        sweep.assert_not_called()
+        assert rep.equivalent and rep.counterexamples == []
+        assert str(rep) == "equivalent on all 121 strings"
 
 
 def test_equivalent_on_finds_constructed_difference():
@@ -579,10 +595,8 @@ def test_oracle_matchers_run_under_the_open_deadline():
     lambda t, rule, ab: O.RewriteOracle(rule, ab).relation(ab.sigma(), -1),
     lambda t, rule, ab: O.apply(t, "a", ab, bound=0),
     lambda t, rule, ab: O.enumerate_language(aut_sigma_star(ab.sigma()), 0),
-    lambda t, rule, ab: O.RewriteOracle(rule, ab, bound=0),
-    lambda t, rule, ab: O.oracle_rewrite(rule, ab, "ca", bound=0),
 ], ids=["equivalent_on", "relation_upto", "RewriteOracle.relation", "apply",
-        "enumerate_language", "RewriteOracle", "oracle_rewrite"])
+        "enumerate_language"])
 def test_library_entry_point_refuses_size_out_of_range(call):
     alphabet, rule = rule_of("alphabet: a b c ;\n a -> b / c _ ;")
     t = C.compile_rule(rule, alphabet).transducer

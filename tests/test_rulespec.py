@@ -262,15 +262,19 @@ def test_rule_construction_by_position_or_keyword():
 
 
 def test_rule_sets_copy_and_pickle_to_equal_values():
-    rs = parse_rule_file("alphabet: b m n p N a ;\n"
-                         "N -> <0.1054> m + <2.3026> n / _ [b m p] ;\n"
-                         "a -> b m / N? _ (a + b)* ;\n")
-    for node in (rs, *rs.rules, rs.rules[0].psi):
+    text = ("alphabet: b m n p N a ;\n"
+            "N -> <0.1054> m + <2.3026> n / _ [b m p] ;\n"
+            "a -> b m / N? _ (a + b)* ;\n")
+    rs = parse_rule_file(text)
+    for node in (rs, rs.alphabet, *rs.rules, rs.rules[0].psi):
         for twin in (copy.copy(node), copy.deepcopy(node),
                      pickle.loads(pickle.dumps(node))):
             assert type(twin) is type(node) and twin == node
-            # a rule set holds an Alphabet, which is unhashable
-            assert node is rs or hash(twin) == hash(node)
+            assert hash(twin) == hash(node)
+    # an alphabet hashes by its symbols, so a rule set is a set member
+    again = parse_rule_file(text)
+    assert again == rs and hash(again) == hash(rs)
+    assert again in {rs}
 
 
 # ---------------------------------------------------------------------------
