@@ -13,7 +13,8 @@ run's median host speed. So a slow stretch of a shared host, or a gc
 pause, does not land on one k and bend the growth curve. The median, not
 the minimum: the reference correction errs both ways when the host's
 speed changes within a sample, and a minimum keeps just the samples it
-made too fast.
+made too fast. After KK_SKIP_AFTER `kk` timeouts in a row, the larger
+k's `kk` rows, slower still, are timeout rows without running.
 
 The synthetic alphabet has `alphabet_size` labels s000, s001, ... (the
 default 194 mirrors a realistic text-to-speech symbol set). Absolute
@@ -32,6 +33,8 @@ from .fsm import Alphabet, Deadline
 CSV_HEADER = "rule,k,algorithm,ms,states,arcs,dfa_arcs,timeout"
 # round-robin rounds of direct-compiler samples over every k
 REPEATS_NEW = 7
+# consecutive KK timeouts after which the larger KK points are not run
+KK_SKIP_AFTER = 2
 
 
 class BenchRecord:
@@ -111,12 +114,11 @@ def _sample(refs, fn, *args):
     return ns, ns / ((r0 + r1) / 2), out
 
 
-def run_bench(family, kmax, alphabet_size=194, deadline_ms=300_000,
-              skip_after=2):
+def run_bench(family, kmax, alphabet_size=194, deadline_ms=300_000):
     """Bench one rule family for k in [0, kmax]. The direct compiler is
     timed first, REPEATS_NEW round-robin rounds over every k (see the
     module docstring). KK points run under a per-point deadline; after
-    `skip_after` consecutive KK timeouts the remaining (larger, strictly
+    KK_SKIP_AFTER consecutive KK timeouts the remaining (larger, strictly
     slower) KK points are recorded as timeouts without running. Returns a
     list of BenchRecords (2 per k: the `new` row, then the `kk` row), each
     with the states and arcs of the transducer it compiled.
@@ -128,7 +130,6 @@ def run_bench(family, kmax, alphabet_size=194, deadline_ms=300_000,
     # the bench rule names s000, s001 and s002
     at_least("alphabet_size (--alphabet-size)", alphabet_size, 3)
     at_least("deadline_ms (--deadline-ms)", deadline_ms, 1)
-    at_least("skip_after (--skip-after)", skip_after, 0)
     alphabet = bench_alphabet(alphabet_size)
     rules = [bench_rule(family, k) for k in range(kmax + 1)]
     refs = []
@@ -152,7 +153,7 @@ def run_bench(family, kmax, alphabet_size=194, deadline_ms=300_000,
                 _, dfa_arcs = kk.kk_rightcontext_probe(rule.rho, alphabet)
         timeout = BenchRecord(family, k, "kk", float(deadline_ms), None,
                               None, dfa_arcs, True)
-        if skip_after and kk_consecutive_timeouts >= skip_after:
+        if kk_consecutive_timeouts >= KK_SKIP_AFTER:
             records.append(timeout)
             continue
         ratios = []

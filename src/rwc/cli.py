@@ -5,7 +5,7 @@
     rwc apply OUT.fst INPUT [--stdin] [--nbest N]
     rwc check RULES [--max-len L] [--against OUT.fst] [--deadline-ms D]
     rwc bench --family left|right [--kmax K] [--alphabet-size N]
-              [--deadline-ms D] [--skip-after N] OUT.csv
+              [--deadline-ms D] OUT.csv
 
 `compile --algorithm kk` folds the KK baseline's compacted rules through
 the same rule-set fold. `check` exhaustively compares each compiled rule
@@ -65,13 +65,11 @@ def cmd_apply(args):
     at_least("--nbest", args.nbest, 1)
     at_least("--bound", args.bound, 1)
     t, alphabet = textio.read_transducer(args.fst)
-    if args.stdin:
-        # every line, blank ones too, as it arrives
-        inputs = (ln.rstrip("\n") for ln in sys.stdin)
-    elif args.input is not None:
-        inputs = [args.input]
-    else:
+    if args.stdin == (args.input is not None):
         raise BadOptionError("provide an input string or --stdin")
+    # with --stdin every line, blank ones too, as it arrives
+    inputs = ((ln.rstrip("\n") for ln in sys.stdin) if args.stdin
+              else [args.input])
     for text in inputs:
         wss, truncated = oracle.apply(t, text, alphabet, bound=args.bound)
         if truncated:
@@ -166,7 +164,7 @@ def cmd_bench(args):
     from . import bench as bench_mod  # loaded by `rwc bench` only
     records = bench_mod.run_bench(
         args.family, args.kmax, alphabet_size=args.alphabet_size,
-        deadline_ms=args.deadline_ms, skip_after=args.skip_after)
+        deadline_ms=args.deadline_ms)
     bench_mod.write_csv(args.out, records)
     n_timeouts = sum(r.timeout for r in records)
     print(f"wrote {args.out}: {len(records)} rows, {n_timeouts} timeouts")
@@ -215,9 +213,6 @@ def build_parser():
     b.add_argument("--kmax", type=int, default=10)
     b.add_argument("--alphabet-size", type=int, default=194)
     b.add_argument("--deadline-ms", type=int, default=300_000)
-    b.add_argument("--skip-after", type=int, default=2,
-                   help="skip remaining KK points after this many "
-                        "consecutive timeouts (0: never skip)")
     b.set_defaults(func=cmd_bench)
     return ap
 

@@ -106,14 +106,12 @@ def build_f(phi, alphabet):
     return fsm.reverse(_tau_f(phi, alphabet))
 
 
-def build_replace(phi, psi_wfsa, alphabet, pad_out=EPS, open_label=None,
-                  pass_label=None, close_label=None):
-    """The replacement transducer: a base state copying Σ, deleting the
-    close label and passing the pass label; the open label opens a
-    mandatory phi x psi block whose states delete all three labels,
-    exiting back to base on the span-closing close label. Open, pass and
-    close (all or none) default to LB1, LB2 and RB; the KK baseline passes
-    its brackets, and a `pad_out` for phi symbols psi leaves unmatched."""
+def build_replace(phi, psi_wfsa, alphabet, pad_out=EPS):
+    """The replacement transducer: a base state copying Σ, deleting RB and
+    passing LB2; LB1 opens a mandatory phi x psi block whose states delete
+    all three markers, exiting back to base on the span-closing RB. The KK
+    baseline, whose <a, <i and >c are these markers, passes a `pad_out`
+    for phi symbols psi leaves unmatched."""
     if nullable(phi):
         raise PhiNullableError("phi accepts the empty string")
     psi_t = fsm.trim(psi_wfsa)
@@ -131,21 +129,19 @@ def build_replace(phi, psi_wfsa, alphabet, pad_out=EPS, open_label=None,
         fsm._eps_closures(n + 1, succ)
     phi_aut = compile_regex(phi, alphabet)
     cp = fsm.cross_product(phi_aut, psi_wfsa, pad_out=pad_out)
-    if open_label is None:
-        open_label, pass_label, close_label = (alphabet.lb1, alphabet.lb2,
-                                               alphabet.rb)
+    rb, lb1, lb2 = alphabet.markers()
     off = 1
     arcs = [(0, a, a, 0.0, 0) for a in alphabet.sigma()]
-    arcs.append((0, close_label, EPS, 0.0, 0))
-    arcs.append((0, pass_label, pass_label, 0.0, 0))
-    arcs.append((0, open_label, open_label, 0.0, cp.initial + off))
+    arcs.append((0, rb, EPS, 0.0, 0))
+    arcs.append((0, lb2, lb2, 0.0, 0))
+    arcs.append((0, lb1, lb1, 0.0, cp.initial + off))
     for s, i, o, w, d in cp.arcs:
         arcs.append((s + off, i, o, w, d + off))
     for q in range(cp.num_states):
-        for m in (close_label, open_label, pass_label):
+        for m in (rb, lb1, lb2):
             arcs.append((q + off, m, EPS, 0.0, q + off))
     for q, fw in cp.finals.items():
-        arcs.append((q + off, close_label, EPS, fw, 0))
+        arcs.append((q + off, rb, EPS, fw, 0))
     return Transducer(cp.num_states + 1, 0, {0: 0.0}, arcs)
 
 

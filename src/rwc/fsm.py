@@ -31,7 +31,7 @@ machines can be shared freely between threads.
 Labels are plain ints. 0 is epsilon; an :class:`Alphabet` assigns
 1..n to the user symbols and the next three ids to the rewrite markers
 RB (">"), LB1 ("<1"), LB2 ("<2"). Modules that need further private
-labels (the KK baseline's brackets) allocate ids above ``num_labels``.
+labels (four of the KK baseline's) allocate ids above ``num_labels``.
 """
 
 import math

@@ -11,8 +11,9 @@ The pipeline composes six transducers:
 Prologue freely introduces the six context brackets <a <i <c >a >i >c;
 the constraint stages then restrict where they may occur, Replace rewrites
 <a-opened phi spans (emitting the reserved placeholder "0" for deleted
-material), and Prologue⁻¹ erases brackets and placeholders. The bracket
-discipline mirrors the direct compiler's markers:
+material), and Prologue⁻¹ erases brackets and placeholders. <a, <i and
+>c are the direct compiler's markers LB1, LB2 and RB, and the bracket
+discipline mirrors theirs:
 
   * >c sits in the bracket cluster before every right-context start and
     nowhere else (two intersectands; the expensive direction "every >c is
@@ -47,14 +48,16 @@ from .rulespec import compile_regex, nullable, series_to_wfsa
 
 class KkBrackets:
     """The six context bracket labels plus the deleted-material placeholder
-    "0", allocated above the core label scheme of an alphabet."""
+    "0". <a, <i and >c play the direct compiler's markers' roles, so they
+    are the alphabet's LB1, LB2 and RB; only <c, >a, >i and "0" are fresh
+    labels, allocated above the core label scheme."""
 
     __slots__ = ("la", "li", "lc", "ra", "ri", "rc", "zero")
 
     def __init__(self, alphabet):
+        self.la, self.li, self.rc = alphabet.lb1, alphabet.lb2, alphabet.rb
         base = alphabet.num_labels
-        (self.la, self.li, self.lc, self.ra, self.ri, self.rc,
-         self.zero) = range(base, base + 7)
+        self.lc, self.ra, self.ri, self.zero = range(base, base + 4)
 
     def all(self):
         return (self.la, self.li, self.lc, self.ra, self.ri, self.rc)
@@ -179,8 +182,7 @@ def kk_compile_rule(rule, alphabet, deadline=None):
             rule, alphabet, br)
         t = _prologue(alphabet, br)
         rep = build_replace(rule.phi, series_to_wfsa(rule.psi, alphabet),
-                            alphabet, pad_out=br.zero, open_label=br.la,
-                            pass_label=br.li, close_label=br.rc)
+                            alphabet, pad_out=br.zero)
         for stage in (fsm.id_transducer(obligatory),
                       fsm.id_transducer(rightcontext), rep,
                       fsm.id_transducer(leftcontext),

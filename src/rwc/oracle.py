@@ -23,9 +23,10 @@ from .rulespec import compile_regex, series_to_wfsa
 
 
 def _to_ids(alphabet, s):
+    """Text, or a sequence of declared symbol names, as symbol ids."""
     if isinstance(s, str):
         return alphabet.string_to_ids(s)
-    return tuple(alphabet.id_of(x) if isinstance(x, str) else x for x in s)
+    return alphabet.ids_of(s)
 
 
 def _names(alphabet, ids):
@@ -187,6 +188,8 @@ def apply(t, input_seq, alphabet, bound=1000):
 
 # the most outputs one input may have in a sweep
 _OUTPUTS_PER_INPUT = 4096
+# the most steps one epsilon closure of a sweep may take
+_CLOSURE_STEPS = 2_000_000
 # a sweep refuses to cover more input strings than this
 CHECK_BUDGET = 10**6
 # the oracle refuses a psi with more strings than this
@@ -246,7 +249,7 @@ def _relation(t, sigma, max_len):
                     configs[key] = nw
                     work.append((key, nw))
                     steps += 1
-                    if steps > 2_000_000:
+                    if steps > _CLOSURE_STEPS:
                         raise DivergentError("epsilon closure diverged")
                 elif nw == INF:
                     raise _overflow()
@@ -569,7 +572,7 @@ def _sweep_cannot_raise(t, max_len):
     the most arcs one state offers for one input symbol, its epsilon-input
     arcs included, at most sum(D**k for k <= N) such paths read a given
     input; at most _OUTPUTS_PER_INPUT bounds its outputs and, far below
-    the closure's 2,000,000, its closure steps. A path's weights, its
+    _CLOSURE_STEPS, its closure steps. A path's weights, its
     final weight included, sum to at most (N + 1) * W, W the largest arc
     or final weight."""
     n = t.num_states

@@ -37,7 +37,7 @@ from .fsm import (RESERVED_NAMES, Alphabet, Automaton, Transducer,
 
 _HEADER = "WFST v1"
 
-# far above the largest machine rwc builds (about 1k states)
+# far above rwc's largest machine (phonology32 --no-compact: 21,229 states)
 MAX_STATES = 1_000_000
 
 

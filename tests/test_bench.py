@@ -36,8 +36,7 @@ def test_kk_rows_are_timed_and_sized_like_a_direct_call(family):
         assert (r.states, r.arcs) == (t.num_states, len(t.arcs))
 
 
-@pytest.mark.parametrize("skip_after, calls", [(2, 2), (0, 4)])
-def test_kk_timeout_rows_restore_gc_and_skip(monkeypatch, skip_after, calls):
+def test_kk_timeout_rows_restore_gc_and_skip(monkeypatch):
     seen = []
 
     def times_out(rule, alphabet, deadline=None):
@@ -47,11 +46,11 @@ def test_kk_timeout_rows_restore_gc_and_skip(monkeypatch, skip_after, calls):
     monkeypatch.setattr(K, "kk_compile_rule", times_out)
     monkeypatch.setattr(BN, "REPEATS_NEW", 1)
     assert gc.isenabled()
-    records = BN.run_bench("right", 3, alphabet_size=12, deadline_ms=5000,
-                           skip_after=skip_after)
+    records = BN.run_bench("right", 3, alphabet_size=12, deadline_ms=5000)
     assert gc.isenabled()
-    # each sample runs with gc paused
-    assert seen == [False] * calls
+    # each sample runs with gc paused; after KK_SKIP_AFTER (2) timeouts,
+    # k = 2 and 3 are not run
+    assert seen == [False] * BN.KK_SKIP_AFTER
     kk_rows = [r for r in records if r.algorithm == "kk"]
     assert [(r.k, r.ms, r.states, r.arcs, r.timeout) for r in kk_rows] == \
         [(k, 5000.0, None, None, True) for k in range(4)]

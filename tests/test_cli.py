@@ -363,7 +363,6 @@ def test_apply_zero_weight_output_loop_truncates(loop, exit_, tmp_path,
     ("left", 1, {"alphabet_size": 2}),
     ("middle", 1, {}),
     ("right", 0, {"deadline_ms": 0}),
-    ("left", 0, {"skip_after": -1}),
 ])
 def test_run_bench_rejects_out_of_range_arguments(family, kmax, kwargs):
     with pytest.raises(BadOptionError):
@@ -514,7 +513,6 @@ def test_check_budget_admits_nasal_demo_default(monkeypatch):
     ["bench", "{fst}.csv", "--family", "left", "--alphabet-size", "2"],
     ["bench", "{fst}.csv", "--family", "right", "--deadline-ms", "-5"],
     ["bench", "{fst}.csv", "--family", "right", "--deadline-ms", "0"],
-    ["bench", "{fst}.csv", "--family", "left", "--skip-after", "-1"],
     ["check", str(DEMOS / "nasal.rules"), "--deadline-ms", "0"],
     ["compile", str(DEMOS / "nasal.rules"), "-o", "{fst}.out",
      "--deadline-ms", "-3"],
@@ -534,6 +532,20 @@ def test_apply_without_input_exits_1_with_bad_option(rule9_file, tmp_path,
     assert main(["compile", str(rule9_file), "-o", str(fst)]) == 0
     capsys.readouterr()
     assert main(["apply", str(fst)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "error: E_BAD_OPTION: provide an input string or --stdin\n")
+
+
+def test_apply_with_input_and_stdin_exits_1_with_bad_option(
+        rule9_file, tmp_path, capsys, monkeypatch):
+    import io
+
+    fst = tmp_path / "rule9.fst"
+    assert main(["compile", str(rule9_file), "-o", str(fst)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr("sys.stdin", io.StringIO("ca\n"))
+    assert main(["apply", str(fst), "ac", "--stdin"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err == (
         "error: E_BAD_OPTION: provide an input string or --stdin\n")

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from rwc import compiler as C
 from rwc import oracle as O
 from rwc.errors import (BadOptionError, DeadlineExceeded, DivergentError,
-                        InputBudgetError, RwcError, WeightOverflowError)
+                        InputBudgetError, RwcError, UnknownSymbolError,
+                        WeightOverflowError)
 from rwc.fsm import EPS, Alphabet, Automaton, Deadline, Transducer, \
     aut_sigma_star, id_transducer, remove_epsilon
 from rwc.rulespec import Cls, Eps, Rule, Sym, parse_rule_file
@@ -220,6 +221,20 @@ def test_apply_truncates_infinite_outputs():
     assert truncated and len(wss) == 5
 
 
+def test_inputs_are_strings_or_names_and_ids_are_refused():
+    alphabet, rule = rule_of("alphabet: a b c ;\n a -> b / _ c ;")
+    t = C.compile_rule(rule, alphabet).transducer
+    assert dict(O.oracle_rewrite(rule, alphabet, ["a", "c"]).entries) == \
+        dict(O.apply(t, ("a", "c"), alphabet)[0].entries) == \
+        {("b", "c"): 0.0}
+    # an undeclared id, the epsilon label and the marker RB's id
+    for ids in ([999, 1, 3], [0, 1, 3], [alphabet.rb]):
+        with pytest.raises(UnknownSymbolError):
+            O.oracle_rewrite(rule, alphabet, ids)
+        with pytest.raises(UnknownSymbolError):
+            O.apply(t, ids, alphabet)
+
+
 def test_apply_weight_overflow_is_a_coded_error():
     alphabet, rule = rule_of("alphabet: a b ;\n a -> <1e308> b / _ ;")
     t = C.compile_rule(rule, alphabet).transducer
@@ -323,6 +338,12 @@ def test_relation_guards_raise_divergent(t, sigma, max_len, message):
     with pytest.raises(DivergentError, match=message) as e:
         O._relation(t, sigma, max_len)
     assert e.value.code == "E_DIVERGENT"
+
+
+def test_sweep_bound_is_below_the_closure_cap():
+    # _sweep_cannot_raise bounds one closure's steps by the paths that read
+    # an input, at most _OUTPUTS_PER_INPUT, and leans on the cap above it
+    assert O._OUTPUTS_PER_INPUT < O._CLOSURE_STEPS
 
 
 @pytest.mark.parametrize("t, alphabet, max_len, message", _GUARDS)
