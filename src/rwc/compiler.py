@@ -50,8 +50,8 @@ from .boolean_ops import compact_transducer, count_ops, determinize
 from .errors import PhiNullableError, PsiEmptyError, WeightOverflowError
 from .fsm import EPS, Alphabet, Transducer
 from .marker import MarkerKind, MarkerSpec, marker
-from .rulespec import (Rule, RuleSet, compile_regex, leaf_names, nullable,
-                       rename, series_to_wfsa)
+from .rulespec import (RuleSet, compile_regex, leaf_names, nullable, rename,
+                       series_to_wfsa)
 
 
 class CompileStats(fsm.Value):
@@ -294,9 +294,7 @@ def rule_over_blocks(rule, alphabet):
     every string over `alphabet`."""
     blocks = symbol_blocks(RuleSet(alphabet, (rule,)))
     rep = {x: block[0] for block in blocks for x in block}
-    return (Rule(*(rename(ast, rep)
-                   for ast in (rule.phi, rule.psi, rule.lam, rule.rho))),
-            Alphabet([block[0] for block in blocks]), blocks)
+    return rename(rule, rep), Alphabet([block[0] for block in blocks]), blocks
 
 
 def rule_transducer(rule, alphabet, compact):
@@ -332,8 +330,12 @@ def compile_ruleset(ruleset, compact=True, compile_one=rule_transducer):
     block of `symbol_blocks`, and the result is expanded back to the full
     alphabet once at the end. Each rule is compiled by `compile_one(rule,
     alphabet, compact)` over the pair `rule_over_blocks` gives for the
-    full alphabet, and `_expand` widens each of its blocks to the file's
-    representatives inside it: the file's blocks split the rule's.
+    rule renamed to the file's representatives, and `_expand` widens each
+    of its blocks to the file's representatives inside it: the file's
+    blocks split the rule's. Each file block lies inside one rule block
+    whose first member is the first member of a file block, so that pair
+    is the one `rule_over_blocks` gives over the full alphabet, and costs
+    a partition of the representatives, not of every symbol.
     A left fold re-composes an ever-growing product; the tree composes
     machines of similar size, and its compacted result is the same
     canonical machine.
@@ -343,13 +345,12 @@ def compile_ruleset(ruleset, compact=True, compile_one=rule_transducer):
     alphabet = ruleset.alphabet
     blocks = symbol_blocks(ruleset)
     reduced = Alphabet([block[0] for block in blocks])
-    reps = set(reduced.symbols)
+    rep = {x: block[0] for block in blocks for x in block}
     machines = []
     for rule in ruleset.rules:
-        rule, small, own = rule_over_blocks(rule, alphabet)
+        rule, small, own = rule_over_blocks(rename(rule, rep), reduced)
         m = compile_one(rule, small, compact)
-        widen = [(EPS,)] + [reduced.ids_of([x for x in block if x in reps])
-                            for block in own]
+        widen = [(EPS,)] + [reduced.ids_of(block) for block in own]
         machines.append(_expand(m, widen, small))
     t = _compose_all(machines or [identity_over_sigma(reduced)])
     if compact:

@@ -532,8 +532,10 @@ def _distances(start, succ):
 
 
 def _eps_closures(num_states, eps_from):
-    """Min-plus epsilon closure of every state, by `_distances`."""
-    return [_distances({s: 0.0}, eps_from) for s in range(num_states)]
+    """Min-plus epsilon closure of every state, by `_distances`; a state
+    with no epsilon arc is its own closure, with no search."""
+    return [_distances({s: 0.0}, eps_from) if eps_from[s] else {s: 0.0}
+            for s in range(num_states)]
 
 
 def remove_epsilon(m):

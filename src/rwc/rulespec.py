@@ -122,7 +122,11 @@ def leaf_names(ast):
 
 
 def rename(ast, new_name):
-    """The expression with every symbol name n replaced by new_name[n]."""
+    """The expression, or each of a Rule's four, with every symbol name n
+    replaced by new_name[n]."""
+    if isinstance(ast, Rule):
+        return Rule(*(rename(x, new_name)
+                      for x in (ast.phi, ast.psi, ast.lam, ast.rho)))
     if isinstance(ast, Sym):
         return Sym(new_name[ast.name])
     if isinstance(ast, Cls):

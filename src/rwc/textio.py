@@ -31,8 +31,11 @@ per-state tables, so a larger count is refused by the reader and by the
 writer alike.
 """
 
+from itertools import chain, repeat
+from math import copysign
+
 from .errors import FormatError
-from .fsm import (RESERVED_NAMES, Alphabet, Automaton, Transducer,
+from .fsm import (RESERVED_NAMES, Alphabet, Automaton, Transducer, _weight,
                   id_transducer)
 
 _HEADER = "WFST v1"
@@ -54,8 +57,31 @@ def _check_labels(arcs, top):
         raise FormatError(f"label {bad} has no name in the symbol table")
 
 
+class _WeightTexts(dict):
+    """weight -> repr(float(weight)), each text made at its first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, w):
+        self[w] = text = repr(float(w))
+        return text
+
+
+class _SignedZeroTexts(_WeightTexts):
+    """`_WeightTexts` for a machine with a -0.0 weight: 0.0 and -0.0 are
+    one dict key but two texts, so a zero's text is made at every lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, w):
+        return super().__missing__(w) if w else repr(float(w))
+
+
 def format_machine(m, alphabet):
-    """Serialize an Automaton or Transducer to the text format."""
+    """Serialize an Automaton or Transducer to the text format. The
+    `final` and `arc` lines are joined from two per-machine tables, not
+    formatted number by number: the text of every state and label id,
+    and that of each distinct weight, made at its first use."""
     _check_size(m.num_states)
     kind = "acceptor" if m.tapes == 1 else "transducer"
     wtag = "weighted" if m.weighted else "unweighted"
@@ -63,14 +89,19 @@ def format_machine(m, alphabet):
     lines += [f"sym {i} {alphabet.name_of(i)}"
               for i in range(alphabet.num_labels)]
     lines.append(f"init {m.initial}")
-    lines += [f"final {q} {float(m.finals[q])!r}" for q in sorted(m.finals)]
+    ids = list(map(str, range(max(m.num_states, alphabet.num_labels))))
+    # the only weight with its sign bit set is -0.0
+    weights = chain(map(_weight, m.arcs), m.finals.values())
+    signed = -1.0 in map(copysign, repeat(1.0), weights)
+    wt = _SignedZeroTexts() if signed else _WeightTexts()
+    lines += [f"final {ids[q]} {wt[m.finals[q]]}" for q in sorted(m.finals)]
     # one pass; an arc with an unnamed label is left out and then reported
     top = alphabet.num_labels - 1
     if m.tapes == 1:
-        arcs = [f"arc {s} {d} {l} {float(w)!r}"
+        arcs = [f"arc {ids[s]} {ids[d]} {ids[l]} {wt[w]}"
                 for s, l, w, d in m.arcs if 0 <= l <= top]
     else:
-        arcs = [f"arc {s} {d} {i} {o} {float(w)!r}"
+        arcs = [f"arc {ids[s]} {ids[d]} {ids[i]} {ids[o]} {wt[w]}"
                 for s, i, o, w, d in m.arcs if 0 <= i <= top and 0 <= o <= top]
     if len(arcs) < len(m.arcs):
         _check_labels(m.arcs, top)

@@ -496,6 +496,35 @@ def test_rule_over_blocks_is_the_pair_compile_ruleset_compiles(gen):
                          for rule in rs.rules]
 
 
+def _block_identity_files():
+    rng = rng_for("rule-over-blocks-of-representatives")
+    return ([rand_phonology_text(rng) for _ in range(20)]
+            + [(DEMOS / d).read_text() for d in ("nasal.rules", "chain.rules")]
+            + [(GOLDEN / "phonology194.rules").read_text()])
+
+
+@pytest.mark.parametrize("text", _block_identity_files(),
+                         ids=[f"phonology{i}" for i in range(20)]
+                         + ["nasal", "chain", "phonology194"])
+def test_rule_over_blocks_of_the_files_representatives_is_over_sigma(text):
+    # compile_ruleset renames each rule to the file's representatives and
+    # partitions those; `rwc check` keys its machines by the pair over
+    # Sigma. Each file block lies inside one rule block, whose first
+    # member is a representative, so both give one rule and alphabet
+    rs = parse_rule_file(text)
+    blocks = C.symbol_blocks(rs)
+    reps = {block[0] for block in blocks}
+    rep = {x: block[0] for block in blocks for x in block}
+    reduced = Alphabet([block[0] for block in blocks])
+    for rule in rs.rules:
+        want_rule, want, want_blocks = C.rule_over_blocks(rule, rs.alphabet)
+        got_rule, got, got_blocks = C.rule_over_blocks(R.rename(rule, rep),
+                                                        reduced)
+        assert (got_rule, got.symbols) == (want_rule, want.symbols)
+        assert got_blocks == [tuple(x for x in block if x in reps)
+                              for block in want_blocks]
+
+
 def test_rule_over_blocks_decides_every_string_over_the_alphabet():
     # both relations of a rule over the full alphabet, each symbol renamed
     # to its block's representative, are those of the rule over its

@@ -235,6 +235,23 @@ def test_format_machine_equals_reference_writer(seed, acceptor, weighted,
     assert format_machine(m, AB) == reference_format_machine(m, AB)
 
 
+# the two traps of a writer that looks texts up in per-machine tables:
+# 0.0 and -0.0 are one dict key with two texts, and state ids run past
+# the label ids
+@pytest.mark.parametrize("m", [
+    Transducer(2, 0, {0: 0.0, 1: -0.0}, [(0, A, B, 0.0, 1),
+                                         (1, B, A, -0.0, 0),
+                                         (1, A, A, 0.0, 1)]),
+    Automaton(2, 0, {0: -0.0, 1: 0.0}, [(0, A, -0.0, 1), (1, B, 0.0, 0),
+                                        (0, B, 0.5, 0)]),
+    Transducer(AB.num_labels + 3, 0, {AB.num_labels + 2: 0.25},
+               [(s, A, B, 0.25, s + 1) for s in range(AB.num_labels + 2)]),
+], ids=["zero-before-negative-zero", "negative-zero-first",
+        "more-states-than-labels"])
+def test_format_machine_equals_reference_writer_on_table_traps(m):
+    assert format_machine(m, AB) == reference_format_machine(m, AB)
+
+
 @pytest.mark.parametrize("m", [
     Automaton(2, 0, {1: 0.0}, [(0, A, 0.0, 1), (0, 6, 0.0, 1),
                                (1, 9, 0.0, 1)]),
